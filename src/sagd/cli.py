@@ -5,10 +5,12 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 command with identical flags reproduces outputs byte for byte except the
 wall-clock columns.  Reported wall time wraps the iteration loop only;
 unlike dedicated benchmark setups it includes random-sampling time, which
-is O(tau) per step and immaterial at the scales this CLI targets.
+is O(n) per minibatch step (the sampler allocates an index array of length
+n each time).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -211,14 +213,7 @@ def cmd_plan(args):
             "saga_omega": plan.saga_omega,
             "best": _candidate_row(plan.best),
             "candidates": [_candidate_row(c) for c in plan.all_candidates],
-            "full_batch": None
-            if closed is None
-            else {
-                "q": closed.q,
-                "alpha": closed.alpha,
-                "omega_coef": closed.omega_coef,
-                "regime": closed.regime,
-            },
+            "full_batch": None if closed is None else dataclasses.asdict(closed),
         }
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
@@ -275,7 +270,7 @@ def cmd_run(args):
         cfg = SolverConfig(
             q=q,
             tau=tau,
-            alpha=alpha,
+            alpha=resolved_alpha,
             seed=seed,
             tol=args.tol,
             max_effective_passes=args.max_passes,
@@ -334,15 +329,17 @@ def cmd_sweep(args):
     taus = _parse_taus(args.taus)
     seeds = _parse_seeds(args.seed)
     x_star = _reference_solution(data, loss, args.tol)
+    alphas = stepsize(InterpolationConfig(q=q, tau=np.array(taus), n=data.n), profile)
 
     rows = []
     all_converged = True
-    for tau in taus:
+    for tau, alpha in zip(taus, alphas.tolist()):
         per_seed = []
         for seed in seeds:
             cfg = SolverConfig(
                 q=q,
                 tau=tau,
+                alpha=alpha,
                 seed=seed,
                 tol=args.tol,
                 max_effective_passes=args.max_passes,
@@ -384,21 +381,7 @@ def cmd_sweep(args):
 def cmd_verify(args):
     results = run_all(n_max=args.n_max)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "checks": r.checks,
-                        "failures": r.failures,
-                        "elapsed": r.elapsed,
-                    }
-                    for r in results
-                ],
-                sort_keys=True,
-            )
-        )
+        print(json.dumps([dataclasses.asdict(r) for r in results], sort_keys=True))
     else:
         for r in results:
             print(r.summary())

@@ -5,9 +5,16 @@ of taking a tau-minibatch step instead of a single-sample step) and of the
 smoothness profile (L_i, L_max, L_bar, mu).  The enumeration oracles in
 :mod:`sagd.sketch_oracle` recompute the sampling-dependent quantities by
 brute force; the two routes are compared in the verification suites.
+
+Every function broadcasts over numpy ``q``, ``tau`` and ``n`` and evaluates
+elementwise, in the same operation order as a scalar call, so an array call
+equals the scalar calls bit for bit.  Scalar arguments give Python floats
+and strs back.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exceptions import InvalidInputError
 
@@ -22,24 +29,37 @@ REGIME_BAD = "bad"
 @dataclass(frozen=True)
 class InterpolationConfig:
     """Sampling law: minibatches of size tau with probability q, single
-    uniformly chosen samples otherwise, over n samples."""
+    uniformly chosen samples otherwise, over n samples.  Each field is a
+    number or a numpy array; arrays broadcast against each other."""
 
     q: float
     tau: int
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        n, tau, q = np.broadcast_arrays(*_fields(self))
+        if np.any(n < 1):
             raise InvalidInputError("need n >= 1")
-        if not 0.0 <= self.q <= 1.0:
-            raise InvalidInputError(f"q must be in [0, 1], got {self.q}")
-        if not 1 <= self.tau <= self.n:
-            raise InvalidInputError(f"need 1 <= tau <= n, got tau={self.tau}, n={self.n}")
+        bad = ~((0.0 <= q) & (q <= 1.0))
+        if bad.any():  # messages name the first offending entry
+            raise InvalidInputError(f"q must be in [0, 1], got {q[bad][0]}")
+        bad = (tau < 1) | (tau > n)
+        if bad.any():
+            raise InvalidInputError(f"need 1 <= tau <= n, got tau={tau[bad][0]}, n={n[bad][0]}")
 
     @property
     def cost_per_iter(self):
         """Expected gradient evaluations per step: q (tau - 1) + 1."""
         return self.q * (self.tau - 1) + 1.0
+
+
+def _fields(cfg):
+    return np.asarray(cfg.n), np.asarray(cfg.tau), np.asarray(cfg.q, dtype=np.float64)
+
+
+def _scalar(x):
+    """A Python scalar for a 0-d result, the array otherwise."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -70,13 +90,13 @@ def expected_smoothness(cfg, profile):
     Equals L_max exactly in the single-sample limits (q = 0 or tau = 1) and
     interpolates toward the full-gradient value as q tau grows.
     """
-    n, tau, q = cfg.n, cfg.tau, cfg.q
-    if n == 1:
-        return profile.L_max
-    cost = cfg.cost_per_iter
-    lead = (q * (tau * (n - tau) / (n - 1) - 1.0) + 1.0) * profile.L_max
-    mix = n * q * tau * (tau - 1) / (n - 1) * profile.L_bar
-    return (lead + mix) / (cost * cost)
+    n, tau, q = _fields(cfg)
+    cost = q * (tau - 1) + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # n = 1 is masked below
+        lead = (q * (tau * (n - tau) / (n - 1) - 1.0) + 1.0) * profile.L_max
+        mix = n * q * tau * (tau - 1) / (n - 1) * profile.L_bar
+        l1 = (lead + mix) / (cost * cost)
+    return _scalar(np.where(n == 1, profile.L_max, l1))
 
 
 def sketch_residual(cfg):
@@ -88,21 +108,21 @@ def sketch_residual(cfg):
     and the low branch always applies.  Within a 1e-12 relative band of the
     crossing both expressions agree and the branch reports "boundary".
     """
-    n, tau, q = cfg.n, cfg.tau, cfg.q
-    if n == 1:
-        return 0.0, BRANCH_BOUNDARY
-    th = theta(cfg)
-    low = th * th * ((1.0 - q) / n + q * (tau / n) * ((n - tau) / (n - 1)))
-    if tau == 1:
-        return low, BRANCH_LOW
-    t = q * th * th
-    threshold = (n / tau) * ((n - 1) / (tau - 1))
-    if abs(t - threshold) <= 1e-12 * max(1.0, threshold):
-        return low, BRANCH_BOUNDARY
-    if t < threshold:
-        return low, BRANCH_LOW
-    high = low + n * (th * th * q * (tau / n) * ((tau - 1) / (n - 1)) - 1.0)
-    return high, BRANCH_HIGH
+    n, tau, q = _fields(cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):  # n = 1, tau = 1 are masked below
+        th = n / (q * (tau - 1) + 1.0)
+        low = th * th * ((1.0 - q) / n + q * (tau / n) * ((n - tau) / (n - 1)))
+        high = low + n * (th * th * q * (tau / n) * ((tau - 1) / (n - 1)) - 1.0)
+        t = q * th * th
+        threshold = (n / tau) * ((n - 1) / (tau - 1))
+        band = np.abs(t - threshold) <= 1e-12 * np.maximum(1.0, threshold)
+    single = n == 1
+    crossing = ~single & (tau != 1)
+    boundary = single | (crossing & band)
+    above = crossing & ~band & ~(t < threshold)
+    rho = np.where(single, 0.0, np.where(above, high, low))
+    branch = np.where(boundary, BRANCH_BOUNDARY, np.where(above, BRANCH_HIGH, BRANCH_LOW))
+    return _scalar(rho), _scalar(branch)
 
 
 def jacobian_smoothness(cfg, l_max):
@@ -110,16 +130,15 @@ def jacobian_smoothness(cfg, l_max):
     return l_max * cfg.cost_per_iter
 
 
+def residual_term(cfg, profile, rho):
+    """Complexity envelope driven by a sketch residual ``rho``:
+    (theta + 4 rho L_max / (mu n)) (q (tau - 1) + 1)."""
+    return (theta(cfg) + 4.0 * rho * profile.L_max / (profile.mu * cfg.n)) * cfg.cost_per_iter
+
+
 def stepsize(cfg, profile):
     """Largest stepsize covered by the convergence guarantee."""
-    l1 = expected_smoothness(cfg, profile)
-    rho, _ = sketch_residual(cfg)
-    th = theta(cfg)
-    n = cfg.n
-    return min(
-        1.0 / (4.0 * l1),
-        n / (4.0 * profile.L_max * rho + profile.mu * th * n),
-    )
+    return total_complexity(cfg, profile).stepsize
 
 
 def total_complexity(cfg, profile):
@@ -133,8 +152,8 @@ def total_complexity(cfg, profile):
     l1 = expected_smoothness(cfg, profile)
     rho, branch = sketch_residual(cfg)
     g_smooth = (4.0 * l1 / mu) * cost
-    g_resid = (th + 4.0 * rho * l_max / (mu * n)) * cost
-    alpha = min(1.0 / (4.0 * l1), n / (4.0 * l_max * rho + mu * th * n))
+    g_resid = residual_term(cfg, profile, rho)
+    alpha = np.minimum(1.0 / (4.0 * l1), n / (4.0 * l_max * rho + mu * th * n))
     return MethodConstants(
         theta=th,
         cost_per_iter=cost,
@@ -143,10 +162,10 @@ def total_complexity(cfg, profile):
         stochastic_condition=1.0 / th,
         sketch_residual=rho,
         residual_branch=branch,
-        stepsize=alpha,
+        stepsize=_scalar(alpha),
         smoothness_term=g_smooth,
         residual_term=g_resid,
-        omega_coef=max(g_smooth, g_resid),
+        omega_coef=_scalar(np.maximum(g_smooth, g_resid)),
     )
 
 

@@ -10,7 +10,10 @@ every tau, plus the single-sample baseline, and picks the cheapest.
 """
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .complexity import InterpolationConfig, stepsize, total_complexity
 from .exceptions import InvalidInputError
@@ -53,6 +56,18 @@ class Plan:
     mu: float
 
 
+def branch_roots_array(tau, n):
+    """Array form of :func:`branch_roots` over an integer array ``tau``:
+    ``(q_minus, q_plus)``, NaN wherever the roots do not exist."""
+    tau = np.asarray(tau)
+    disc = n * tau + 4.0 * (1.0 - n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # absent roots turn NaN
+        root = np.where((tau == 1) | (disc < 0.0), np.nan, np.sqrt(n * tau) * np.sqrt(disc))
+        den = 2.0 * (n - 1) * (tau - 1)
+        base = n * tau + 2.0 * (1.0 - n)
+        return (base - root) / den, (base + root) / den
+
+
 def branch_roots(tau, n):
     """The two q values where the sketch residual switches branch, i.e. the
     roots of q theta(q)^2 = (n / tau)((n - 1) / (tau - 1)).
@@ -64,15 +79,8 @@ def branch_roots(tau, n):
         raise InvalidInputError("need n >= 2")
     if not 1 <= tau <= n:
         raise InvalidInputError(f"need 1 <= tau <= n, got tau={tau}, n={n}")
-    if tau == 1:
-        return None
-    disc = n * tau + 4.0 * (1.0 - n)
-    if disc < 0.0:
-        return None
-    root = math.sqrt(n * tau) * math.sqrt(disc)
-    den = 2.0 * (n - 1) * (tau - 1)
-    base = n * tau + 2.0 * (1.0 - n)
-    return (base - root) / den, (base + root) / den
+    q_minus, q_plus = branch_roots_array(tau, n)
+    return None if np.isnan(q_minus) else (float(q_minus), float(q_plus))
 
 
 def tau_window(n, l_max, mu):
@@ -94,6 +102,22 @@ def tau_window(n, l_max, mu):
     return tau_min, tau_max
 
 
+def q_intersections_array(tau, n, l_max, mu):
+    """Array form of :func:`q_intersections` over an integer array ``tau``
+    in [2, n]: ``(kind, q)``, q NaN wherever there is no intersection."""
+    tau = np.asarray(tau)
+    tau_min, tau_max = tau_window(n, l_max, mu)
+    cond = 4.0 * l_max / mu
+    low = (tau_min <= tau) & (tau <= tau_max)
+    high = ~low & (tau_max < tau) & (tau <= n)
+    den = (tau - 1) * (tau * cond + 1.0 - n)
+    with np.errstate(divide="ignore"):  # den = 0 is masked below
+        q_low = np.where(den == 0.0, np.nan, (n - 1) / den)
+    q = np.where(low, q_low, np.where(high, (n - cond) / (cond * (tau - 1)), np.nan))
+    q = np.where((0.0 <= q) & (q <= 1.0), q, np.nan)
+    return np.where(low, KIND_Q_I1, KIND_Q_I2), q
+
+
 def q_intersections(tau, n, l_max, mu):
     """Intersection of the two complexity envelopes at a given tau.
 
@@ -104,22 +128,8 @@ def q_intersections(tau, n, l_max, mu):
     """
     if not 2 <= tau <= n:
         raise InvalidInputError(f"need 2 <= tau <= n, got tau={tau}, n={n}")
-    tau_min, tau_max = tau_window(n, l_max, mu)
-    cond = 4.0 * l_max / mu
-    if tau_min <= tau <= tau_max:
-        den = (tau - 1) * (tau * cond + 1.0 - n)
-        if den == 0.0:
-            return None
-        q = (n - 1) / den
-        kind = KIND_Q_I1
-    elif tau_max < tau <= n:
-        q = (n - cond) / (cond * (tau - 1))
-        kind = KIND_Q_I2
-    else:
-        return None
-    if not 0.0 <= q <= 1.0:
-        return None
-    return kind, q
+    kind, q = q_intersections_array(tau, n, l_max, mu)
+    return None if np.isnan(q) else (str(kind), float(q))
 
 
 def optimal_minibatch_tau(n, mu, l_max):
@@ -138,7 +148,9 @@ def optimal_plan(profile, n):
     L_i = L_max; the reported stepsize of each candidate uses the true
     profile, so an executed plan is always covered by the convergence
     guarantee.  Ties break toward larger tau (more parallelizable), then
-    smaller q.
+    smaller q.  Candidates come in a fixed order: the single-sample
+    baseline, the q = 1 family, then for each tau = 2..n its lower branch
+    root and its envelope intersection.
     """
     if n < 2:
         raise InvalidInputError("planning needs n >= 2")
@@ -146,40 +158,38 @@ def optimal_plan(profile, n):
     mu = profile.mu
     uniform = SmoothnessProfile.uniform(n, l_max, mu, profile.mu_source)
 
-    def make(tau, kind, q, covered=True):
-        cfg = InterpolationConfig(q=q, tau=tau, n=n)
-        omega = total_complexity(cfg, uniform).omega_coef
-        alpha = stepsize(cfg, profile)
-        return PlanCandidate(tau, kind, q, omega, alpha, covered)
-
-    candidates = [make(1, KIND_SAGA_BASELINE, 0.0)]
+    # per tau = 2..n: the lower branch root, then the envelope intersection
+    all_taus = np.arange(1, n + 1)
+    taus = all_taus[1:]
+    q_minus, _ = branch_roots_array(taus, n)
+    hit_kind, hit_q = q_intersections_array(taus, n, l_max, mu)
+    pair_q = np.column_stack((q_minus, hit_q)).ravel()
+    pair_kind = np.column_stack((np.full(taus.size, KIND_Q_MINUS), hit_kind)).ravel()
+    keep = (0.0 <= pair_q) & (pair_q <= 1.0)
 
     # q = 1 family: the rounded closed-form tau plus the argmin of an
     # exhaustive scan (they can differ by one when rounding picks the
-    # worse neighbor).
+    # worse neighbor); scan ties break toward larger tau.
+    scan = total_complexity(InterpolationConfig(1.0, all_taus, n), uniform).omega_coef
+    t_scan = int(all_taus[scan == scan.min()].max())
     t_round = optimal_minibatch_tau(n, mu, l_max)
-    t_scan = min(
-        range(1, n + 1),
-        key=lambda t: (total_complexity(InterpolationConfig(1.0, t, n), uniform).omega_coef, -t),
-    )
-    candidates.append(make(t_round, KIND_ONE, 1.0))
-    if t_scan != t_round:
-        candidates.append(make(t_scan, KIND_ONE, 1.0))
+    ones = [t_round] if t_scan == t_round else [t_round, t_scan]
 
-    for tau in range(2, n + 1):
-        roots = branch_roots(tau, n)
-        if roots is not None and 0.0 <= roots[0] <= 1.0:
-            candidates.append(make(tau, KIND_Q_MINUS, roots[0], covered=tau >= 4))
-        hit = q_intersections(tau, n, l_max, mu)
-        if hit is not None:
-            candidates.append(make(tau, hit[0], hit[1]))
-
-    best = min(candidates, key=lambda c: (c.omega_coef, -c.tau, c.q))
-    saga = next(c for c in candidates if c.q_kind == KIND_SAGA_BASELINE)
+    tau = np.concatenate(([1], ones, np.repeat(taus, 2)[keep]))
+    q = np.concatenate(([0.0], [1.0] * len(ones), pair_q[keep]))
+    kind = np.concatenate(([KIND_SAGA_BASELINE], [KIND_ONE] * len(ones), pair_kind[keep]))
+    covered = (kind != KIND_Q_MINUS) | (tau >= 4)
+    cfg = InterpolationConfig(q=q, tau=tau, n=n)
+    omega = total_complexity(cfg, uniform).omega_coef
+    alpha = stepsize(cfg, profile)
+    kinds = [sys.intern(k) for k in kind.tolist()]  # the kind constants' str objects, shared
+    rows = zip(tau.tolist(), kinds, q.tolist(), omega.tolist(), alpha.tolist(), covered.tolist())
+    candidates = [PlanCandidate(*row) for row in rows]
+    best = candidates[np.lexsort((q, -tau, omega))[0]]
     return Plan(
         best=best,
         all_candidates=candidates,
-        saga_omega=saga.omega_coef,
+        saga_omega=candidates[0].omega_coef,
         n=n,
         l_max=l_max,
         l_bar=profile.L_bar,

@@ -115,6 +115,8 @@ class SmoothnessProfile:
             raise InvalidInputError("L must be a nonempty vector")
         if not (np.isfinite(self.mu) and self.mu > 0.0):
             raise NotStronglyConvexError(f"mu must be positive, got {self.mu}")
+        if not (np.isfinite(self.L_max) and np.isfinite(self.L_bar) and np.isfinite(self.L).all()):
+            raise InvalidInputError("smoothness constants must be finite")
         if abs(self.L_max - float(self.L.max())) > 1e-12 * max(1.0, self.L_max):
             raise InvalidInputError("L_max does not match max(L)")
         if abs(self.L_bar - float(self.L.mean())) > 1e-12 * max(1.0, self.L_bar):

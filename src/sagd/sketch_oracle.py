@@ -71,20 +71,12 @@ def oracle_bias_correction(n, tau, q):
 
 def oracle_sketch_residual(n, tau, q):
     """Largest eigenvalue of c^2 E[(Pi e)(Pi e)^T] - e e^T, by dense eigensolve."""
-    c = oracle_bias_correction(n, tau, q)
-    m = np.zeros((n, n))
-    for atom in enumerate_sampling(n, tau, q):
-        e_s = np.zeros(n)
-        e_s[list(atom.indices)] = 1.0
-        m += atom.probability * np.outer(e_s, e_s)
-    m *= c * c
-    m -= np.ones((n, n))
-    w, _ = symmetric_eigen(m)
-    return float(w[-1])
+    return float(oracle_residual_eigenvalues(n, tau, q)[-1])
 
 
 def oracle_residual_eigenvalues(n, tau, q):
-    """All eigenvalues of the residual matrix (it has at most two distinct)."""
+    """All eigenvalues, ascending, of the residual matrix
+    c^2 E[(Pi e)(Pi e)^T] - e e^T (it has at most two distinct)."""
     c = oracle_bias_correction(n, tau, q)
     m = np.zeros((n, n))
     for atom in enumerate_sampling(n, tau, q):

@@ -219,11 +219,7 @@ def lyapunov(state, x_star, grad_table_star, l_max):
 
 def gradient_matrix(data, loss, x):
     """Per-sample gradients at x, one column each (d x n)."""
-    grad = gradient_fn(data, loss)
-    out = np.empty((data.d, data.n))
-    for j in range(data.n):
-        out[:, j] = grad(x, j)
-    return out
+    return init_table(data, loss, x, "at-x0", None).J
 
 
 def run(data, loss, cfg, x_star=None, x0=None):

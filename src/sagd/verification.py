@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import complexity, planner, sketch_oracle
+from .exceptions import InvalidInputError
 from .numerics import SeededRng
 from .problem import SmoothnessProfile
 
@@ -36,6 +37,10 @@ class SuiteResult:
         return line
 
 
+def _residual(cfg):
+    return complexity.sketch_residual(cfg)[0]
+
+
 def check_constants_against_oracles(
     n_max=8,
     q_grid=DEFAULT_Q_GRID,
@@ -50,9 +55,12 @@ def check_constants_against_oracles(
     Grid: n in {2..n_max}, tau in {1..n}, q over ``q_grid``.  Tolerances:
     bias correction and projector mean to 1e-12, sketch residual to
     1e-9 * max(1, oracle), expected smoothness to 1e-9 relative over
-    ``levels_per_pair`` random smoothness vectors per (n, tau).
+    ``levels_per_pair`` random smoothness vectors per (n, tau).  The closed
+    forms are evaluated once per (n, tau) over the whole q grid.
     """
-    rho_fn = rho_fn or (lambda cfg: complexity.sketch_residual(cfg)[0])
+    if n_max < 2:
+        raise InvalidInputError(f"need n_max >= 2, got {n_max}")
+    rho_fn = rho_fn or _residual
     smoothness_fn = smoothness_fn or complexity.expected_smoothness
     theta_fn = theta_fn or complexity.theta
     rng = SeededRng(seed)
@@ -65,31 +73,30 @@ def check_constants_against_oracles(
                 np.array([0.5 + rng.uniform() for _ in range(n)])
                 for _ in range(levels_per_pair)
             ]
-            for q in q_grid:
-                cfg = complexity.InterpolationConfig(q=q, tau=tau, n=n)
+            cfg = complexity.InterpolationConfig(q=np.asarray(q_grid, float), tau=tau, n=n)
+            th_all, rho_all = theta_fn(cfg), rho_fn(cfg)
+            l1_all = [
+                smoothness_fn(cfg, SmoothnessProfile(
+                    levels, float(levels.max()), float(levels.mean()), 1e-3, "lambda-lower-bound"
+                ))
+                for levels in level_sets
+            ]
+            for i, q in enumerate(q_grid):
                 checks += 1
-                th = theta_fn(cfg)
                 th_oracle = sketch_oracle.oracle_bias_correction(n, tau, q)
-                if abs(th - th_oracle) > 1e-12 * max(1.0, th_oracle):
+                if abs(th_all[i] - th_oracle) > 1e-12 * max(1.0, th_oracle):
                     failures.append(f"theta(n={n},tau={tau},q={q:.2f})")
                 mean = sketch_oracle.oracle_expected_projection(n, tau, q)
                 expected = np.eye(n) / th_oracle
                 if np.max(np.abs(mean - expected)) > 1e-12:
                     failures.append(f"projector-mean(n={n},tau={tau},q={q:.2f})")
-                rho = rho_fn(cfg)
                 rho_oracle = sketch_oracle.oracle_sketch_residual(n, tau, q)
-                if abs(rho - rho_oracle) > 1e-9 * max(1.0, rho_oracle):
+                if abs(rho_all[i] - rho_oracle) > 1e-9 * max(1.0, rho_oracle):
                     failures.append(f"residual(n={n},tau={tau},q={q:.2f})")
-                for k, levels in enumerate(level_sets):
-                    profile = SmoothnessProfile(
-                        levels, float(levels.max()), float(levels.mean()), 1e-3, "lambda-lower-bound"
-                    )
-                    l1 = smoothness_fn(cfg, profile)
+                for k, (levels, l1) in enumerate(zip(level_sets, l1_all)):
                     l1_oracle = sketch_oracle.oracle_expected_smoothness(n, tau, q, levels)
-                    if abs(l1 - l1_oracle) > 1e-9 * max(1.0, abs(l1_oracle)):
-                        failures.append(
-                            f"smoothness(n={n},tau={tau},q={q:.2f},levels={k})"
-                        )
+                    if abs(l1[i] - l1_oracle) > 1e-9 * max(1.0, abs(l1_oracle)):
+                        failures.append(f"smoothness(n={n},tau={tau},q={q:.2f},levels={k})")
     return SuiteResult(
         name="constants-vs-oracles",
         passed=not failures,
@@ -99,19 +106,13 @@ def check_constants_against_oracles(
     )
 
 
-def _envelopes(n, tau, profile):
+def _envelopes(n, tau, profile, rho_fn):
     """Both complexity envelope values at every grid q, as arrays."""
     qs = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     qs[-1] = 1.0
-    g_smooth = np.empty(qs.size)
-    g_resid = np.empty(qs.size)
-    for i, q in enumerate(qs):
-        mc = complexity.total_complexity(
-            complexity.InterpolationConfig(q=float(q), tau=tau, n=n), profile
-        )
-        g_smooth[i] = mc.smoothness_term
-        g_resid[i] = mc.residual_term
-    return qs, g_smooth, g_resid
+    cfg = complexity.InterpolationConfig(q=qs, tau=tau, n=n)
+    g_smooth = complexity.total_complexity(cfg, profile).smoothness_term
+    return qs, g_smooth, complexity.residual_term(cfg, profile, rho_fn(cfg))
 
 
 def check_envelope_shapes(
@@ -130,10 +131,10 @@ def check_envelope_shapes(
     relative; and q-/q+ obey the closed-form bound chain for tau >= 4.
     Slacks are relative to the local envelope magnitude.
     """
+    rho_fn = rho_fn or _residual
     failures = []
     checks = 0
     start = time.perf_counter()
-    use_perturbed = rho_fn is not None
     for n in n_values:
         taus = sorted(
             {4, 5, 6, 8}
@@ -171,13 +172,7 @@ def check_envelope_shapes(
                 if not chain:
                     failures.append(f"root-bounds(n={n},tau={tau})")
 
-                qs, g_smooth, g_resid = _envelopes(n, tau, profile)
-                if use_perturbed:
-                    for i, q in enumerate(qs):
-                        cfg = complexity.InterpolationConfig(q=float(q), tau=tau, n=n)
-                        rho = rho_fn(cfg)
-                        cost = cfg.cost_per_iter
-                        g_resid[i] = (n / cost + 4.0 * rho * l_max / (mu * n)) * cost
+                qs, g_smooth, g_resid = _envelopes(n, tau, profile, rho_fn)
                 scale = max(1.0, float(np.max(np.abs(g_resid))))
                 d_smooth = np.diff(g_smooth)
                 if np.min(d_smooth) < -1e-9 * max(1.0, float(np.max(np.abs(g_smooth)))):
@@ -194,16 +189,18 @@ def check_envelope_shapes(
                 if np.any(second[inner] > 1e-9 * scale):
                     failures.append(f"residual-envelope-not-concave(n={n},tau={tau})")
             # intersection candidates across the whole tau range
-            for tau in range(2, n + 1, max(1, (n - 2) // 40 or 1)):
-                hit = planner.q_intersections(tau, n, l_max, mu)
-                if hit is None:
-                    continue
-                checks += 1
-                cfg = complexity.InterpolationConfig(q=hit[1], tau=tau, n=n)
-                mc = complexity.total_complexity(cfg, profile)
-                gap = abs(mc.smoothness_term - mc.residual_term)
-                if gap > 1e-6 * max(mc.smoothness_term, mc.residual_term):
-                    failures.append(f"intersection-gap(n={n},tau={tau},q={hit[1]:.4f})")
+            hit_taus = np.arange(2, n + 1, max(1, (n - 2) // 40 or 1))
+            _, hit_q = planner.q_intersections_array(hit_taus, n, l_max, mu)
+            found = ~np.isnan(hit_q)
+            hit_taus, hit_q = hit_taus[found], hit_q[found]
+            checks += hit_q.size
+            mc = complexity.total_complexity(
+                complexity.InterpolationConfig(q=hit_q, tau=hit_taus, n=n), profile
+            )
+            gap = np.abs(mc.smoothness_term - mc.residual_term)
+            wide = gap > 1e-6 * np.maximum(mc.smoothness_term, mc.residual_term)
+            for tau, q in zip(hit_taus[wide].tolist(), hit_q[wide].tolist()):
+                failures.append(f"intersection-gap(n={n},tau={tau},q={q:.4f})")
     return SuiteResult(
         name="envelope-shapes",
         passed=not failures,

@@ -1,7 +1,9 @@
 import json
 import os
 
-from sagd import cli
+import pytest
+
+from sagd import cli, problem, solver
 from sagd.data_io import read_results_csv
 from sagd.verification import check_constants_against_oracles
 
@@ -52,6 +54,16 @@ class TestPlan:
         code, _, err = run_cli(capsys, "plan", "--n", "100", "--mu", "0.1")
         assert code == 2
         assert "l-max" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--l-max", "nan"), ("--l-max", "inf"), ("--l-max", "1.0", "--l-bar", "nan")],
+    )
+    def test_non_finite_profile_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, "plan", "--n", "100", "--mu", "0.01", *flags, "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestRun:
@@ -134,6 +146,25 @@ class TestRun:
 
 
 class TestSweep:
+    def test_profile_computed_once_per_command(self, capsys, monkeypatch):
+        # the command's profile feeds every tau's stepsize; only the
+        # reference solution (its strong-convexity guard) profiles again
+        calls = []
+        original = problem.smoothness_profile
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for mod in (cli, problem, solver):
+            monkeypatch.setattr(mod, "smoothness_profile", counted)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--synth", "120,4,gaussian", "--normalize",
+            "--q", "0.5", "--taus", "1-4", "--seed", "1,2", "--tol", "1e-6", "--json",
+        )
+        assert code == 0
+        assert len(calls) == 2
+
     def test_single_tau_matches_run(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"
         code, out, _ = run_cli(
@@ -168,6 +199,13 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert all(suite["passed"] for suite in payload)
+
+    @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+    def test_degenerate_grid_rejected(self, capsys, n_max):
+        code, out, err = run_cli(capsys, "verify", "--n-max", n_max)
+        assert code == 2
+        assert "PASS" not in out
+        assert err.startswith("error:")
 
     def test_perturbed_residual_detected(self):
         # injecting a perturbed closed form must fail and list the tuples

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagd import complexity as cx
 from sagd import sketch_oracle as oracle
@@ -192,6 +196,81 @@ class TestTotalComplexity:
         assert mc.omega_coef == max(mc.smoothness_term, mc.residual_term)
         assert mc.stepsize == cx.stepsize(cfg, prof)
         assert mc.jacobian_smoothness == cx.jacobian_smoothness(cfg, prof.L_max)
+
+
+def _reference_constants(n, tau, q, prof):
+    """The calculus as plain Python float arithmetic, one (q, tau) at a
+    time: (expected smoothness, residual, branch, stepsize, omega)."""
+    cost = q * (tau - 1) + 1.0
+    th = n / cost
+    if n == 1:
+        l1, rho, branch = prof.L_max, 0.0, "boundary"
+    else:
+        lead = (q * (tau * (n - tau) / (n - 1) - 1.0) + 1.0) * prof.L_max
+        mix = n * q * tau * (tau - 1) / (n - 1) * prof.L_bar
+        l1 = (lead + mix) / (cost * cost)
+        rho = th * th * ((1.0 - q) / n + q * (tau / n) * ((n - tau) / (n - 1)))
+        branch = "low"
+        if tau > 1:
+            t = q * th * th
+            threshold = (n / tau) * ((n - 1) / (tau - 1))
+            if abs(t - threshold) <= 1e-12 * max(1.0, threshold):
+                branch = "boundary"
+            elif t > threshold:
+                rho = rho + n * (th * th * q * (tau / n) * ((tau - 1) / (n - 1)) - 1.0)
+                branch = "high"
+    g_smooth = (4.0 * l1 / prof.mu) * cost
+    g_resid = (th + 4.0 * rho * prof.L_max / (prof.mu * n)) * cost
+    alpha = min(1.0 / (4.0 * l1), n / (4.0 * prof.L_max * rho + prof.mu * th * n))
+    return l1, rho, branch, alpha, max(g_smooth, g_resid)
+
+
+@st.composite
+def _slates(draw):
+    """n, a batch of (tau, q) pairs for it, and a random smoothness profile."""
+    n = draw(st.integers(1, 60))
+    size = draw(st.integers(1, 10))
+    taus = draw(st.lists(st.integers(1, n), min_size=size, max_size=size))
+    q = st.one_of(st.sampled_from([0.0, 1.0, 1.0 / max(1, n - 1) ** 2]), st.floats(0.0, 1.0))
+    qs = draw(st.lists(q, min_size=size, max_size=size))
+    levels = draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=8))
+    return n, taus, qs, _profile_from_levels(levels, mu=draw(st.floats(1e-4, 10.0)))
+
+
+class TestArrayCalculus:
+    @settings(max_examples=300, deadline=None)
+    @given(_slates())
+    def test_array_calls_equal_scalar_calls(self, slate):
+        n, taus, qs, prof = slate
+        cfg = cx.InterpolationConfig(q=np.array(qs), tau=np.array(taus), n=n)
+        arr = cx.total_complexity(cfg, prof)
+        alphas = cx.stepsize(cfg, prof)
+        for i, (tau, q) in enumerate(zip(taus, qs)):
+            one_cfg = cx.InterpolationConfig(q=q, tau=tau, n=n)
+            one = cx.total_complexity(one_cfg, prof)
+            for field in dataclasses.fields(one):
+                assert getattr(arr, field.name)[i] == getattr(one, field.name), field.name
+            assert alphas[i] == cx.stepsize(one_cfg, prof) == one.stepsize
+            assert type(one.omega_coef) is float and type(one.residual_branch) is str
+            ref = (one.expected_smoothness, one.sketch_residual, one.residual_branch,
+                   one.stepsize, one.omega_coef)
+            assert ref == _reference_constants(n, tau, q, prof)
+
+    def test_scalar_calls_return_python_types(self):
+        cfg = cx.InterpolationConfig(q=0.3, tau=4, n=9)
+        prof = _uniform(9)
+        assert type(cx.expected_smoothness(cfg, prof)) is float
+        rho, branch = cx.sketch_residual(cfg)
+        assert type(rho) is float and type(branch) is str
+        assert type(cx.stepsize(cfg, prof)) is float
+
+    def test_array_config_validation(self):
+        with pytest.raises(InvalidInputError):
+            cx.InterpolationConfig(q=np.array([0.2, 1.5]), tau=2, n=3)
+        with pytest.raises(InvalidInputError):
+            cx.InterpolationConfig(q=0.5, tau=np.array([1, 4]), n=3)
+        with pytest.raises(InvalidInputError):
+            cx.InterpolationConfig(q=np.array([0.2, np.nan]), tau=2, n=3)
 
 
 class TestFullBatchInterpolation:

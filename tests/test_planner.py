@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sagd import planner as pl
-from sagd.complexity import InterpolationConfig, theta, total_complexity
+from sagd.complexity import InterpolationConfig, stepsize, theta, total_complexity
 from sagd.exceptions import InvalidInputError
 from sagd.problem import SmoothnessProfile
 
@@ -187,7 +187,7 @@ class TestOptimalPlan:
         plan = pl.optimal_plan(prof, n)
         for c in plan.all_candidates:
             mc = total_complexity(InterpolationConfig(q=c.q, tau=c.tau, n=n), prof)
-            assert abs(c.omega_coef - mc.omega_coef) <= 1e-12 * max(1.0, mc.omega_coef)
+            assert c.omega_coef == mc.omega_coef
 
     def test_best_is_minimum(self):
         plan = pl.optimal_plan(_uniform(60, 1.0, 0.02), 60)
@@ -221,8 +221,6 @@ class TestOptimalPlan:
         assert plan.best.omega_coef <= grid_min * (1 + 1e-9)
 
     def test_stepsize_uses_true_profile(self):
-        from sagd.complexity import stepsize
-
         n = 50
         levels = np.linspace(0.5, 2.0, n)
         prof = SmoothnessProfile(
@@ -232,3 +230,50 @@ class TestOptimalPlan:
         for c in plan.all_candidates[:5]:
             cfg = InterpolationConfig(q=c.q, tau=c.tau, n=n)
             assert c.alpha == stepsize(cfg, prof)
+
+
+def _scalar_slate(profile, n):
+    """The planner's candidate list built one (q, tau) at a time."""
+    l_max, mu = profile.L_max, profile.mu
+    uniform = SmoothnessProfile.uniform(n, l_max, mu, profile.mu_source)
+
+    def make(tau, kind, q, covered=True):
+        cfg = InterpolationConfig(q=q, tau=tau, n=n)
+        omega = total_complexity(cfg, uniform).omega_coef
+        return pl.PlanCandidate(tau, kind, q, omega, stepsize(cfg, profile), covered)
+
+    slate = [make(1, pl.KIND_SAGA_BASELINE, 0.0)]
+    t_round = pl.optimal_minibatch_tau(n, mu, l_max)
+    t_scan = min(
+        range(1, n + 1),
+        key=lambda t: (total_complexity(InterpolationConfig(1.0, t, n), uniform).omega_coef, -t),
+    )
+    slate.append(make(t_round, pl.KIND_ONE, 1.0))
+    if t_scan != t_round:
+        slate.append(make(t_scan, pl.KIND_ONE, 1.0))
+    for tau in range(2, n + 1):
+        roots = pl.branch_roots(tau, n)
+        if roots is not None and 0.0 <= roots[0] <= 1.0:
+            slate.append(make(tau, pl.KIND_Q_MINUS, roots[0], covered=tau >= 4))
+        hit = pl.q_intersections(tau, n, l_max, mu)
+        if hit is not None:
+            slate.append(make(tau, *hit))
+    return slate
+
+
+class TestVectorizedPlan:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 37, 100])
+    @pytest.mark.parametrize("scale,offset", [(0.7, 0.0), (1.0, -1.0), (1.0, 0.0), (5.0, 0.0)])
+    @pytest.mark.parametrize("l_bar_ratio", [1.0, 0.7])
+    def test_candidates_equal_scalar_loop(self, n, scale, offset, l_bar_ratio):
+        # 4 L_max / mu = scale * n + offset, at least 4 so that mu <= L_max
+        l_max = 1.3
+        cond = max(4.0, scale * n + offset)
+        prof = SmoothnessProfile.from_bounds(n, l_max, l_bar_ratio * l_max, 4.0 * l_max / cond)
+        plan = pl.optimal_plan(prof, n)
+        slate = _scalar_slate(prof, n)
+        assert plan.all_candidates == slate
+        assert plan.best == min(slate, key=lambda c: (c.omega_coef, -c.tau, c.q))
+        for c in plan.all_candidates:
+            assert (type(c.tau), type(c.q_kind), type(c.q)) == (int, str, float)
+            assert (type(c.omega_coef), type(c.alpha), type(c.covered)) == (float, float, bool)
