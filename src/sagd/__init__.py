@@ -42,7 +42,7 @@ from .exceptions import (
     ParseError,
     SagdError,
 )
-from .numerics import SeededRng, SparseRow, sample_subset, solve_spd, symmetric_eigen
+from .numerics import SeededRng, sample_subset, solve_spd, symmetric_eigen
 from .planner import (
     Plan,
     PlanCandidate,

@@ -32,7 +32,6 @@ from .data_io import (
 from .exceptions import ConvergenceError, SagdError
 from .planner import optimal_plan
 from .problem import (
-    Dataset,
     LossSpec,
     SmoothnessProfile,
     exact_solution,
@@ -134,14 +133,23 @@ def _parse_taus(text):
         tok = tok.strip()
         if not tok:
             continue
-        if "-" in tok[1:]:
-            lo, hi = tok.split("-", 1)
+        try:
+            lo, hi = tok.split("-", 1) if "-" in tok[1:] else (tok, tok)
             taus.extend(range(int(lo), int(hi) + 1))
-        else:
-            taus.append(int(tok))
+        except ValueError:
+            raise SagdError(f"bad --taus entry {tok!r}") from None
     if not taus:
         raise SagdError(f"empty tau list {text!r}")
     return sorted(set(taus))
+
+
+def _number(args, flag, kind):
+    """The value of ``--flag`` converted by ``kind`` (int or float)."""
+    text = getattr(args, flag)
+    try:
+        return kind(text)
+    except ValueError:
+        raise SagdError(f"bad --{flag} value {text!r}") from None
 
 
 def _load_dataset(args):
@@ -162,11 +170,7 @@ def _load_dataset(args):
             raise SagdError(f"unknown synthetic distribution {dist!r}")
         if args.loss == "logistic":
             # synthetic labels are real draws; sign them to get valid classes
-            data = Dataset(
-                rows=data.rows,
-                labels=np.where(data.labels >= 0.0, 1.0, -1.0),
-                d=data.d,
-            )
+            data = dataclasses.replace(data, labels=np.where(data.labels >= 0.0, 1.0, -1.0))
         dataset_id = f"synth-{dist}-{n}x{d}"
     else:
         raise SagdError("need --data or --synth")
@@ -237,29 +241,37 @@ def _resolve_plan(args, data, profile):
     tau_auto = getattr(args, "tau", "auto") == "auto"
     if q_auto or tau_auto:
         plan = optimal_plan(profile, data.n)
-        q = plan.best.q if q_auto else float(args.q)
-        tau = plan.best.tau if tau_auto else int(args.tau)
+        q = plan.best.q if q_auto else _number(args, "q", float)
+        tau = plan.best.tau if tau_auto else _number(args, "tau", int)
         print(
             f"plan: q*={plan.best.q:.6g} tau*={plan.best.tau} "
             f"omega={plan.best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})"
         )
     else:
-        q, tau = float(args.q), int(args.tau)
+        q, tau = _number(args, "q", float), _number(args, "tau", int)
     return q, tau
 
 
-def _reference_solution(data, loss, tol):
+def _reference_solution(data, loss, tol, profile):
     xstar_tol = min(1e-12, tol * 1e-2) if loss.kind == "logistic" else 1e-12
-    return exact_solution(data, loss, tol=max(xstar_tol, 1e-14))
+    return exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=profile)
+
+
+def _solve(args, data, loss, x_star, q, tau, alpha, seed):
+    """One solver run under the command's tolerance and pass budget."""
+    cfg = SolverConfig(q=q, tau=tau, alpha=alpha, seed=seed, tol=args.tol,
+                       max_effective_passes=args.max_passes,
+                       check_every_passes=args.check_every)
+    return run_solver(data, loss, cfg, x_star=x_star)
 
 
 def cmd_run(args):
     data, loss, dataset_id = _load_dataset(args)
     profile = smoothness_profile(data, loss)
     q, tau = _resolve_plan(args, data, profile)
-    alpha = None if args.alpha == "auto" else float(args.alpha)
+    alpha = None if args.alpha == "auto" else _number(args, "alpha", float)
     seeds = _parse_seeds(args.seed)
-    x_star = _reference_solution(data, loss, args.tol)
+    x_star = _reference_solution(data, loss, args.tol, profile)
     cfg0 = InterpolationConfig(q=q, tau=tau, n=data.n)
     resolved_alpha = alpha if alpha is not None else stepsize(cfg0, profile)
 
@@ -267,16 +279,7 @@ def cmd_run(args):
     summaries = []
     all_converged = True
     for seed in seeds:
-        cfg = SolverConfig(
-            q=q,
-            tau=tau,
-            alpha=resolved_alpha,
-            seed=seed,
-            tol=args.tol,
-            max_effective_passes=args.max_passes,
-            check_every_passes=args.check_every,
-        )
-        result = run_solver(data, loss, cfg, x_star=x_star)
+        result = _solve(args, data, loss, x_star, q, tau, resolved_alpha, seed)
         all_converged &= result.converged
         passes = result.passes_to_tol(args.tol, data.n)
         wall = result.points[-1].wall_seconds
@@ -297,19 +300,9 @@ def cmd_run(args):
         raise SagdError("--plot needs --out")
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "dataset": dataset_id,
-                    "q": q,
-                    "tau": tau,
-                    "alpha": resolved_alpha,
-                    "tol": args.tol,
-                    "runs": summaries,
-                },
-                sort_keys=True,
-            )
-        )
+        payload = {"dataset": dataset_id, "q": q, "tau": tau, "alpha": resolved_alpha,
+                   "tol": args.tol, "runs": summaries}
+        print(json.dumps(payload, sort_keys=True))
     else:
         for s in summaries:
             state = "converged" if s["converged"] else "DID NOT CONVERGE"
@@ -325,10 +318,10 @@ def cmd_sweep(args):
     data, loss, dataset_id = _load_dataset(args)
     profile = smoothness_profile(data, loss)
     plan = optimal_plan(profile, data.n)
-    q = plan.best.q if args.q == "auto" else float(args.q)
+    q = plan.best.q if args.q == "auto" else _number(args, "q", float)
     taus = _parse_taus(args.taus)
     seeds = _parse_seeds(args.seed)
-    x_star = _reference_solution(data, loss, args.tol)
+    x_star = _reference_solution(data, loss, args.tol, profile)
     alphas = stepsize(InterpolationConfig(q=q, tau=np.array(taus), n=data.n), profile)
 
     rows = []
@@ -336,16 +329,7 @@ def cmd_sweep(args):
     for tau, alpha in zip(taus, alphas.tolist()):
         per_seed = []
         for seed in seeds:
-            cfg = SolverConfig(
-                q=q,
-                tau=tau,
-                alpha=alpha,
-                seed=seed,
-                tol=args.tol,
-                max_effective_passes=args.max_passes,
-                check_every_passes=args.check_every,
-            )
-            result = run_solver(data, loss, cfg, x_star=x_star)
+            result = _solve(args, data, loss, x_star, q, tau, alpha, seed)
             all_converged &= result.converged
             passes = result.passes_to_tol(args.tol, data.n)
             per_seed.append(passes if passes is not None else float("inf"))
@@ -359,18 +343,9 @@ def cmd_sweep(args):
             for row in rows:
                 fh.write(f"{row['tau']},{row['median_passes']:.17g}\n")
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "dataset": dataset_id,
-                    "q": q,
-                    "rows": rows,
-                    "best_tau_observed": best_row["tau"],
-                    "planner_tau": plan.best.tau,
-                },
-                sort_keys=True,
-            )
-        )
+        payload = {"dataset": dataset_id, "q": q, "rows": rows,
+                   "best_tau_observed": best_row["tau"], "planner_tau": plan.best.tau}
+        print(json.dumps(payload, sort_keys=True))
     else:
         for row in rows:
             print(f"tau={row['tau']:>5}  median passes={row['median_passes']:.2f}")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError, ParseError
-from .numerics import SeededRng, SparseRow
+from .numerics import SeededRng
 from .problem import Dataset
 
 CSV_HEADER = [
@@ -45,7 +45,10 @@ def parse_libsvm(path, d=None):
     it (needed when a split does not touch the trailing features).  Indices
     are converted to 0-based.  Blank lines are skipped.
     """
-    raw = []
+    indptr = [0]
+    indices = []
+    values = []
+    labels = []
     max_idx = 0
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -56,8 +59,6 @@ def parse_libsvm(path, d=None):
                 label = float(parts[0])
             except ValueError:
                 raise ParseError(f"bad label {parts[0]!r}", line=lineno) from None
-            idx = []
-            val = []
             prev = 0
             for tok in parts[1:]:
                 left, sep, right = tok.partition(":")
@@ -74,29 +75,25 @@ def parse_libsvm(path, d=None):
                         line=lineno,
                     )
                 prev = j
-                idx.append(j - 1)
-                val.append(v)
+                indices.append(j - 1)
+                values.append(v)
             max_idx = max(max_idx, prev)
-            raw.append((label, idx, val))
-    if not raw:
+            indptr.append(len(indices))
+            labels.append(label)
+    if not labels:
         raise ParseError(f"{path}: no samples")
     dim = max(max_idx, 1) if d is None else d
     if dim < max_idx:
         raise InvalidInputError(f"d override {d} below max feature index {max_idx}")
-    rows = [SparseRow(dim, idx, val) for _, idx, val in raw]
-    labels = np.array([label for label, _, _ in raw])
-    return Dataset(rows=rows, labels=labels, d=dim)
+    return Dataset(indptr, indices, values, labels, dim)
 
 
 def write_libsvm(data, path):
     """Serialize a dataset in LIBSVM text form (1-based indices)."""
     with open(path, "w", encoding="ascii") as fh:
-        for i, row in enumerate(data.rows):
-            feats = " ".join(
-                f"{int(j) + 1}:{_fmt(v)}" for j, v in zip(row.indices, row.values)
-            )
-            label = _fmt(data.labels[i])
-            fh.write(f"{label} {feats}\n" if feats else f"{label}\n")
+        for y, idx, val in zip(data.labels, data.split(data.indices), data.split(data.values)):
+            feats = " ".join(f"{int(j) + 1}:{_fmt(v)}" for j, v in zip(idx, val))
+            fh.write(f"{_fmt(y)} {feats}\n" if feats else f"{_fmt(y)}\n")
 
 
 def _synth(n, d, seed, draw):

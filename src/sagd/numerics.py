@@ -1,9 +1,9 @@
 """Low-level numeric kernels used by every other module.
 
 Dense vectors and matrices are plain float64 numpy arrays throughout.  The
-two custom containers defined here are :class:`SparseRow` (one sample's
-feature vector) and :class:`SeededRng`, the frozen random generator that
-makes runs reproducible bit for bit across platforms and releases.
+one custom container defined here is :class:`SeededRng`, the frozen random
+generator that makes runs reproducible bit for bit across platforms and
+releases.
 """
 
 import math
@@ -127,48 +127,6 @@ def sample_subset(rng, n, tau):
     picked = scratch[:tau]
     picked.sort()
     return picked
-
-
-class SparseRow:
-    """One sample's features: (index, value) pairs with increasing indices."""
-
-    __slots__ = ("dim", "indices", "values")
-
-    def __init__(self, dim, indices, values):
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if dim < 1:
-            raise InvalidInputError("SparseRow dim must be >= 1")
-        if indices.ndim != 1 or values.ndim != 1 or indices.size != values.size:
-            raise InvalidInputError("indices and values must be 1-D and equal length")
-        if indices.size:
-            if indices[0] < 0 or indices[-1] >= dim:
-                raise InvalidInputError("SparseRow index out of range")
-            if indices.size > 1 and not np.all(np.diff(indices) > 0):
-                raise InvalidInputError("SparseRow indices must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("SparseRow values must be finite")
-        self.dim = int(dim)
-        self.indices = indices
-        self.values = values
-
-    def norm(self):
-        return float(np.linalg.norm(self.values))
-
-    def dot(self, x):
-        """Inner product with a dense vector of length ``dim``."""
-        return float(self.values @ x[self.indices])
-
-    def scaled(self, c):
-        return SparseRow(self.dim, self.indices, self.values * c)
-
-    def to_dense(self):
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
-    def __repr__(self):
-        return f"SparseRow(dim={self.dim}, nnz={self.indices.size})"
 
 
 def _check_square_symmetric(m, what):

@@ -7,6 +7,11 @@ The objective is f(x) = (1/n) sum_i f_i(x) with
 
 Note the 1/2 factor on the logistic data term; it halves the usual
 per-sample smoothness bound to ||a_i||^2 / 8.
+
+A :class:`Dataset` stores its rows as CSR arrays; dense data has full
+rows.  The full-data kernels round exactly like a loop over the rows: one
+BLAS dot per row, and sums over rows in row order (:func:`_row_sum`).
+Dense data builds per-row terms a block at a time; sparse rows scatter.
 """
 
 import math
@@ -15,60 +20,100 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, InvalidInputError, NotStronglyConvexError
-from .numerics import SparseRow, solve_spd, symmetric_eigen
+from .numerics import solve_spd, symmetric_eigen
 
 LOSS_KINDS = ("ridge", "logistic")
 MU_EXACT_EIGEN = "exact-eigen"
 MU_LAMBDA_BOUND = "lambda-lower-bound"
 
+# scratch bytes of one block of rows in an order-preserving row sum
+_BLOCK_BYTES = 1 << 20
 
-@dataclass
+
+@dataclass(eq=False)  # arrays have no single truth value; compare by identity
 class Dataset:
-    """n samples of dimension d: sparse rows a_i plus labels y."""
+    """n samples a_i of dimension d in CSR form, plus labels y.
 
-    rows: list
+    Row i has feature slots ``indices[indptr[i]:indptr[i+1]]`` (strictly
+    increasing; a row may be empty) holding the same slice of ``values``.
+    ``normalized`` asserts unit-norm rows and is checked.  The arrays are
+    never written: derived datasets share the ones they keep.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
     labels: np.ndarray
     d: int
     normalized: bool = False
 
     def __post_init__(self):
+        self.indptr = ptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = idx = np.ascontiguousarray(self.indices, dtype=np.int64)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.d < 1:
             raise InvalidInputError("Dataset needs d >= 1")
-        if len(self.rows) < 1:
+        if ptr.ndim != 1 or ptr.size < 2:
             raise InvalidInputError("Dataset needs at least one sample")
-        if self.labels.shape != (len(self.rows),):
+        if idx.ndim != 1 or self.values.shape != idx.shape:
+            raise InvalidInputError("indices and values must be 1-D and equal length")
+        if ptr[0] != 0 or ptr[-1] != idx.size or np.any(ptr[1:] < ptr[:-1]):
+            raise InvalidInputError("indptr must rise from 0 to nnz without decreasing")
+        if self.labels.shape != (self.n,):
             raise InvalidInputError("labels must have one entry per row")
-        if not np.all(np.isfinite(self.labels)):
-            raise InvalidInputError("labels must be finite")
-        for i, row in enumerate(self.rows):
-            if not isinstance(row, SparseRow) or row.dim != self.d:
-                raise InvalidInputError(f"row {i} does not have dim {self.d}")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.d):
+            raise InvalidInputError(f"feature index out of range [0, {self.d})")
+        # indices rise inside a row; the step into the next row may fall
+        rises = idx[1:] > idx[:-1]
+        starts = ptr[1:-1]
+        rises[starts[(starts > 0) & (starts < idx.size)] - 1] = True
+        if not rises.all():
+            row = int(np.searchsorted(ptr, np.argmin(rises) + 1, side="right")) - 1
+            raise InvalidInputError(f"row {row}: feature indices must be strictly increasing")
+        if not (np.isfinite(self.labels).all() and np.isfinite(self.values).all()):
+            raise InvalidInputError("labels and feature values must be finite")
         if self.normalized:
-            for i, row in enumerate(self.rows):
-                if abs(row.norm() - 1.0) > 1e-12:
-                    raise InvalidInputError(
-                        f"normalized dataset has row {i} with norm != 1"
-                    )
+            off = np.abs(np.sqrt(_row_sq_norms(self)) - 1.0) > 1e-12
+            if off.any():
+                raise InvalidInputError(
+                    f"normalized dataset has row {np.argmax(off)} with norm != 1"
+                )
 
     @property
     def n(self):
-        return len(self.rows)
+        return self.indptr.size - 1
+
+    @property
+    def is_dense(self):
+        """Every row holds all d feature slots."""
+        return self.values.size == self.n * self.d
 
     def dense_matrix(self):
-        """Materialize the (n, d) data matrix."""
+        """The (n, d) data matrix; a read-only view of ``values`` for dense data."""
+        if self.is_dense:
+            a = self.values.reshape(self.n, self.d)
+            a.flags.writeable = False
+            return a
         a = np.zeros((self.n, self.d))
-        for i, row in enumerate(self.rows):
-            a[i, row.indices] = row.values
+        a[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = self.values
         return a
+
+    def split(self, flat):
+        """Per-row views of a length-nnz array (``indices`` or ``values``)."""
+        if self.is_dense:
+            return list(flat.reshape(self.n, self.d))
+        bounds = self.indptr.tolist()
+        return [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
     @classmethod
     def from_dense(cls, a, labels, normalized=False):
-        a = np.asarray(a, dtype=np.float64)
+        a = np.array(a, dtype=np.float64)
+        if a.ndim != 2:
+            raise InvalidInputError("from_dense needs a 2-D matrix")
         n, d = a.shape
-        idx = np.arange(d, dtype=np.int64)
-        rows = [SparseRow(d, idx, a[i].copy()) for i in range(n)]
-        return cls(rows=rows, labels=np.asarray(labels, float), d=d, normalized=normalized)
+        indptr, indices = np.arange(n + 1) * d, np.tile(np.arange(d), n)
+        return cls(indptr, indices, a.ravel(), labels, d, normalized)
 
 
 @dataclass(frozen=True)
@@ -149,49 +194,35 @@ class SmoothnessProfile:
         return cls(levels, float(l_max), float(levels.mean()), mu, mu_source)
 
 
+def _sigmoid_neg(z):
+    """sigmoid(-z) for a float z, computed without overflow on either tail."""
+    ez = math.exp(-abs(z))
+    return ez / (1.0 + ez) if z >= 0.0 else 1.0 / (1.0 + ez)
+
+
 def gradient_fn(data, loss):
     """Bind a fast per-sample gradient ``g(x, i)`` for repeated use.
 
     The returned callable allocates one fresh length-d array per call and
-    never mutates its inputs.
+    never mutates its inputs.  Binding takes O(n) row views once.
     """
-    rows = data.rows
+    vals = data.split(data.values)
+    idxs = data.split(data.indices)
     y = data.labels
     lam = loss.lam
     d = data.d
-    if loss.kind == "ridge":
+    ridge = loss.kind == "ridge"
 
-        def grad(x, i):
-            row = rows[i]
-            v = row.values
-            if v.size == d:
-                r = v @ x - y[i]
-                return v * r + lam * x
-            idx = row.indices
-            r = v @ x[idx] - y[i]
-            g = lam * x
-            g[idx] += v * r
-            return g
-
-    else:
-
-        def grad(x, i):
-            row = rows[i]
-            v = row.values
-            full = v.size == d
-            z = y[i] * (v @ x if full else v @ x[row.indices])
-            # sigmoid(-z), computed without overflow on either tail
-            if z >= 0.0:
-                ez = math.exp(-z)
-                s = ez / (1.0 + ez)
-            else:
-                s = 1.0 / (1.0 + math.exp(z))
-            c = -0.5 * y[i] * s
-            if full:
-                return v * c + lam * x
-            g = lam * x
-            g[row.indices] += v * c
-            return g
+    def grad(x, i):
+        v = vals[i]
+        full = v.size == d
+        z = v @ x if full else v @ x[idxs[i]]
+        c = z - y[i] if ridge else -0.5 * y[i] * _sigmoid_neg(y[i] * z)
+        if full:
+            return v * c + lam * x
+        g = lam * x
+        g[idxs[i]] += v * c
+        return g
 
     return grad
 
@@ -203,84 +234,142 @@ def batch_gradient_fn(data, loss):
     Only available when every sample is dense (all feature slots present);
     returns None otherwise, and callers fall back to the per-sample path.
     """
-    if any(row.values.size != data.d for row in data.rows):
+    if not data.is_dense:
         return None
-    a = np.vstack([row.values for row in data.rows])
+    a = data.dense_matrix()
     y = data.labels
     lam = loss.lam
-    if loss.kind == "ridge":
+    ridge = loss.kind == "ridge"
+    if not ridge:
+        from scipy.special import expit  # imported only when needed: it costs ~3 MB
 
-        def batch(x, idx):
-            sub = a[idx]
-            r = sub @ x - y[idx]
-            return sub * r[:, None] + lam * x
-
-    else:
-        from scipy.special import expit
-
-        def batch(x, idx):
-            sub = a[idx]
-            z = y[idx] * (sub @ x)
-            c = -0.5 * y[idx] * expit(-z)
-            return sub * c[:, None] + lam * x
+    def batch(x, idx):
+        sub = a[idx]
+        z = sub @ x
+        c = z - y[idx] if ridge else -0.5 * y[idx] * expit(-(y[idx] * z))
+        return sub * c[:, None] + lam * x
 
     return batch
+
+
+def _point(data, x):
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (data.d,):
+        raise InvalidInputError(f"x has shape {x.shape}, expected ({data.d},)")
+    return x
 
 
 def sample_grad(data, loss, x, i):
     """Gradient of the single-sample objective f_i at x."""
     if not 0 <= i < data.n:
         raise InvalidInputError(f"sample index {i} out of range [0, {data.n})")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (data.d,):
-        raise InvalidInputError(f"x has shape {x.shape}, expected ({data.d},)")
-    return gradient_fn(data, loss)(x, i)
+    s, e = data.indptr[i : i + 2]  # bind over row i alone: O(nnz_i), not O(n)
+    row = Dataset([0, e - s], data.indices[s:e], data.values[s:e], data.labels[i : i + 1], data.d)
+    return gradient_fn(row, loss)(_point(data, x), 0)
+
+
+def _row_sum(acc, n, block):
+    """``acc`` plus rows 0..n-1, rounded exactly as ``for row: acc += row``.
+
+    ``block(s, e)`` returns a fresh array of rows s..e-1 (each shaped like
+    ``acc``, at most _BLOCK_BYTES in all); the running sum is folded into
+    its first row and ``np.add.accumulate`` adds the rest in order."""
+    step = max(1, _BLOCK_BYTES // acc.nbytes)
+    for s in range(0, n, step):
+        blk = block(s, min(s + step, n))
+        blk[0] += acc
+        np.add.accumulate(blk, axis=0, out=blk)
+        acc = blk[-1].copy()
+    return acc
+
+
+def _row_dots(data, x):
+    """a_i^T x for every sample: one BLAS dot per row, as ``v @ x`` in
+    :func:`gradient_fn` (``A @ x`` or einsum would round differently)."""
+    if data.is_dense:
+        return np.array(list(map(x.dot, data.dense_matrix())))
+    rows = zip(data.split(data.values), data.split(data.indices))
+    return np.array([v.dot(x[ix]) for v, ix in rows])
+
+
+def _row_sq_norms(data):
+    """||a_i||^2 for every sample, one BLAS dot per row."""
+    return np.array([v.dot(v) for v in data.split(data.values)])
+
+
+def _grad_coefficients(data, loss, x):
+    """c_i with grad f_i(x) = c_i a_i + lambda x, rounded as in :func:`gradient_fn`."""
+    dots = _row_dots(data, x)
+    y = data.labels
+    if loss.kind == "ridge":
+        return dots - y
+    return -0.5 * y * np.array([_sigmoid_neg(z) for z in (y * dots).tolist()])
+
+
+def gradient_sum(data, loss, x, out=None):
+    """sum_i grad f_i(x) in row order, each term bit-identical to
+    :func:`gradient_fn`'s; with ``out`` (d x n) term i also lands in column i."""
+    coef = _grad_coefficients(data, loss, x)
+    lamx = loss.lam * x
+    acc = np.zeros(data.d)
+    if data.is_dense:
+        a = data.dense_matrix()
+
+        def block(s, e):
+            g = a[s:e] * coef[s:e, None] + lamx
+            if out is not None:
+                out[:, s:e] = g.T
+            return g
+
+        return _row_sum(acc, data.n, block)
+    for i, (ix, v, c) in enumerate(zip(data.split(data.indices), data.split(data.values), coef)):
+        g = lamx.copy()
+        g[ix] += v * c
+        if out is not None:
+            out[:, i] = g
+        acc += g
+    return acc
 
 
 def full_grad(data, loss, x):
     """Gradient of f, accumulated in fixed index order for reproducibility."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (data.d,):
-        raise InvalidInputError(f"x has shape {x.shape}, expected ({data.d},)")
-    grad = gradient_fn(data, loss)
-    acc = np.zeros(data.d)
-    for i in range(data.n):
-        acc += grad(x, i)
-    return acc / data.n
+    return gradient_sum(data, loss, _point(data, x)) / data.n
 
 
 def objective(data, loss, x):
     """Objective value f(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (data.d,):
-        raise InvalidInputError(f"x has shape {x.shape}, expected ({data.d},)")
+    x = _point(data, x)
+    dots = _row_dots(data, x)
     y = data.labels
-    total = 0.0
     if loss.kind == "ridge":
-        for i, row in enumerate(data.rows):
-            r = row.values @ x[row.indices] - y[i]
-            total += r * r
-        total /= 2.0 * data.n
+        terms = np.square(dots - y)
     else:
-        for i, row in enumerate(data.rows):
-            z = y[i] * (row.values @ x[row.indices])
-            total += np.logaddexp(0.0, -z)
-        total /= 2.0 * data.n
-    reg = 0.5 * loss.lam * float(x @ x)
-    return float(total) + reg
+        terms = np.logaddexp(0.0, -(y * dots))
+    total = np.add.accumulate(terms)[-1] / (2.0 * data.n)  # row order, like a loop
+    return float(total) + 0.5 * loss.lam * float(x @ x)
 
 
 def _gram_matrix(data):
     """A^T A accumulated row by row."""
     h = np.zeros((data.d, data.d))
-    for row in data.rows:
-        v = row.values
-        if v.size == data.d:
-            h += np.outer(v, v)
-        else:
-            ix = np.ix_(row.indices, row.indices)
-            h[ix] += np.outer(v, v)
+    if data.is_dense:
+        a = data.dense_matrix()
+        return _row_sum(h, data.n, lambda s, e: a[s:e, :, None] * a[s:e, None, :])
+    for ix, v in zip(data.split(data.indices), data.split(data.values)):
+        h[np.ix_(ix, ix)] += np.outer(v, v)
     return h
+
+
+def _ridge_rhs(data):
+    """A^T y accumulated row by row."""
+    y = data.labels
+    rhs = np.zeros(data.d)
+    if data.is_dense:
+        a = data.dense_matrix()
+        return _row_sum(rhs, data.n, lambda s, e: y[s:e, None] * a[s:e])
+    for yi, ix, v in zip(y, data.split(data.indices), data.split(data.values)):
+        rhs[ix] += yi * v
+    return rhs
 
 
 def smoothness_profile(data, loss, exact_mu_dim_limit=512):
@@ -293,62 +382,48 @@ def smoothness_profile(data, loss, exact_mu_dim_limit=512):
     Logistic: L_i = ||a_i||^2 / 8 + lambda and mu = lambda.
     """
     lam = loss.lam
-    sq_norms = np.array([row.values @ row.values for row in data.rows])
+    sq_norms = _row_sq_norms(data)
+    mu, source = lam, MU_LAMBDA_BOUND
     if loss.kind == "ridge":
         levels = sq_norms + lam
         if data.d <= exact_mu_dim_limit:
             w, _ = symmetric_eigen(_gram_matrix(data))
-            mu = float(w[0]) / data.n + lam
-            source = MU_EXACT_EIGEN
-        else:
-            mu = lam
-            source = MU_LAMBDA_BOUND
+            mu, source = float(w[0]) / data.n + lam, MU_EXACT_EIGEN
     else:
         check_logistic_labels(data)
         levels = sq_norms / 8.0 + lam
-        mu = lam
-        source = MU_LAMBDA_BOUND
     if mu <= 0.0:
         raise NotStronglyConvexError(
-            "objective is not strongly convex; use lambda > 0 "
-            f"(got mu = {mu:.3e})"
+            f"objective is not strongly convex; use lambda > 0 (got mu = {mu:.3e})"
         )
-    return SmoothnessProfile(
-        L=levels,
-        L_max=float(levels.max()),
-        L_bar=float(levels.mean()),
-        mu=mu,
-        mu_source=source,
-    )
+    return SmoothnessProfile(levels, float(levels.max()), float(levels.mean()), mu, source)
 
 
-def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000):
+def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000, profile=None):
     """High-accuracy minimizer x* with ||grad f(x*)|| <= tol.
 
     Ridge is solved directly: (A^T A / n + lambda I) x = A^T y / n, with a
     few Newton refinement passes if the first solve leaves the gradient
     above tol.  Logistic runs full-gradient descent with stepsize 1/L_bar.
+    ``profile`` is the data's :func:`smoothness_profile` if the caller has
+    it; computing one refuses data that is not strongly convex.
     """
-    profile = smoothness_profile(data, loss)
+    if profile is None:
+        profile = smoothness_profile(data, loss)
+    elif profile.n != data.n:
+        raise InvalidInputError(f"profile has n = {profile.n}, data has n = {data.n}")
     n, d = data.n, data.d
     if loss.kind == "ridge":
         h = _gram_matrix(data) / n
         h[np.diag_indices(d)] += loss.lam
-        rhs = np.zeros(d)
-        for i, row in enumerate(data.rows):
-            rhs[row.indices] += data.labels[i] * row.values
-        rhs /= n
-        x = solve_spd(h, rhs)
-        for _ in range(3):
+        x = solve_spd(h, _ridge_rhs(data) / n)
+        for refinements in range(4):
             g = full_grad(data, loss, x)
             gnorm = float(np.linalg.norm(g))
             if gnorm <= tol:
                 return x
-            x = x - solve_spd(h, g)
-        g = full_grad(data, loss, x)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return x
+            if refinements < 3:
+                x = x - solve_spd(h, g)
         raise ConvergenceError(
             f"ridge solve stalled at gradient norm {gnorm:.3e} > tol {tol:.3e}",
             achieved=gnorm,
@@ -375,14 +450,12 @@ def normalize_rows(data):
 
     Idempotent: rows that already have norm 1 are returned bit-identical.
     """
-    rows = []
-    for i, row in enumerate(data.rows):
-        nrm = row.norm()
-        if nrm == 0.0:
-            raise InvalidInputError(f"cannot normalize zero row {i}")
-        if abs(nrm - 1.0) <= 1e-12:
-            rows.append(row)  # already unit; keep bits so the op is idempotent
-        else:
-            # divide (not multiply by the reciprocal) for correctly rounded entries
-            rows.append(SparseRow(row.dim, row.indices, row.values / nrm))
-    return Dataset(rows=rows, labels=data.labels.copy(), d=data.d, normalized=True)
+    nrm = np.sqrt(_row_sq_norms(data))
+    zero = np.flatnonzero(nrm == 0.0)
+    if zero.size:
+        raise InvalidInputError(f"cannot normalize zero row {zero[0]}")
+    # already-unit rows divide by 1.0 and keep their bits (idempotence);
+    # divide, not multiply by the reciprocal, for correctly rounded entries
+    scale = np.where(np.abs(nrm - 1.0) <= 1e-12, 1.0, nrm)
+    values = data.values / np.repeat(scale, np.diff(data.indptr))
+    return Dataset(data.indptr, data.indices, values, data.labels.copy(), data.d, normalized=True)

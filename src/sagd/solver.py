@@ -21,6 +21,7 @@ from .problem import (
     batch_gradient_fn,
     full_grad,
     gradient_fn,
+    gradient_sum,
     smoothness_profile,
 )
 
@@ -139,14 +140,8 @@ def init_table(data, loss, x0, policy, rng):
     if policy == "zeros":
         return GradientTable(J=np.zeros((d, n)), col_sum=np.zeros(d))
     if policy == "at-x0":
-        grad = gradient_fn(data, loss)
         j_mat = np.empty((d, n))
-        acc = np.zeros(d)
-        for j in range(n):
-            g = grad(x0, j)
-            j_mat[:, j] = g
-            acc += g
-        return GradientTable(J=j_mat, col_sum=acc)
+        return GradientTable(J=j_mat, col_sum=gradient_sum(data, loss, x0, out=j_mat))
     if policy == "random":
         j_mat = np.empty((d, n))
         for j in range(n):

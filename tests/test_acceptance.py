@@ -247,8 +247,8 @@ def test_criterion_11_interfaces(tmp_path, capsys):
     path = tmp_path / "round.svm"
     write_libsvm(data, path)
     back = parse_libsvm(path)
-    for r1, r2 in zip(data.rows, back.rows):
-        assert np.array_equal(r1.values, r2.values)
+    assert np.array_equal(back.indptr, data.indptr)
+    assert np.array_equal(back.values, data.values)
     assert np.array_equal(back.labels, data.labels)
 
     # CSV schema stability through the CLI

@@ -14,6 +14,20 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def count_profiles(monkeypatch):
+    """Count smoothness_profile calls from every module that looks it up."""
+    calls = []
+    original = problem.smoothness_profile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (cli, problem, solver):
+        monkeypatch.setattr(mod, "smoothness_profile", counted)
+    return calls
+
+
 class TestPlan:
     def test_explicit_profile_table(self, capsys):
         code, out, _ = run_cli(
@@ -102,6 +116,31 @@ class TestRun:
         assert len(payload["runs"]) == 2
         assert all(r["converged"] for r in payload["runs"])
 
+    def test_profile_computed_once_per_command(self, capsys, monkeypatch):
+        # the command's profile feeds the plan, the stepsize and the reference
+        calls = count_profiles(monkeypatch)
+        code, _, _ = run_cli(
+            capsys, "run", "--synth", "120,4,gaussian", "--normalize",
+            "--seed", "1", "--tol", "1e-6", "--json",
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "flag,args",
+        [
+            ("--q", ("run", "--q", "x", "--tau", "2")),
+            ("--tau", ("run", "--q", "0.5", "--tau", "2.5")),
+            ("--alpha", ("run", "--q", "0.5", "--tau", "2", "--alpha", "abc")),
+            ("--q", ("sweep", "--q", "x", "--taus", "1,2")),
+            ("--taus", ("sweep", "--q", "0.5", "--taus", "1-x")),
+        ],
+    )
+    def test_bad_number_exits_2(self, capsys, flag, args):
+        code, _, err = run_cli(capsys, *args, "--synth", "30,3,gaussian")
+        assert code == 2
+        assert err.startswith("error:") and flag in err
+
     def test_zero_alpha_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--synth", "50,3,gaussian", "--q", "0", "--tau", "1",
@@ -147,23 +186,14 @@ class TestRun:
 
 class TestSweep:
     def test_profile_computed_once_per_command(self, capsys, monkeypatch):
-        # the command's profile feeds every tau's stepsize; only the
-        # reference solution (its strong-convexity guard) profiles again
-        calls = []
-        original = problem.smoothness_profile
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for mod in (cli, problem, solver):
-            monkeypatch.setattr(mod, "smoothness_profile", counted)
+        # the command's profile feeds every tau's stepsize and the reference
+        calls = count_profiles(monkeypatch)
         code, _, _ = run_cli(
             capsys, "sweep", "--synth", "120,4,gaussian", "--normalize",
             "--q", "0.5", "--taus", "1-4", "--seed", "1,2", "--tol", "1e-6", "--json",
         )
         assert code == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_single_tau_matches_run(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"

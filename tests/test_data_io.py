@@ -25,16 +25,17 @@ class TestParseLibsvm:
         path.write_text("+1 1:0.5 3:2.0\n")
         data = parse_libsvm(path)
         assert data.n == 1 and data.d == 3
-        row = data.rows[0]
-        assert row.indices.tolist() == [0, 2]
-        assert row.values.tolist() == [0.5, 2.0]
+        assert data.indptr.tolist() == [0, 2]
+        assert data.indices.tolist() == [0, 2]
+        assert data.values.tolist() == [0.5, 2.0]
         assert data.labels.tolist() == [1.0]
 
     def test_empty_feature_list_is_zero_row(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("-1\n+1 2:1.0\n")
         data = parse_libsvm(path)
-        assert data.rows[0].indices.size == 0
+        assert data.indptr.tolist() == [0, 0, 1]
+        assert data.indices.tolist() == [1]
         assert data.labels.tolist() == [-1.0, 1.0]
 
     def test_nonincreasing_indices_rejected_with_line(self, tmp_path):
@@ -70,9 +71,9 @@ class TestParseLibsvm:
         back = parse_libsvm(path)
         assert back.n == data.n and back.d == data.d
         assert np.array_equal(back.labels, data.labels)
-        for r1, r2 in zip(data.rows, back.rows):
-            assert np.array_equal(r1.indices, r2.indices)
-            assert np.array_equal(r1.values, r2.values)
+        assert np.array_equal(back.indptr, data.indptr)
+        assert np.array_equal(back.indices, data.indices)
+        assert np.array_equal(back.values, data.values)
 
     def test_parse_serialize_fixed_point(self, tmp_path):
         p1 = tmp_path / "a.svm"

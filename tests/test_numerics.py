@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import chisquare
 
 from sagd.exceptions import InvalidInputError, NotPositiveDefiniteError
-from sagd.numerics import SeededRng, SparseRow, sample_subset, solve_spd, symmetric_eigen
+from sagd.numerics import SeededRng, sample_subset, solve_spd, symmetric_eigen
 
 
 class TestSeededRng:
@@ -184,22 +184,3 @@ class TestSolveSpd:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             solve_spd(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
-
-
-class TestSparseRow:
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            SparseRow(3, [0, 0], [1.0, 2.0])  # duplicate index
-        with pytest.raises(InvalidInputError):
-            SparseRow(3, [2, 1], [1.0, 2.0])  # decreasing
-        with pytest.raises(InvalidInputError):
-            SparseRow(3, [3], [1.0])  # out of range
-        with pytest.raises(InvalidInputError):
-            SparseRow(3, [0], [math.inf])
-
-    def test_dot_and_dense(self):
-        row = SparseRow(4, [1, 3], [2.0, -1.0])
-        x = np.array([1.0, 10.0, 100.0, 1000.0])
-        assert row.dot(x) == 20.0 - 1000.0
-        assert row.to_dense().tolist() == [0.0, 2.0, 0.0, -1.0]
-        assert row.norm() == math.sqrt(5.0)

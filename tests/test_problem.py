@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sagd.exceptions import InvalidInputError, NotStronglyConvexError
-from sagd.numerics import SparseRow, symmetric_eigen
+from sagd.numerics import symmetric_eigen
 from sagd.problem import (
     Dataset,
     LossSpec,
@@ -35,7 +35,64 @@ def _sign_dataset(n, d, seed):
 
 def _single_sample(data, i):
     """One-sample dataset; its objective is exactly f_i of the original."""
-    return Dataset(rows=[data.rows[i]], labels=data.labels[i : i + 1], d=data.d)
+    s, e = data.indptr[i], data.indptr[i + 1]
+    return Dataset([0, e - s], data.indices[s:e], data.values[s:e], data.labels[i : i + 1], data.d)
+
+
+class TestDatasetLayout:
+    def test_validation(self):
+        def row(indices, values):
+            return Dataset([0, len(indices)], indices, values, [1.0], d=3)
+
+        with pytest.raises(InvalidInputError):
+            row([0, 0], [1.0, 2.0])  # duplicate index
+        with pytest.raises(InvalidInputError):
+            row([2, 1], [1.0, 2.0])  # decreasing
+        with pytest.raises(InvalidInputError):
+            row([3], [1.0])  # out of range
+        with pytest.raises(InvalidInputError):
+            row([-1], [1.0])  # out of range
+        with pytest.raises(InvalidInputError):
+            row([0], [math.inf])
+        with pytest.raises(InvalidInputError):
+            row([0], [math.nan])
+        with pytest.raises(InvalidInputError, match="row 1"):
+            Dataset([0, 2, 4], [0, 2, 1, 1], [1.0] * 4, [1.0, 2.0], d=3)  # duplicate in row 1
+
+    @pytest.mark.parametrize(
+        "indptr",
+        [[1, 2], [0, 1], [0, 3], [0, 2, 1, 2], [[0, 2]], [0]],
+        ids=["not-from-zero", "short-of-nnz", "past-nnz", "decreasing", "2-d", "no-rows"],
+    )
+    def test_malformed_indptr_rejected(self, indptr):
+        with pytest.raises(InvalidInputError):
+            Dataset(indptr, [0, 1], [1.0, 2.0], [1.0] * max(1, len(indptr) - 1), d=3)
+
+    def test_rows_may_restart_indices_and_be_empty(self):
+        data = Dataset([0, 2, 2, 3], [1, 2, 0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], d=3)
+        assert data.n == 3 and not data.is_dense
+        assert data.dense_matrix().tolist() == [[0, 1, 2], [0, 0, 0], [3, 0, 0]]
+
+    def test_dot_and_dense(self):
+        data = Dataset([0, 2], [1, 3], [2.0, -1.0], [0.0], d=4)
+        x = np.array([1.0, 10.0, 100.0, 1000.0])
+        # ridge, lambda = 0: grad f_0(x) = (a^T x - y) a
+        assert sample_grad(data, LossSpec("ridge", 0.0), x, 0).tolist() == [
+            0.0, 2.0 * (20.0 - 1000.0), 0.0, -1.0 * (20.0 - 1000.0)
+        ]
+        assert data.dense_matrix().tolist() == [[0.0, 2.0, 0.0, -1.0]]
+        out = normalize_rows(data)
+        assert out.values.tolist() == [2.0 / math.sqrt(5.0), -1.0 / math.sqrt(5.0)]
+
+    def test_from_dense_is_full_csr(self):
+        a = np.arange(6.0).reshape(2, 3)
+        data = Dataset.from_dense(a, [1.0, 2.0])
+        assert data.is_dense
+        assert data.indptr.tolist() == [0, 3, 6]
+        assert data.indices.tolist() == [0, 1, 2, 0, 1, 2]
+        assert np.array_equal(data.dense_matrix(), a)
+        a[0, 0] = 9.0  # the dataset owns a copy
+        assert data.values[0] == 0.0
 
 
 def _fd_gradient(f, x, h):
@@ -53,12 +110,11 @@ class TestGradients:
         loss = LossSpec("ridge", 0.0)
         for i in range(data.n):
             g = sample_grad(data, loss, np.zeros(3), i)
-            expect = -data.labels[i] * data.rows[i].to_dense()
+            expect = -data.labels[i] * data.dense_matrix()[i]
             assert np.allclose(g, expect, rtol=0, atol=0)
 
     def test_ridge_zero_residual(self):
-        row = SparseRow(2, [0, 1], [1.0, 2.0])
-        data = Dataset(rows=[row], labels=np.array([5.0]), d=2)
+        data = Dataset([0, 2], [0, 1], [1.0, 2.0], labels=np.array([5.0]), d=2)
         loss = LossSpec("ridge", 0.0)
         x = np.array([1.0, 2.0])  # a^T x = 5 = y
         assert np.all(sample_grad(data, loss, x, 0) == 0.0)
@@ -118,8 +174,7 @@ class TestGradients:
                 assert np.allclose(rows[pos], sample_grad(data, loss, x, int(i)), rtol=1e-12)
 
     def test_batch_unavailable_for_sparse_rows(self):
-        rows = [SparseRow(3, [0], [1.0]), SparseRow(3, [0, 1, 2], [1.0, 1.0, 1.0])]
-        data = Dataset(rows=rows, labels=np.array([1.0, -1.0]), d=3)
+        data = Dataset([0, 1, 4], [0, 0, 1, 2], [1.0] * 4, labels=np.array([1.0, -1.0]), d=3)
         assert batch_gradient_fn(data, LossSpec("ridge", 0.0)) is None
 
 
@@ -184,7 +239,8 @@ class TestSmoothnessProfile:
         data = _sign_dataset(9, 3, 16)
         lam = 0.2
         prof = smoothness_profile(data, LossSpec("logistic", lam))
-        sq = np.array([r.values @ r.values for r in data.rows])
+        a = data.dense_matrix()
+        sq = np.array([r @ r for r in a])
         assert np.allclose(prof.L, sq / 8 + lam, rtol=1e-12)
         assert prof.mu == lam
 
@@ -210,7 +266,7 @@ class TestSmoothnessProfile:
 class TestExactSolution:
     def test_zero_labels(self):
         data = _random_dataset(10, 3, 18)
-        data = Dataset(rows=data.rows, labels=np.zeros(10), d=3)
+        data = Dataset(data.indptr, data.indices, data.values, labels=np.zeros(10), d=3)
         x = exact_solution(data, LossSpec("ridge", 0.2))
         assert np.linalg.norm(x) <= 1e-12
 
@@ -244,32 +300,29 @@ class TestExactSolution:
 
 class TestNormalizeRows:
     def test_three_four_five(self):
-        data = Dataset(rows=[SparseRow(2, [0, 1], [3.0, 4.0])], labels=np.array([1.0]), d=2)
+        data = Dataset([0, 2], [0, 1], [3.0, 4.0], labels=np.array([1.0]), d=2)
         out = normalize_rows(data)
-        assert out.rows[0].values.tolist() == [0.6, 0.8]
+        assert out.values.tolist() == [0.6, 0.8]
         assert out.normalized
 
     def test_unit_rows_unchanged_and_idempotent(self):
         data = _random_dataset(12, 5, 21)
         once = normalize_rows(data)
         twice = normalize_rows(once)
-        for r1, r2 in zip(once.rows, twice.rows):
-            assert np.array_equal(r1.values, r2.values)
+        assert np.array_equal(once.values, twice.values)
         assert np.array_equal(once.labels, twice.labels)
         assert np.array_equal(once.labels, data.labels)
 
     def test_all_norms_unit(self):
         out = normalize_rows(_random_dataset(25, 7, 22))
-        for row in out.rows:
-            assert abs(row.norm() - 1.0) <= 1e-12
+        for row in out.dense_matrix():
+            assert abs(np.linalg.norm(row) - 1.0) <= 1e-12
 
     def test_zero_row_rejected_with_index(self):
-        rows = [SparseRow(2, [0], [1.0]), SparseRow(2, [], [])]
-        data = Dataset(rows=rows, labels=np.array([1.0, 2.0]), d=2)
+        data = Dataset([0, 1, 1], [0], [1.0], labels=np.array([1.0, 2.0]), d=2)
         with pytest.raises(InvalidInputError, match="row 1"):
             normalize_rows(data)
 
     def test_normalized_flag_requires_unit_norms(self):
-        rows = [SparseRow(2, [0, 1], [3.0, 4.0])]
         with pytest.raises(InvalidInputError):
-            Dataset(rows=rows, labels=np.array([1.0]), d=2, normalized=True)
+            Dataset([0, 2], [0, 1], [3.0, 4.0], labels=np.array([1.0]), d=2, normalized=True)

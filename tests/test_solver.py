@@ -302,7 +302,7 @@ class TestRun:
         rng = np.random.default_rng(5)
         base = _dataset(300, 6, 42)
         labels = np.where(rng.uniform(size=300) < 0.5, -1.0, 1.0)
-        data = normalize_rows(Dataset(rows=base.rows, labels=labels, d=6))
+        data = normalize_rows(Dataset(base.indptr, base.indices, base.values, labels, d=6))
         loss = LossSpec("logistic", 10.0 / 300)
         prof = smoothness_profile(data, loss)
         from sagd.planner import optimal_plan
