@@ -122,9 +122,12 @@ def build_parser():
 
 def _parse_seeds(text):
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        seeds = [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise SagdError(f"bad seed list {text!r}") from None
+    if not seeds:
+        raise SagdError(f"empty seed list {text!r}")
+    return seeds
 
 
 def _parse_taus(text):
@@ -384,3 +387,7 @@ def main(argv=None):
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

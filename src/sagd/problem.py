@@ -74,7 +74,11 @@ class Dataset:
         if not (np.isfinite(self.labels).all() and np.isfinite(self.values).all()):
             raise InvalidInputError("labels and feature values must be finite")
         if self.normalized:
-            off = np.abs(np.sqrt(_row_sq_norms(self)) - 1.0) > 1e-12
+            # one reduction for the whole check (bincount keeps empty rows,
+            # unlike np.add.reduceat); the bit-exact norms are _row_sq_norms
+            rows = np.repeat(np.arange(self.n), np.diff(ptr))
+            sq = np.bincount(rows, weights=np.square(self.values), minlength=self.n)
+            off = np.abs(np.sqrt(sq) - 1.0) > 1e-12
             if off.any():
                 raise InvalidInputError(
                     f"normalized dataset has row {np.argmax(off)} with norm != 1"
@@ -216,7 +220,7 @@ def gradient_fn(data, loss):
     def grad(x, i):
         v = vals[i]
         full = v.size == d
-        z = v @ x if full else v @ x[idxs[i]]
+        z = v.dot(x) if full else v.dot(x[idxs[i]])  # ddot without the ufunc dispatch
         c = z - y[i] if ridge else -0.5 * y[i] * _sigmoid_neg(y[i] * z)
         if full:
             return v * c + lam * x
@@ -284,7 +288,7 @@ def _row_sum(acc, n, block):
 
 
 def _row_dots(data, x):
-    """a_i^T x for every sample: one BLAS dot per row, as ``v @ x`` in
+    """a_i^T x for every sample: one BLAS dot per row, as ``v.dot(x)`` in
     :func:`gradient_fn` (``A @ x`` or einsum would round differently)."""
     if data.is_dense:
         return np.array(list(map(x.dot, data.dense_matrix())))

@@ -59,14 +59,17 @@ def oracle_expected_projection(n, tau, q):
     return out
 
 
-def oracle_bias_correction(n, tau, q):
-    """The constant c with c * E[Pi] e = e: reciprocal of the projector mean's
-    diagonal (which enumeration shows to be constant)."""
-    mean = oracle_expected_projection(n, tau, q)
-    diag = np.diag(mean)
+def bias_correction_of(diag):
+    """The constant c with c * E[Pi] e = e, given the diagonal of the projector
+    mean (which enumeration shows to be constant): its reciprocal."""
     if np.max(np.abs(diag - diag[0])) > 1e-14:
         raise AssertionError("projector mean diagonal is not constant")
     return 1.0 / diag[0]
+
+
+def oracle_bias_correction(n, tau, q):
+    """The constant c with c * E[Pi] e = e, from the enumerated projector mean."""
+    return bias_correction_of(np.diag(oracle_expected_projection(n, tau, q)))
 
 
 def oracle_sketch_residual(n, tau, q):
@@ -76,13 +79,17 @@ def oracle_sketch_residual(n, tau, q):
 
 def oracle_residual_eigenvalues(n, tau, q):
     """All eigenvalues, ascending, of the residual matrix
-    c^2 E[(Pi e)(Pi e)^T] - e e^T (it has at most two distinct)."""
-    c = oracle_bias_correction(n, tau, q)
+    c^2 E[(Pi e)(Pi e)^T] - e e^T (it has at most two distinct).
+
+    One enumeration: since (Pi e)_i^2 = (Pi e)_i, the diagonal of the second
+    moment is the projector mean's diagonal, added atom by atom in the same
+    order, so c is read off it bit for bit."""
     m = np.zeros((n, n))
     for atom in enumerate_sampling(n, tau, q):
         e_s = np.zeros(n)
         e_s[list(atom.indices)] = 1.0
         m += atom.probability * np.outer(e_s, e_s)
+    c = bias_correction_of(np.diag(m))
     m *= c * c
     m -= np.ones((n, n))
     w, _ = symmetric_eigen(m)
@@ -111,14 +118,21 @@ def oracle_smoothness_max_term(levels, tau):
     return float(totals.max())
 
 
+def assemble_expected_smoothness(n, tau, q, c, max_term, l_max):
+    """c^2/n (q tau / C(n, tau)) max_term + c^2 (1-q)/n^2 L_max, from an
+    enumerated bias correction c and max term."""
+    return (
+        c * c / n * (q * tau / math.comb(n, tau)) * max_term
+        + c * c * (1.0 - q) / (n * n) * l_max
+    )
+
+
 def oracle_expected_smoothness(n, tau, q, levels):
     """Expected smoothness constant assembled from the enumerated max term."""
     levels = np.asarray(levels, dtype=np.float64)
-    c = oracle_bias_correction(n, tau, q)
-    max_term = oracle_smoothness_max_term(levels, tau)
-    return (
-        c * c / n * (q * tau / math.comb(n, tau)) * max_term
-        + c * c * (1.0 - q) / (n * n) * float(levels.max())
+    return assemble_expected_smoothness(
+        n, tau, q, oracle_bias_correction(n, tau, q),
+        oracle_smoothness_max_term(levels, tau), float(levels.max()),
     )
 
 

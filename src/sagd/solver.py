@@ -88,8 +88,10 @@ class SolverConfig:
             raise InvalidInputError("tol must be positive")
         if self.alpha is not None and not self.alpha > 0.0:
             raise InvalidInputError("alpha must be positive")
-        if not self.check_every_passes > 0.0:
-            raise InvalidInputError("check_every_passes must be positive")
+        if not (np.isfinite(self.max_effective_passes) and self.max_effective_passes > 0.0):
+            raise InvalidInputError("max_effective_passes must be finite and positive")
+        if not (np.isfinite(self.check_every_passes) and self.check_every_passes > 0.0):
+            raise InvalidInputError("check_every_passes must be finite and positive")
 
 
 @dataclass

@@ -57,6 +57,12 @@ def check_constants_against_oracles(
     1e-9 * max(1, oracle), expected smoothness to 1e-9 relative over
     ``levels_per_pair`` random smoothness vectors per (n, tau).  The closed
     forms are evaluated once per (n, tau) over the whole q grid.
+
+    Each oracle quantity is enumerated once per distinct input: the
+    smoothness max term once per (n, tau, level set), and the projector
+    mean and the residual matrix once each per (n, tau, q), two
+    sampling-law enumerations that also give the bias correction.  The
+    values are bit-identical to the public ``sketch_oracle`` functions'.
     """
     if n_max < 2:
         raise InvalidInputError(f"need n_max >= 2, got {n_max}")
@@ -81,20 +87,23 @@ def check_constants_against_oracles(
                 ))
                 for levels in level_sets
             ]
+            max_terms = [sketch_oracle.oracle_smoothness_max_term(lv, tau) for lv in level_sets]
             for i, q in enumerate(q_grid):
                 checks += 1
-                th_oracle = sketch_oracle.oracle_bias_correction(n, tau, q)
+                mean = sketch_oracle.oracle_expected_projection(n, tau, q)
+                th_oracle = sketch_oracle.bias_correction_of(np.diag(mean))
                 if abs(th_all[i] - th_oracle) > 1e-12 * max(1.0, th_oracle):
                     failures.append(f"theta(n={n},tau={tau},q={q:.2f})")
-                mean = sketch_oracle.oracle_expected_projection(n, tau, q)
                 expected = np.eye(n) / th_oracle
                 if np.max(np.abs(mean - expected)) > 1e-12:
                     failures.append(f"projector-mean(n={n},tau={tau},q={q:.2f})")
                 rho_oracle = sketch_oracle.oracle_sketch_residual(n, tau, q)
                 if abs(rho_all[i] - rho_oracle) > 1e-9 * max(1.0, rho_oracle):
                     failures.append(f"residual(n={n},tau={tau},q={q:.2f})")
-                for k, (levels, l1) in enumerate(zip(level_sets, l1_all)):
-                    l1_oracle = sketch_oracle.oracle_expected_smoothness(n, tau, q, levels)
+                for k, (levels, l1, max_term) in enumerate(zip(level_sets, l1_all, max_terms)):
+                    l1_oracle = sketch_oracle.assemble_expected_smoothness(
+                        n, tau, q, th_oracle, max_term, float(levels.max())
+                    )
                     if abs(l1[i] - l1_oracle) > 1e-9 * max(1.0, abs(l1_oracle)):
                         failures.append(f"smoothness(n={n},tau={tau},q={q:.2f},levels={k})")
     return SuiteResult(

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sagd import cli, problem, solver
-from sagd.data_io import read_results_csv
+from sagd.data_io import read_results_csv, synth_gaussian, write_libsvm
 from sagd.verification import check_constants_against_oracles
 
 
@@ -141,6 +144,35 @@ class TestRun:
         assert code == 2
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("source", ["synth", "data"])
+    @pytest.mark.parametrize("seeds", ["", ","])
+    def test_empty_seed_list_exits_2(self, capsys, tmp_path, command, source, seeds):
+        if source == "data":
+            path = tmp_path / "d.svm"
+            write_libsvm(synth_gaussian(30, 3, seed=1), path)
+            flags = ("--data", str(path))
+        else:
+            flags = ("--synth", "30,3,gaussian")
+        taus = ("--taus", "1,2") if command == "sweep" else ()
+        out_csv = tmp_path / "res.csv"
+        code, out, err = run_cli(
+            capsys, command, *flags, "--q", "0.5", *taus, "--seed", seeds,
+            "--out", str(out_csv), "--json",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err
+        assert "runs" not in out and not out_csv.exists()
+
+    @pytest.mark.parametrize("passes", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--max-passes", "--check-every"])
+    def test_bad_pass_count_exits_2(self, capsys, flag, passes):
+        code, _, err = run_cli(
+            capsys, "run", "--synth", "30,3,gaussian", "--q", "0", "--tau", "1", flag, passes,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "passes must be finite and positive" in err
+
     def test_zero_alpha_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--synth", "50,3,gaussian", "--q", "0", "--tau", "1",
@@ -265,3 +297,26 @@ class TestParsing:
         )
         assert code == 0
         assert (tmp_path / "env_results.csv").exists()
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def _python_m(*args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        return subprocess.run(
+            [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    @pytest.mark.parametrize("module", ["sagd", "sagd.cli"])
+    def test_verify_runs(self, module):
+        proc = self._python_m(module, "verify", "--n-max", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("PASS") == 2
+
+    def test_invalid_plan_exits_2(self):
+        proc = self._python_m("sagd", "plan", "--n", "1", "--l-max", "1", "--mu", "0.1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
