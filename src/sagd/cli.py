@@ -248,7 +248,8 @@ def _resolve_plan(args, data, profile):
         tau = plan.best.tau if tau_auto else _number(args, "tau", int)
         print(
             f"plan: q*={plan.best.q:.6g} tau*={plan.best.tau} "
-            f"omega={plan.best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})"
+            f"omega={plan.best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})",
+            file=sys.stderr if args.json else sys.stdout,  # --json: stdout is one document
         )
     else:
         q, tau = _number(args, "q", float), _number(args, "tau", int)
@@ -260,20 +261,26 @@ def _reference_solution(data, loss, tol, profile):
     return exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=profile)
 
 
-def _solve(args, data, loss, x_star, q, tau, alpha, seed):
+def _budget(args):
+    """The command's tolerance and pass budget, checked before any work;
+    q and tau are placeholders that every run replaces."""
+    return SolverConfig(q=0.0, tau=1, tol=args.tol, max_effective_passes=args.max_passes,
+                        check_every_passes=args.check_every)
+
+
+def _solve(budget, data, loss, x_star, q, tau, alpha, seed):
     """One solver run under the command's tolerance and pass budget."""
-    cfg = SolverConfig(q=q, tau=tau, alpha=alpha, seed=seed, tol=args.tol,
-                       max_effective_passes=args.max_passes,
-                       check_every_passes=args.check_every)
+    cfg = dataclasses.replace(budget, q=q, tau=tau, alpha=alpha, seed=seed)
     return run_solver(data, loss, cfg, x_star=x_star)
 
 
 def cmd_run(args):
+    budget = _budget(args)
+    alpha = None if args.alpha == "auto" else _number(args, "alpha", float)
+    seeds = _parse_seeds(args.seed)
     data, loss, dataset_id = _load_dataset(args)
     profile = smoothness_profile(data, loss)
     q, tau = _resolve_plan(args, data, profile)
-    alpha = None if args.alpha == "auto" else _number(args, "alpha", float)
-    seeds = _parse_seeds(args.seed)
     x_star = _reference_solution(data, loss, args.tol, profile)
     cfg0 = InterpolationConfig(q=q, tau=tau, n=data.n)
     resolved_alpha = alpha if alpha is not None else stepsize(cfg0, profile)
@@ -282,7 +289,7 @@ def cmd_run(args):
     summaries = []
     all_converged = True
     for seed in seeds:
-        result = _solve(args, data, loss, x_star, q, tau, resolved_alpha, seed)
+        result = _solve(budget, data, loss, x_star, q, tau, resolved_alpha, seed)
         all_converged &= result.converged
         passes = result.passes_to_tol(args.tol, data.n)
         wall = result.points[-1].wall_seconds
@@ -318,12 +325,13 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    budget = _budget(args)
+    taus = _parse_taus(args.taus)
+    seeds = _parse_seeds(args.seed)
     data, loss, dataset_id = _load_dataset(args)
     profile = smoothness_profile(data, loss)
     plan = optimal_plan(profile, data.n)
     q = plan.best.q if args.q == "auto" else _number(args, "q", float)
-    taus = _parse_taus(args.taus)
-    seeds = _parse_seeds(args.seed)
     x_star = _reference_solution(data, loss, args.tol, profile)
     alphas = stepsize(InterpolationConfig(q=q, tau=np.array(taus), n=data.n), profile)
 
@@ -332,7 +340,7 @@ def cmd_sweep(args):
     for tau, alpha in zip(taus, alphas.tolist()):
         per_seed = []
         for seed in seeds:
-            result = _solve(args, data, loss, x_star, q, tau, alpha, seed)
+            result = _solve(budget, data, loss, x_star, q, tau, alpha, seed)
             all_converged &= result.converged
             passes = result.passes_to_tol(args.tol, data.n)
             per_seed.append(passes if passes is not None else float("inf"))

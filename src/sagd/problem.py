@@ -11,7 +11,9 @@ per-sample smoothness bound to ||a_i||^2 / 8.
 A :class:`Dataset` stores its rows as CSR arrays; dense data has full
 rows.  The full-data kernels round exactly like a loop over the rows: one
 BLAS dot per row, and sums over rows in row order (:func:`_row_sum`).
-Dense data builds per-row terms a block at a time; sparse rows scatter.
+The full gradient is bound once (:func:`gradient_sum_fn`): sparse rows read
+x through one gather buffer, and a block of terms is one broadcast product
+(dense) or one scatter (sparse).
 """
 
 import math
@@ -28,6 +30,9 @@ MU_LAMBDA_BOUND = "lambda-lower-bound"
 
 # scratch bytes of one block of rows in an order-preserving row sum
 _BLOCK_BYTES = 1 << 20
+# rows this long or longer are summed by in-place adds (vectorized along
+# the row); shorter ones by np.add.accumulate (a scalar loop per column)
+_ROW_LOOP_SIZE = 256
 
 
 @dataclass(eq=False)  # arrays have no single truth value; compare by identity
@@ -272,28 +277,47 @@ def sample_grad(data, loss, x, i):
     return gradient_fn(row, loss)(_point(data, x), 0)
 
 
+def _block_rows(row_bytes):
+    """Rows in one block of :func:`_row_sum`."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 def _row_sum(acc, n, block):
     """``acc`` plus rows 0..n-1, rounded exactly as ``for row: acc += row``.
 
-    ``block(s, e)`` returns a fresh array of rows s..e-1 (each shaped like
-    ``acc``, at most _BLOCK_BYTES in all); the running sum is folded into
-    its first row and ``np.add.accumulate`` adds the rest in order."""
-    step = max(1, _BLOCK_BYTES // acc.nbytes)
+    ``block(s, e)`` returns an array of rows s..e-1 (each shaped like
+    ``acc``, at most _BLOCK_BYTES in all) that may be overwritten, as may
+    ``acc``.  Long rows are added one by one; short ones fold the running
+    sum into the first row and ``np.add.accumulate`` adds the rest in order."""
+    step = _block_rows(acc.nbytes)
     for s in range(0, n, step):
         blk = block(s, min(s + step, n))
+        if acc.size >= _ROW_LOOP_SIZE:
+            for row in blk:
+                acc += row
+            continue
         blk[0] += acc
         np.add.accumulate(blk, axis=0, out=blk)
         acc = blk[-1].copy()
     return acc
 
 
-def _row_dots(data, x):
-    """a_i^T x for every sample: one BLAS dot per row, as ``v.dot(x)`` in
-    :func:`gradient_fn` (``A @ x`` or einsum would round differently)."""
+def _row_dots_fn(data):
+    """Bind ``dots(x)``: a_i^T x for every sample, one BLAS dot per row as
+    ``v.dot(x)`` in :func:`gradient_fn` (``A @ x`` or einsum would round
+    differently).  Sparse rows read x through one gather buffer of length
+    nnz, filled by a single ``np.take`` per call."""
     if data.is_dense:
-        return np.array(list(map(x.dot, data.dense_matrix())))
-    rows = zip(data.split(data.values), data.split(data.indices))
-    return np.array([v.dot(x[ix]) for v, ix in rows])
+        a = data.dense_matrix()
+        return lambda x: np.array(list(map(x.dot, a)))
+    vals, buf = data.split(data.values), np.empty(data.indices.size)
+    bufs = data.split(buf)
+
+    def dots(x):
+        np.take(x, data.indices, out=buf)
+        return np.array(list(map(np.ndarray.dot, vals, bufs)))
+
+    return dots
 
 
 def _row_sq_norms(data):
@@ -301,38 +325,61 @@ def _row_sq_norms(data):
     return np.array([v.dot(v) for v in data.split(data.values)])
 
 
-def _grad_coefficients(data, loss, x):
-    """c_i with grad f_i(x) = c_i a_i + lambda x, rounded as in :func:`gradient_fn`."""
-    dots = _row_dots(data, x)
-    y = data.labels
-    if loss.kind == "ridge":
-        return dots - y
-    return -0.5 * y * np.array([_sigmoid_neg(z) for z in (y * dots).tolist()])
+def gradient_sum_fn(data, loss):
+    """Bind ``gsum(x, out=None)``: sum_i grad f_i(x) in row order, each term
+    bit-identical to :func:`gradient_fn`'s; with ``out`` (d x n) term i also
+    lands in column i.
 
-
-def gradient_sum(data, loss, x, out=None):
-    """sum_i grad f_i(x) in row order, each term bit-identical to
-    :func:`gradient_fn`'s; with ``out`` (d x n) term i also lands in column i."""
-    coef = _grad_coefficients(data, loss, x)
-    lamx = loss.lam * x
-    acc = np.zeros(data.d)
+    Binding takes the row views, the buffers and one block of scratch
+    once.  A block of terms c_i a_i + lambda x is one broadcast product for
+    dense data, and lambda x plus one scatter of the block's entries for
+    sparse data (indices rise within a row: no slot is hit twice).
+    """
+    dots = _row_dots_fn(data)
+    y, lam, ridge = data.labels, loss.lam, loss.kind == "ridge"
+    n, d = data.n, data.d
+    scratch = np.empty((min(_block_rows(8 * d), n), d))
     if data.is_dense:
         a = data.dense_matrix()
 
+        def terms(coef, lamx, s, e):
+            blk = np.multiply(a[s:e], coef[s:e, None], out=scratch[: e - s])
+            blk += lamx
+            return blk
+    else:
+        ptr, idx, vals = data.indptr.tolist(), data.indices, data.values
+        rows = np.repeat(np.arange(n), np.diff(data.indptr))
+
+        def terms(coef, lamx, s, e):
+            lo, hi = ptr[s], ptr[e]
+            blk = scratch[: e - s]
+            blk[...] = lamx
+            rid = rows[lo:hi]
+            blk[rid - s, idx[lo:hi]] += vals[lo:hi] * coef[rid]
+            return blk
+
+    def gsum(x, out=None):
+        z = dots(x)
+        if ridge:
+            coef = z - y
+        else:
+            coef = -0.5 * y * np.array([_sigmoid_neg(t) for t in (y * z).tolist()])
+        lamx = lam * x
+
         def block(s, e):
-            g = a[s:e] * coef[s:e, None] + lamx
+            g = terms(coef, lamx, s, e)
             if out is not None:
                 out[:, s:e] = g.T
             return g
 
-        return _row_sum(acc, data.n, block)
-    for i, (ix, v, c) in enumerate(zip(data.split(data.indices), data.split(data.values), coef)):
-        g = lamx.copy()
-        g[ix] += v * c
-        if out is not None:
-            out[:, i] = g
-        acc += g
-    return acc
+        return _row_sum(np.zeros(d), n, block)
+
+    return gsum
+
+
+def gradient_sum(data, loss, x, out=None):
+    """sum_i grad f_i(x) through a one-off :func:`gradient_sum_fn` binding."""
+    return gradient_sum_fn(data, loss)(x, out)
 
 
 def full_grad(data, loss, x):
@@ -343,7 +390,7 @@ def full_grad(data, loss, x):
 def objective(data, loss, x):
     """Objective value f(x)."""
     x = _point(data, x)
-    dots = _row_dots(data, x)
+    dots = _row_dots_fn(data)(x)
     y = data.labels
     if loss.kind == "ridge":
         terms = np.square(dots - y)
@@ -409,6 +456,8 @@ def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000, profile=None):
     Ridge is solved directly: (A^T A / n + lambda I) x = A^T y / n, with a
     few Newton refinement passes if the first solve leaves the gradient
     above tol.  Logistic runs full-gradient descent with stepsize 1/L_bar.
+    Both bind the full gradient once (:func:`gradient_sum_fn`, with
+    :func:`full_grad`'s bits), so no iteration rebuilds row views.
     ``profile`` is the data's :func:`smoothness_profile` if the caller has
     it; computing one refuses data that is not strongly convex.
     """
@@ -417,12 +466,13 @@ def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000, profile=None):
     elif profile.n != data.n:
         raise InvalidInputError(f"profile has n = {profile.n}, data has n = {data.n}")
     n, d = data.n, data.d
+    gsum = gradient_sum_fn(data, loss)
     if loss.kind == "ridge":
         h = _gram_matrix(data) / n
         h[np.diag_indices(d)] += loss.lam
         x = solve_spd(h, _ridge_rhs(data) / n)
         for refinements in range(4):
-            g = full_grad(data, loss, x)
+            g = gsum(x) / n
             gnorm = float(np.linalg.norm(g))
             if gnorm <= tol:
                 return x
@@ -437,7 +487,7 @@ def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000, profile=None):
     x = np.zeros(d)
     gnorm = math.inf
     for _ in range(max_iters):
-        g = full_grad(data, loss, x)
+        g = gsum(x) / n
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return x

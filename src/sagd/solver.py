@@ -16,12 +16,13 @@ import numpy as np
 from .complexity import InterpolationConfig, stepsize as theoretical_stepsize
 from .exceptions import InvalidInputError
 from .numerics import SeededRng, sample_subset
-from .problem import (
+from .problem import (  # noqa: F401  full_grad: perfbench/tracer.py spans it by this name
     check_logistic_labels,
     batch_gradient_fn,
     full_grad,
     gradient_fn,
     gradient_sum,
+    gradient_sum_fn,
     smoothness_profile,
 )
 
@@ -84,8 +85,8 @@ class SolverConfig:
             raise InvalidInputError("tau must be >= 1")
         if self.table_init not in TABLE_POLICIES:
             raise InvalidInputError(f"unknown table_init {self.table_init!r}")
-        if not self.tol > 0.0:
-            raise InvalidInputError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")
         if self.alpha is not None and not self.alpha > 0.0:
             raise InvalidInputError("alpha must be positive")
         if not (np.isfinite(self.max_effective_passes) and self.max_effective_passes > 0.0):
@@ -264,6 +265,7 @@ def run(data, loss, cfg, x_star=None, x0=None):
 
     grad = gradient_fn(data, loss)
     batch_grad = batch_gradient_fn(data, loss)
+    gsum = gradient_sum_fn(data, loss) if x_star is None else None
     extra = 0
 
     def measure():
@@ -271,7 +273,7 @@ def run(data, loss, cfg, x_star=None, x0=None):
         if x_star is not None:
             return float(np.linalg.norm(state.x - x_star))
         extra += n
-        return float(np.linalg.norm(full_grad(data, loss, state.x)))
+        return float(np.linalg.norm(gsum(state.x) / n))  # full_grad's bits
 
     def psi():
         if grad_star is None:

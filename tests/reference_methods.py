@@ -123,6 +123,18 @@ def row_full_grad(data, loss, x):
     return acc / data.n
 
 
+def row_gradient_descent(data, loss, step, tol, max_iters):
+    """The logistic reference solution: gradient descent from 0 over the
+    row-loop full gradient, stopping once its norm is at most tol."""
+    x = np.zeros(data.d)
+    for _ in range(max_iters):
+        g = row_full_grad(data, loss, x)
+        if float(np.linalg.norm(g)) <= tol:
+            return x
+        x = x - step * g
+    raise AssertionError(f"row-loop descent did not reach tol {tol} in {max_iters} iterations")
+
+
 def row_init_table_at_x(data, loss, x):
     """Table columns and their running sum, as the at-x0 table fill."""
     rows = split_rows(data)

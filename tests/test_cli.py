@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sagd import cli, problem, solver
@@ -109,13 +110,13 @@ class TestRun:
         assert payload["runs"][0]["converged"]
 
     def test_auto_plan_run(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "run", "--synth", "300,4,gaussian", "--normalize",
             "--seed", "1,2", "--tol", "1e-8", "--max-passes", "300", "--json",
         )
         assert code == 0
-        assert "plan:" in out
-        payload = json.loads(out.splitlines()[-1])
+        assert "plan:" in err  # with --json, stdout holds the JSON document alone
+        payload = json.loads(out)
         assert len(payload["runs"]) == 2
         assert all(r["converged"] for r in payload["runs"])
 
@@ -172,6 +173,40 @@ class TestRun:
         )
         assert code == 2
         assert err.startswith("error:") and "passes must be finite and positive" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "run", "--synth", "30,3,gaussian", f"--tol={tol}", "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "tol must be finite and positive" in err
+        assert f"got {float(tol)}" in err  # names nan or inf
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("source", ["synth", "data"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--max-passes", "0"), ("--check-every", "inf"), ("--tol", "inf"), ("--tol", "nan")],
+    )
+    def test_budget_checked_before_any_work(
+        self, capsys, tmp_path, monkeypatch, command, source, flag, value
+    ):
+        # no profile, plan or reference solution is computed for a bad budget
+        calls = count_profiles(monkeypatch)
+        monkeypatch.setattr(cli, "exact_solution", lambda *a, **k: calls.append("reference"))
+        if source == "data":
+            path = tmp_path / "d.svm"
+            data = synth_gaussian(30, 3, seed=1)
+            labels = np.where(data.labels >= 0.0, 1.0, -1.0)
+            write_libsvm(problem.Dataset(data.indptr, data.indices, data.values, labels, data.d),
+                         path)
+            flags = ("--data", str(path), "--loss", "logistic")
+        else:
+            flags = ("--synth", "30,3,gaussian")
+        taus = ("--taus", "1,2") if command == "sweep" else ()
+        code, out, err = run_cli(capsys, command, *flags, *taus, flag, value)
+        assert code == 2
+        assert err.startswith("error:") and "plan:" not in out + err
+        assert calls == []
 
     def test_zero_alpha_rejected(self, capsys):
         code, _, err = run_cli(
