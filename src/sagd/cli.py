@@ -293,9 +293,8 @@ def cmd_run(args):
         all_converged &= result.converged
         passes = result.passes_to_tol(args.tol, data.n)
         wall = result.points[-1].wall_seconds
-        summaries.append(
-            {"seed": seed, "converged": result.converged, "passes": passes, "wall_seconds": wall}
-        )
+        summaries.append({"seed": seed, "converged": result.converged,
+                          "diverged": result.diverged, "passes": passes, "wall_seconds": wall})
         series.append(TrajectorySeries("sagd", q, tau, seed, data.n, result.points))
 
     if args.out:
@@ -315,7 +314,8 @@ def cmd_run(args):
         print(json.dumps(payload, sort_keys=True))
     else:
         for s in summaries:
-            state = "converged" if s["converged"] else "DID NOT CONVERGE"
+            state = ("converged" if s["converged"]
+                     else "DIVERGED" if s["diverged"] else "DID NOT CONVERGE")
             passes = "n/a" if s["passes"] is None else f"{s['passes']:.2f}"
             print(
                 f"seed {s['seed']}: {state}, passes={passes}, "
@@ -339,12 +339,16 @@ def cmd_sweep(args):
     all_converged = True
     for tau, alpha in zip(taus, alphas.tolist()):
         per_seed = []
+        diverged = []
         for seed in seeds:
             result = _solve(budget, data, loss, x_star, q, tau, alpha, seed)
             all_converged &= result.converged
             passes = result.passes_to_tol(args.tol, data.n)
             per_seed.append(passes if passes is not None else float("inf"))
-        rows.append({"tau": tau, "median_passes": statistics.median(per_seed)})
+            if result.diverged:
+                diverged.append(seed)
+        rows.append({"tau": tau, "median_passes": statistics.median(per_seed),
+                     "diverged": diverged})
 
     best_row = min(rows, key=lambda r: r["median_passes"])
     if args.out:
@@ -359,7 +363,9 @@ def cmd_sweep(args):
         print(json.dumps(payload, sort_keys=True))
     else:
         for row in rows:
-            print(f"tau={row['tau']:>5}  median passes={row['median_passes']:.2f}")
+            seeds_note = ", ".join(map(str, row["diverged"]))
+            print(f"tau={row['tau']:>5}  median passes={row['median_passes']:.2f}"
+                  + (f"  DIVERGED (seeds {seeds_note})" if row["diverged"] else ""))
         print(f"best observed tau: {best_row['tau']}; planner tau*: {plan.best.tau}")
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 

@@ -96,27 +96,22 @@ def write_libsvm(data, path):
             fh.write(f"{_fmt(y)} {feats}\n" if feats else f"{_fmt(y)}\n")
 
 
-def _synth(n, d, seed, draw):
+def _synth(n, d, seed, draws):
     if n < 1 or d < 1:
         raise InvalidInputError("need n >= 1 and d >= 1")
-    rng = SeededRng(seed)
-    a = np.empty((n, d))
-    for i in range(n):
-        for j in range(d):
-            a[i, j] = draw(rng)
-    labels = np.array([draw(rng) for _ in range(n)])
-    return Dataset.from_dense(a, labels)
+    entries = draws(SeededRng(seed), n * (d + 1))
+    return Dataset.from_dense(entries[:n * d].reshape(n, d), entries[n * d:])
 
 
 def synth_gaussian(n, d, seed):
     """Dataset with all entries of A and y i.i.d. standard normal.
     Entries are drawn row by row, then the labels; deterministic per seed."""
-    return _synth(n, d, seed, lambda rng: rng.normal())
+    return _synth(n, d, seed, SeededRng.normals)
 
 
 def synth_uniform(n, d, seed):
     """Dataset with all entries of A and y i.i.d. uniform on [0, 1)."""
-    return _synth(n, d, seed, lambda rng: rng.uniform())
+    return _synth(n, d, seed, SeededRng.uniforms)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ generator that makes runs reproducible bit for bit across platforms and
 releases.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -16,9 +17,86 @@ from .exceptions import InvalidInputError, NotPositiveDefiniteError
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
+# Lane geometry of the bulk generator: a chunk is _LANES lanes of _STEPS
+# consecutive words each (both powers of two), lane g starting g * _STEPS
+# words into the chunk.
+_LANES = 256
+_STEPS = 64
+_CHUNK = _LANES * _STEPS
+# Fewer fresh words than this come from the scalar loop: below it a lane
+# chunk's fixed cost (the spread and 64 vector steps, whatever the count)
+# and the once-per-process matrix build are not repaid.
+_SCALAR_WORDS = 4096
+_FIRST_FILL = 64  # the read buffer starts this small and doubles up to _CHUNK
+
+
+def _step_lanes(s, out, t):
+    """One xoshiro256** step of every lane of ``s`` (4 x lanes, uint64, in
+    place); the output words go to ``out``, ``t`` is scratch."""
+    s0, s1, s2, s3 = s
+    np.multiply(s1, 5, out=t)
+    np.left_shift(t, 7, out=out)
+    np.right_shift(t, 57, out=t)
+    out |= t
+    out *= 9
+    np.left_shift(s1, 17, out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.left_shift(s3, 45, out=t)
+    s3 >>= 19
+    s3 |= t
+
+
+_NIBBLE_BASE = (np.arange(64) * 16)[:, None]
+
+
+def _apply(rows, states):
+    """Apply a GF(2) matrix to states (k x 4, uint64).
+
+    The matrix is given by its 256 packed rows: row i is its image of the
+    unit state i, so the image of a state is the XOR of the rows its set
+    bits select.  The rows are combined four bits at a time through a
+    16-entry table per nibble, and states a block of 64 at a time, which
+    bounds the gathered temporary at 128 kB.
+    """
+    per_bit = rows.reshape(64, 4, 4)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for k in range(4):
+        table[:, 1 << k:2 << k] = table[:, :1 << k] ^ per_bit[:, k, None, :]
+    table = table.reshape(1024, 4)
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T
+    nibbles = np.empty((64, len(states)), dtype=np.intp)
+    np.bitwise_and(octets, 15, out=nibbles[0::2])
+    np.right_shift(octets, 4, out=nibbles[1::2])
+    nibbles += _NIBBLE_BASE
+    out = np.empty((len(states), 4), dtype=np.uint64)
+    for a in range(0, len(states), 64):
+        np.bitwise_xor.reduce(table[nibbles[:, a:a + 64]], axis=0, out=out[a:a + 64])
+    return out
+
+
+@functools.cache
+def _spread_matrices():
+    """Rows of T^(_STEPS * 2^k) for k = 0 .. log2(_LANES) - 1, with T the
+    one-step state transition: the doublings that set the lanes of a chunk
+    _STEPS words apart.  Built once per process by squaring T."""
+    bit = np.arange(256)
+    lanes = np.zeros((4, 256), dtype=np.uint64)  # lane i: the state with only bit i set
+    lanes[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+    _step_lanes(lanes, np.empty(256, dtype=np.uint64), np.empty(256, dtype=np.uint64))
+    powers = [np.ascontiguousarray(lanes.T)]  # T
+    skip = _STEPS.bit_length() - 1
+    while len(powers) < skip + _LANES.bit_length() - 1:
+        powers.append(_apply(powers[-1], powers[-1]))
+    return powers[skip:]
+
 
 class SeededRng:
-    """xoshiro256** generator seeded through splitmix64.
+    """xoshiro256** generator seeded through splitmix64, read through a
+    buffered word stream.
 
     The algorithm is deliberately fixed and self-contained (no dependency on
     numpy's generators) so that identical seeds yield identical streams on
@@ -33,11 +111,23 @@ class SeededRng:
     rejection sampling and are exactly uniform.  Normals come from a
     Box-Muller pair with the sine half cached.
 
+    Every draw reads one word stream, whichever method takes it.  Single
+    draws read a buffer that starts at 64 words and doubles up to one
+    chunk of 16384; the bulk draws (``words``, ``uniforms``, ``normals``)
+    take the buffer's unread words and generate the rest directly, a chunk
+    at a time.  Fewer than 4096 fresh words come from a scalar loop.  More
+    come from lanes: the update is linear over GF(2), so jump matrices set
+    256 lanes 64 words apart, and the lanes step together as numpy uint64
+    arrays; the last word's lane gives the state the next chunk starts
+    from.  Bit identity is the contract: every method returns exactly what
+    the one-word-at-a-time generator gives, and the stream continues from
+    the next unread word after any mix of single and bulk draws.
+
     Instances are single-owner mutable state: concurrent use requires
     independent instances.
     """
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_spare_normal")
+    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_buf", "_pos", "_spare_normal")
 
     def __init__(self, seed):
         if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
@@ -50,32 +140,30 @@ class SeededRng:
             w = ((w ^ (w >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & _MASK64
             state.append(w ^ (w >> 31))
+        self._reset(state)
+
+    def _reset(self, state):
+        # the generator state sits after the last buffered word
         self._s0, self._s1, self._s2, self._s3 = state
+        self._buf = np.empty(0, dtype=np.uint64)
+        self._pos = 0
         self._spare_normal = None
 
     @classmethod
     def _from_state(cls, state):
         """Build a generator from raw state words (testing hook)."""
         rng = cls(0)
-        rng._s0, rng._s1, rng._s2, rng._s3 = (s & _MASK64 for s in state)
-        rng._spare_normal = None
+        rng._reset([s & _MASK64 for s in state])
         return rng
 
     def next_u64(self):
         """Return the next raw 64-bit output word."""
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        out = (s1 * 5) & _MASK64
-        out = ((out << 7) | (out >> 57)) & _MASK64
-        out = (out * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return out
+        pos = self._pos
+        if pos == len(self._buf):
+            self._refill(1)
+            pos = 0
+        self._pos = pos + 1
+        return self._buf.item(pos)
 
     def uniform(self):
         """Uniform double in [0, 1)."""
@@ -107,26 +195,145 @@ class SeededRng:
         self._spare_normal = r * math.sin(a)
         return r * math.cos(a)
 
+    def words(self, count):
+        """The next ``count`` raw words, as a uint64 array."""
+        pos = self._pos
+        head = self._buf[pos:pos + count]
+        self._pos = pos + len(head)
+        if len(head) == count:
+            return head
+        tail = self._generate(count - len(head))
+        return np.concatenate((head, tail)) if len(head) else tail
+
+    def uniforms(self, count):
+        """``count`` draws of ``uniform()``, as an array."""
+        out = np.empty(count)
+        for a in range(0, count, _CHUNK):  # a chunk of words at a time bounds the memory
+            np.multiply(self.words(min(_CHUNK, count - a)) >> 11, _INV_2_53, out=out[a:a + _CHUNK])
+        return out
+
+    def normals(self, count):
+        """``count`` draws of ``normal()``, as an array; an odd count leaves
+        the sine half of the last pair cached, as ``normal()`` does."""
+        k = 1 if count and self._spare_normal is not None else 0
+        z = np.empty(k + 2 * ((count - k + 1) // 2))
+        if k:
+            z[0] = self._spare_normal
+            self._spare_normal = None
+        for a in range(k, len(z), _CHUNK):  # _CHUNK is even: no pair straddles two draws
+            _box_muller(self.words(min(_CHUNK, len(z) - a)), z[a:a + _CHUNK])
+        if len(z) > count:
+            self._spare_normal = float(z[count])
+        return z[:count]
+
+    def _peek(self, count):
+        """The next ``count`` words without consuming them."""
+        if self._pos + count > len(self._buf):
+            self._refill(count - (len(self._buf) - self._pos))
+        return self._buf[self._pos:self._pos + count]
+
+    def _refill(self, need):
+        """Make the unread words, then at least ``need`` fresh ones, the buffer."""
+        tail = self._buf[self._pos:]
+        fresh = self._generate(max(need, min(2 * len(self._buf), _CHUNK), _FIRST_FILL))
+        self._buf = np.concatenate((tail, fresh)) if len(tail) else fresh
+        self._pos = 0
+
+    def _generate(self, count):
+        """The ``count`` words after the state, advancing the state past them."""
+        if count < _SCALAR_WORDS:
+            return np.array(self._scalar_words(count), dtype=np.uint64)
+        chunks = [self._lane_chunk(min(_CHUNK, count - a)) for a in range(0, count, _CHUNK)]
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+    def _scalar_words(self, count):
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        out = []
+        append = out.append
+        for _ in range(count):
+            w = (s1 * 5) & _MASK64
+            append((((w << 7) | (w >> 57)) * 9) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return out
+
+    def _lane_chunk(self, count):
+        """The next ``count`` (at most _CHUNK) words, from lanes _STEPS words
+        apart stepped together; the state ends after the last of them."""
+        lanes = -(-count // _STEPS)
+        starts = np.empty((lanes, 4), dtype=np.uint64)
+        starts[0] = (self._s0, self._s1, self._s2, self._s3)
+        have = 1
+        for power in _spread_matrices():  # lanes have .. 2 have - 1 start have * _STEPS later
+            if have == lanes:
+                break
+            m = min(have, lanes - have)
+            starts[have:have + m] = _apply(power, starts[:m])
+            have += m
+        s = np.ascontiguousarray(starts.T)
+        block = np.empty((lanes, _STEPS), dtype=np.uint64)
+        t = np.empty(lanes, dtype=np.uint64)
+        last = count - (lanes - 1) * _STEPS  # words read from the last lane
+        for b in range(_STEPS):
+            _step_lanes(s, block[:, b], t)
+            if b + 1 == last:
+                self._s0, self._s1, self._s2, self._s3 = s[:, -1].tolist()
+        return block.ravel()[:count]
+
+
+def _box_muller(w, out):
+    """Normals from an even number of words, pair by pair as ``normal()``
+    draws them: out[0::2] the cosine halves, out[1::2] the sine halves.
+
+    log, cos and sin run through ``math`` (libm), as in ``normal()``;
+    numpy's SIMD versions may round differently.  The integer-to-float
+    conversions, sqrt and the products are exact or correctly rounded in
+    numpy too, so every value has the bits of the scalar draw.
+    """
+    half = len(w) // 2
+    u1 = ((w[0::2] >> 11) + 1).astype(np.float64) * _INV_2_53
+    u2 = (w[1::2] >> 11).astype(np.float64) * _INV_2_53
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, half))
+    a = ((2.0 * math.pi) * u2).tolist()
+    np.multiply(r, np.fromiter(map(math.cos, a), np.float64, half), out=out[0::2])
+    np.multiply(r, np.fromiter(map(math.sin, a), np.float64, half), out=out[1::2])
+
 
 def sample_subset(rng, n, tau):
     """Uniformly sample a subset of ``tau`` distinct indices from [0, n).
 
-    Partial Fisher-Yates over an index scratch array: tau swaps, exactly
-    uniform over all binomial(n, tau) subsets.  Returns a sorted int64
-    array.  ``tau == n`` returns the full index set without consuming any
-    randomness.
+    Partial Fisher-Yates: tau swaps, exactly uniform over all
+    binomial(n, tau) subsets, with the swapped slots of the index array
+    kept in a dict, so a draw costs O(tau) whatever n is.  The draws are
+    those of ``rng.randint_below(n - i)`` for i = 0 .. tau - 1, in order.
+    When no buffered word can be rejected (each is at most 2**64 - 1 - n,
+    below every rejection limit) they are reduced from the buffer directly.
+    Returns a sorted int64 array.  ``tau == n`` returns the full index set
+    without consuming any randomness.
     """
     if not 1 <= tau <= n:
         raise InvalidInputError(f"need 1 <= tau <= n, got tau={tau}, n={n}")
     if tau == n:
         return np.arange(n, dtype=np.int64)
-    scratch = np.arange(n, dtype=np.int64)
-    for i in range(tau):
-        j = i + rng.randint_below(n - i)
-        scratch[i], scratch[j] = scratch[j], scratch[i]
-    picked = scratch[:tau]
+    words = rng._peek(tau).tolist()
+    if max(words) <= _MASK64 - n:
+        rng._pos += tau
+        picks = [i + w % (n - i) for i, w in enumerate(words)]
+    else:
+        picks = [i + rng.randint_below(n - i) for i in range(tau)]
+    moved = {}
+    picked = []
+    for i, j in enumerate(picks):
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
     picked.sort()
-    return picked
+    return np.array(picked, dtype=np.int64)
 
 
 def _check_square_symmetric(m, what):

@@ -8,6 +8,7 @@ With q = 0 the iteration is exactly the classical single-sample method;
 with q = 1 and tau = n it is exactly full gradient descent.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .problem import (  # noqa: F401  full_grad: perfbench/tracer.py spans it by
     smoothness_profile,
 )
 
-TABLE_POLICIES = ("at-x0", "zeros", "random")
+TABLE_POLICIES = ("at-x0", "zeros")
 
 
 @dataclass
@@ -123,6 +124,7 @@ class RunResult:
     x: np.ndarray
     seed: int
     extra_grad_evals: int = 0  # convergence-check full gradients, kept out of grad_evals
+    diverged: bool = False  # stopped at a checkpoint whose error or iterate is not finite
 
     def passes_to_tol(self, tol, n):
         """Effective passes at the first checkpoint with error <= tol."""
@@ -132,12 +134,11 @@ class RunResult:
         return None
 
 
-def init_table(data, loss, x0, policy, rng):
+def init_table(data, loss, x0, policy):
     """Build the gradient table.
 
     "at-x0" fills column j with the gradient of sample j at x0 (n gradient
-    evaluations, which the caller accounts for); "zeros" starts empty;
-    "random" fills the table with standard normal draws, column by column.
+    evaluations, which the caller accounts for); "zeros" starts empty.
     """
     d, n = data.d, data.n
     if policy == "zeros":
@@ -145,12 +146,6 @@ def init_table(data, loss, x0, policy, rng):
     if policy == "at-x0":
         j_mat = np.empty((d, n))
         return GradientTable(J=j_mat, col_sum=gradient_sum(data, loss, x0, out=j_mat))
-    if policy == "random":
-        j_mat = np.empty((d, n))
-        for j in range(n):
-            for k in range(d):
-                j_mat[k, j] = rng.normal()
-        return GradientTable(J=j_mat, col_sum=j_mat.sum(axis=1))
     raise InvalidInputError(f"unknown table policy {policy!r}")
 
 
@@ -217,12 +212,13 @@ def lyapunov(state, x_star, grad_table_star, l_max):
 
 def gradient_matrix(data, loss, x):
     """Per-sample gradients at x, one column each (d x n)."""
-    return init_table(data, loss, x, "at-x0", None).J
+    return init_table(data, loss, x, "at-x0").J
 
 
 def run(data, loss, cfg, x_star=None, x0=None):
-    """Run the iteration until the error reaches ``cfg.tol`` or the pass
-    budget is exhausted.
+    """Run the iteration until the error reaches ``cfg.tol``, the pass
+    budget is exhausted, or the run diverges: it stops at the first
+    checkpoint whose error or iterate is not finite, with ``diverged`` set.
 
     Error is ||x - x*|| when ``x_star`` is given, otherwise the full
     gradient norm (those evaluations are tracked separately and never enter
@@ -248,7 +244,7 @@ def run(data, loss, cfg, x_star=None, x0=None):
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if x0.shape != (d,):
         raise InvalidInputError(f"x0 has shape {x0.shape}, expected ({d},)")
-    table = init_table(data, loss, x0, cfg.table_init, rng)
+    table = init_table(data, loss, x0, cfg.table_init)
     state = SolverState(
         x=x0.copy(),
         table=table,
@@ -284,9 +280,12 @@ def run(data, loss, cfg, x_star=None, x0=None):
     budget = cfg.max_effective_passes * n
     err = measure()
     points = [TrajectoryPoint(0, state.grad_evals, 0.0, err, psi())]
-    converged = err <= cfg.tol
     start = time.perf_counter()
-    while not converged and state.grad_evals < budget:
+    while True:
+        converged = err <= cfg.tol
+        diverged = not (math.isfinite(err) and np.isfinite(state.x).all())
+        if converged or diverged or state.grad_evals >= budget:
+            break
         for _ in range(check_every):
             sagd_step(state, data, loss, cfg, rng, grad, batch_grad)
             if state.grad_evals >= budget:
@@ -297,7 +296,7 @@ def run(data, loss, cfg, x_star=None, x0=None):
                 state.iters, state.grad_evals, time.perf_counter() - start, err, psi()
             )
         )
-        converged = err <= cfg.tol
     return RunResult(
-        points=points, converged=converged, x=state.x, seed=cfg.seed, extra_grad_evals=extra
+        points=points, converged=converged, x=state.x, seed=cfg.seed, extra_grad_evals=extra,
+        diverged=diverged,
     )

@@ -75,10 +75,7 @@ def check_constants_against_oracles(
     start = time.perf_counter()
     for n in range(2, n_max + 1):
         for tau in range(1, n + 1):
-            level_sets = [
-                np.array([0.5 + rng.uniform() for _ in range(n)])
-                for _ in range(levels_per_pair)
-            ]
+            level_sets = [0.5 + rng.uniforms(n) for _ in range(levels_per_pair)]
             cfg = complexity.InterpolationConfig(q=np.asarray(q_grid, float), tau=tau, n=n)
             th_all, rho_all = theta_fn(cfg), rho_fn(cfg)
             l1_all = [

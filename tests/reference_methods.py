@@ -9,6 +9,11 @@ The ``row_*`` functions are row-by-row loops over one (indices, values)
 pair per sample: the full-data kernels as they were written before the
 dataset moved to CSR arrays.  The package's array kernels must reproduce
 them bit for bit.
+
+``ScalarRng`` and ``arange_sample_subset`` are the random stream and the
+subset sampler one word at a time, as they were written before the
+generator read its words through a buffered lane stream.  ``SeededRng``
+and ``sample_subset`` must reproduce them bit for bit.
 """
 
 import math
@@ -17,6 +22,71 @@ import numpy as np
 
 from sagd.numerics import SeededRng, sample_subset, symmetric_eigen
 from sagd.problem import batch_gradient_fn, gradient_fn
+
+_MASK64 = (1 << 64) - 1
+
+
+class ScalarRng:
+    """xoshiro256** seeded through splitmix64, one word per call."""
+
+    def __init__(self, seed):
+        z = seed
+        self.s = []
+        for _ in range(4):
+            z = (z + 0x9E3779B97F4A7C15) & _MASK64
+            w = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & _MASK64
+            self.s.append(w ^ (w >> 31))
+        self.spare = None
+
+    def next_u64(self):
+        s0, s1, s2, s3 = self.s
+        out = (((((s1 * 5) & _MASK64) << 7) | (((s1 * 5) & _MASK64) >> 57)) * 9) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self.s = [s0, s1, s2, s3]
+        return out
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def randint_below(self, n):
+        if n == 1:
+            return 0
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def normal(self):
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53
+        u2 = (self.next_u64() >> 11) * 2.0 ** -53
+        r = math.sqrt(-2.0 * math.log(u1))
+        a = 2.0 * math.pi * u2
+        self.spare = r * math.sin(a)
+        return r * math.cos(a)
+
+
+def arange_sample_subset(rng, n, tau):
+    """Partial Fisher-Yates over a freshly allocated index array of length n."""
+    if tau == n:
+        return np.arange(n, dtype=np.int64)
+    scratch = np.arange(n, dtype=np.int64)
+    for i in range(tau):
+        j = i + rng.randint_below(n - i)
+        scratch[i], scratch[j] = scratch[j], scratch[i]
+    picked = scratch[:tau]
+    picked.sort()
+    return picked
 
 
 def reference_saga(data, loss, x0, alpha, seed, steps):

@@ -226,6 +226,21 @@ class TestRun:
         assert code == 3
         assert len(read_results_csv(out_csv)) >= 1
 
+    def test_divergence_reported(self, capsys, tmp_path):
+        args = ("run", "--synth", "500,10,gaussian", "--normalize", "--q", "0", "--tau", "1",
+                "--alpha", "50", "--seed", "1,2")
+        out_csv = tmp_path / "res.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run_cli(capsys, *args, "--out", str(out_csv))
+            assert code == 3
+            assert out.count("DIVERGED") == 2
+            assert out_csv.read_text().splitlines()[0] == (
+                "method,q,tau,seed,iter,grad_evals,effective_passes,wall_seconds,error,lyapunov"
+            )
+            code, out, _ = run_cli(capsys, *args, "--json")
+        assert code == 3
+        assert [r["diverged"] for r in json.loads(out)["runs"]] == [True, True]
+
     def test_plot_output(self, capsys, tmp_path):
         out_csv = tmp_path / "res.csv"
         out_svg = tmp_path / "res.svg"
@@ -273,6 +288,22 @@ class TestSweep:
         payload = json.loads(out)
         assert [r["tau"] for r in payload["rows"]] == [2]
         assert out_csv.read_text().splitlines()[0] == "tau,median_passes"
+
+    def test_divergence_reported(self, capsys, monkeypatch):
+        # the theoretical stepsizes never diverge; scale tau 3's up until it does
+        stepsize = cli.stepsize
+        monkeypatch.setattr(cli, "stepsize", lambda *a: stepsize(*a) * np.array([1.0, 1.0, 100.0]))
+        args = ("sweep", "--synth", "200,4,gaussian", "--normalize", "--q", "1.0",
+                "--taus", "1-3", "--seed", "1,2", "--tol", "1e-6")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run_cli(capsys, *args, "--json")
+            assert code == 3
+            assert [r["diverged"] for r in json.loads(out)["rows"]] == [[], [], [1, 2]]
+            code, out, _ = run_cli(capsys, *args)
+        assert code == 3
+        assert [line for line in out.splitlines() if "DIVERGED" in line] == [
+            "tau=    3  median passes=inf  DIVERGED (seeds 1, 2)"
+        ]
 
     def test_tau_range_parsing(self, capsys):
         code, out, _ = run_cli(

@@ -15,6 +15,7 @@ from sagd.data_io import (
     write_libsvm,
     write_results_csv,
 )
+from reference_methods import ScalarRng
 from sagd.exceptions import InvalidInputError, ParseError
 from sagd.solver import TrajectoryPoint
 
@@ -101,6 +102,18 @@ class TestSynthetic:
         m = entries.size
         assert abs(entries.mean()) <= 3 / math.sqrt(m)
         assert abs(entries.var() - 1.0) <= 3 * math.sqrt(2.0 / m)
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (7, 3), (300, 10), (2000, 10)])
+    def test_draws_entries_row_by_row_then_labels(self, n, d):
+        # (7, 3): the last entry and the first label share a Box-Muller pair;
+        # (2000, 10): 22 000 words, drawn from lanes over two chunks
+        for synth, draw in ((synth_gaussian, ScalarRng.normal), (synth_uniform, ScalarRng.uniform)):
+            data = synth(n, d, seed=2**64 - 1)
+            ref = ScalarRng(2**64 - 1)
+            a = np.array([[draw(ref) for _ in range(d)] for _ in range(n)])
+            labels = np.array([draw(ref) for _ in range(n)])
+            assert data.dense_matrix().tobytes() == a.tobytes()
+            assert data.labels.tobytes() == labels.tobytes()
 
     def test_uniform_range(self):
         data = synth_uniform(500, 3, seed=2)

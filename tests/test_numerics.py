@@ -3,10 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from reference_methods import ScalarRng, arange_sample_subset
 from sagd.exceptions import InvalidInputError, NotPositiveDefiniteError
 from sagd.numerics import SeededRng, sample_subset, solve_spd, symmetric_eigen
+
+MAX_SEED = 2**64 - 1
+# bulk counts around the scalar/lane switch (4096), one lane (64 words)
+# and one chunk (16384 words, 256 lanes), and past a chunk boundary
+BULK_COUNTS = (0, 1, 2, 63, 64, 65, 4095, 4096, 4097, 16383, 16384, 16385, 2 * 16384 + 65)
 
 
 class TestSeededRng:
@@ -50,6 +58,64 @@ class TestSeededRng:
             SeededRng(1 << 64)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestLaneStream:
+    """Every draw equals the scalar transcription's, bit for bit, whatever
+    mix of single and bulk draws reads the stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from((0, 1, MAX_SEED)), st.integers(0, MAX_SEED)),
+        draws=st.lists(
+            st.tuples(
+                st.sampled_from(("next_u64", "uniform", "normal", "randint_below",
+                                 "words", "uniforms", "normals")),
+                st.one_of(st.sampled_from(BULK_COUNTS), st.integers(0, 200)),
+            ),
+            max_size=8,
+        ),
+        bound=st.sampled_from((1, 7, 300, 2**63 + 1, MAX_SEED)),
+    )
+    def test_matches_scalar_reference(self, seed, draws, bound):
+        rng, ref = SeededRng(seed), ScalarRng(seed)
+        for kind, count in draws:
+            if kind == "next_u64":
+                assert rng.next_u64() == ref.next_u64()
+            elif kind == "uniform":
+                assert _bits([rng.uniform()]) == _bits([ref.uniform()])
+            elif kind == "normal":
+                assert _bits([rng.normal()]) == _bits([ref.normal()])
+            elif kind == "randint_below":  # 2**63 + 1 rejects about half the words
+                assert rng.randint_below(bound) == ref.randint_below(bound)
+            elif kind == "words":
+                got = rng.words(count)
+                assert got.dtype == np.uint64
+                assert got.tolist() == [ref.next_u64() for _ in range(count)]
+            elif kind == "uniforms":
+                assert _bits(rng.uniforms(count)) == _bits([ref.uniform() for _ in range(count)])
+            else:  # a spare cached before or left after the bulk draw is read in order
+                assert _bits(rng.normals(count)) == _bits([ref.normal() for _ in range(count)])
+        # the stream continues from the next unread word
+        assert [rng.next_u64() for _ in range(3)] == [ref.next_u64() for _ in range(3)]
+        assert _bits([rng.normal(), rng.normal()]) == _bits([ref.normal(), ref.normal()])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, MAX_SEED])
+    def test_synth_bulk_draw_matches_scalar_reference(self, seed):
+        # one synth_gaussian(20000, 10) draw: 220 000 normals over 14 chunks
+        rng, ref = SeededRng(seed), ScalarRng(seed)
+        assert _bits(rng.normals(220_000)) == _bits([ref.normal() for _ in range(220_000)])
+        assert rng.next_u64() == ref.next_u64()
+
+    def test_from_state_restarts_the_buffer(self):
+        rng = SeededRng(4)
+        rng.words(5000)
+        rng = SeededRng._from_state((1, 2, 3, 4))
+        assert rng.words(3).tolist() == [11520, 0, 1509978240]
+
+
 class TestSampleSubset:
     def test_full_set_forced_any_seed(self):
         for seed in (0, 1, 99):
@@ -63,6 +129,27 @@ class TestSampleSubset:
             assert got.size == tau
             assert len(set(got.tolist())) == tau
             assert got.tolist() == sorted(got.tolist())
+
+    @pytest.mark.parametrize("seed", [0, 7, MAX_SEED])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 300, 10_000, 1_000_000])
+    def test_matches_arange_fisher_yates(self, seed, n):
+        rng, ref = SeededRng(seed), ScalarRng(seed)
+        for tau in sorted({1, max(n - 1, 1), n, min(32, n)}):
+            for _ in range(3 if tau < n - 1 else 1):
+                got = sample_subset(rng, n, tau)
+                assert got.dtype == np.int64
+                assert got.tolist() == arange_sample_subset(ref, n, tau).tolist(), tau
+            assert rng.next_u64() == ref.next_u64()
+
+    def test_rejected_words_redrawn_in_order(self):
+        # at n = 2**63 + 1 about half the words are rejected; picks spread
+        # over [0, 2**63) never collide, so the subset is the sorted picks
+        n = 2**63 + 1
+        rng, ref = SeededRng(3), ScalarRng(3)
+        for tau in (1, 2, 5, 32):
+            picks = sorted(i + ref.randint_below(n - i) for i in range(tau))
+            assert sample_subset(rng, n, tau).tolist() == picks
+            assert rng.next_u64() == ref.next_u64()
 
     def test_invalid_tau(self):
         rng = SeededRng(0)

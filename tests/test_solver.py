@@ -39,7 +39,7 @@ def _dataset(n, d, seed, normalize=False):
 def _make_state(data, loss, cfg, x0=None):
     rng = SeededRng(cfg.seed)
     x0 = np.zeros(data.d) if x0 is None else x0
-    table = init_table(data, loss, x0, cfg.table_init, rng)
+    table = init_table(data, loss, x0, cfg.table_init)
     theta = data.n / (cfg.q * (cfg.tau - 1) + 1.0)
     alpha = cfg.alpha
     if alpha is None:
@@ -50,31 +50,23 @@ def _make_state(data, loss, cfg, x0=None):
 class TestInitTable:
     def test_zeros_policy(self):
         data = _dataset(6, 3, 0)
-        table = init_table(data, LossSpec("ridge", 0.1), np.zeros(3), "zeros", SeededRng(0))
+        table = init_table(data, LossSpec("ridge", 0.1), np.zeros(3), "zeros")
         assert np.all(table.J == 0.0) and np.all(table.col_sum == 0.0)
 
     def test_at_x0_single_sample(self):
         data = _dataset(1, 3, 1)
         loss = LossSpec("ridge", 0.2)
         x0 = np.ones(3)
-        table = init_table(data, loss, x0, "at-x0", SeededRng(0))
+        table = init_table(data, loss, x0, "at-x0")
         assert np.allclose(table.col_sum, full_grad(data, loss, x0) * 1, rtol=1e-15)
 
     def test_at_x0_column_mean_is_full_gradient(self):
         data = _dataset(9, 4, 2)
         loss = LossSpec("ridge", 0.05)
         x0 = np.arange(4.0)
-        table = init_table(data, loss, x0, "at-x0", SeededRng(0))
+        table = init_table(data, loss, x0, "at-x0")
         fg = full_grad(data, loss, x0)
         assert np.linalg.norm(table.col_sum / data.n - fg) <= 1e-12 * (1 + np.linalg.norm(fg))
-
-    def test_random_policy_deterministic(self):
-        data = _dataset(5, 2, 3)
-        loss = LossSpec("ridge", 0.0)
-        t1 = init_table(data, loss, np.zeros(2), "random", SeededRng(4))
-        t2 = init_table(data, loss, np.zeros(2), "random", SeededRng(4))
-        assert np.array_equal(t1.J, t2.J)
-        assert np.allclose(t1.col_sum, t1.J.sum(axis=1))
 
 
 class TestStepReductions:
@@ -255,6 +247,25 @@ class TestRun:
         assert not result.converged
         assert result.points[-1].grad_evals <= 2.0 * 50 + 50
         assert result.passes_to_tol(1e-14, 50) is None
+
+    @pytest.mark.parametrize("with_x_star", [True, False])
+    def test_divergent_run_stops_at_first_non_finite_checkpoint(self, with_x_star):
+        data = _dataset(500, 10, 19, normalize=True)
+        loss = LossSpec("ridge", 0.1)
+        x_star = exact_solution(data, loss) if with_x_star else None
+        cfg = SolverConfig(q=0.0, tau=1, alpha=50.0, seed=1, max_effective_passes=50.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run(data, loss, cfg, x_star=x_star)
+        errors = [p.error for p in result.points]
+        assert result.diverged and not result.converged
+        assert not math.isfinite(errors[-1])
+        assert all(math.isfinite(e) for e in errors[:-1])  # stopped at the first one
+        assert result.points[-1].grad_evals < 50.0 * data.n / 10
+
+    def test_converging_run_not_flagged_diverged(self):
+        data = _dataset(40, 3, 18)
+        result = run(data, LossSpec("ridge", 0.1), SolverConfig(q=0.0, tau=1, seed=2, tol=1e-6))
+        assert result.converged and not result.diverged
 
     def test_gradient_norm_checks_accounted_separately(self):
         data = _dataset(40, 3, 18)
