@@ -5,8 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 command with identical flags reproduces outputs byte for byte except the
 wall-clock columns.  Reported wall time wraps the iteration loop only;
 unlike dedicated benchmark setups it includes random-sampling time, which
-is O(n) per minibatch step (the sampler allocates an index array of length
-n each time).
+is O(tau) per minibatch step.
 """
 
 import argparse
@@ -47,14 +46,10 @@ EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _out_dir():
-    return os.environ.get("SAGD_OUT_DIR", ".")
-
-
 def _resolve_out(path):
     if path is None or os.path.isabs(path) or os.path.dirname(path):
         return path
-    return os.path.join(_out_dir(), path)
+    return os.path.join(os.environ.get("SAGD_OUT_DIR", "."), path)
 
 
 def _add_dataset_args(p):
@@ -127,6 +122,9 @@ def _parse_seeds(text):
         raise SagdError(f"bad seed list {text!r}") from None
     if not seeds:
         raise SagdError(f"empty seed list {text!r}")
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise SagdError(f"seed {seed} is not a 64-bit unsigned integer")
     return seeds
 
 
@@ -155,7 +153,7 @@ def _number(args, flag, kind):
         raise SagdError(f"bad --{flag} value {text!r}") from None
 
 
-def _load_dataset(args):
+def _load_dataset(args, seed=0):
     if args.data:
         data = parse_libsvm(args.data, d=args.d_override)
         dataset_id = os.path.basename(args.data)
@@ -166,9 +164,9 @@ def _load_dataset(args):
         except ValueError:
             raise SagdError(f"bad --synth spec {args.synth!r}") from None
         if dist == "gaussian":
-            data = synth_gaussian(n, d, seed=_parse_seeds(getattr(args, "seed", "0"))[0])
+            data = synth_gaussian(n, d, seed=seed)
         elif dist == "uniform":
-            data = synth_uniform(n, d, seed=_parse_seeds(getattr(args, "seed", "0"))[0])
+            data = synth_uniform(n, d, seed=seed)
         else:
             raise SagdError(f"unknown synthetic distribution {dist!r}")
         if args.loss == "logistic":
@@ -239,77 +237,78 @@ def cmd_plan(args):
     return EXIT_OK
 
 
-def _resolve_plan(args, data, profile):
-    q_auto = args.q == "auto"
-    tau_auto = getattr(args, "tau", "auto") == "auto"
-    if q_auto or tau_auto:
-        plan = optimal_plan(profile, data.n)
-        q = plan.best.q if q_auto else _number(args, "q", float)
-        tau = plan.best.tau if tau_auto else _number(args, "tau", int)
-        print(
-            f"plan: q*={plan.best.q:.6g} tau*={plan.best.tau} "
-            f"omega={plan.best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})",
-            file=sys.stderr if args.json else sys.stdout,  # --json: stdout is one document
+class _Pipeline:
+    """The part of a run or sweep command before its first solve, done once,
+    and the per-seed solve.
+
+    Construction runs, in order: the budget check (``budget`` is a
+    SolverConfig that each solve completes with q, tau, alpha and seed),
+    the command's own flags (sweep's ``taus``; run's ``alpha``, None for
+    auto), the ``seeds``, the dataset, its ``profile``, the planner's
+    ``best`` candidate (None when run's --q and --tau are both explicit),
+    ``q`` and run's one tau, and the reference solution ``x_star``.
+    """
+
+    def __init__(self, args):
+        self.budget = SolverConfig(
+            q=0.0, tau=1, tol=args.tol, max_effective_passes=args.max_passes,
+            check_every_passes=args.check_every,
         )
-    else:
-        q, tau = _number(args, "q", float), _number(args, "tau", int)
-    return q, tau
+        sweep = args.command == "sweep"
+        if not sweep and args.plot and not args.out:
+            raise SagdError("--plot needs --out")
+        self.taus = _parse_taus(args.taus) if sweep else None
+        self.alpha = None if sweep or args.alpha == "auto" else _number(args, "alpha", float)
+        self.seeds = _parse_seeds(args.seed)
+        data, loss, self.dataset_id = _load_dataset(args, self.seeds[0])
+        self.data, self.loss = data, loss
+        self.profile = smoothness_profile(data, loss)
+        plan = None
+        if sweep or "auto" in (args.q, args.tau):  # sweep reports the planner's tau*
+            plan = optimal_plan(self.profile, data.n)
+        self.q = plan.best.q if args.q == "auto" else _number(args, "q", float)
+        if not sweep:
+            self.taus = [plan.best.tau if args.tau == "auto" else _number(args, "tau", int)]
+            if plan is not None:
+                print(
+                    f"plan: q*={plan.best.q:.6g} tau*={plan.best.tau} "
+                    f"omega={plan.best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})",
+                    file=sys.stderr if args.json else sys.stdout,  # --json: stdout is one document
+                )
+        self.best = None if plan is None else plan.best
+        xstar_tol = min(1e-12, args.tol * 1e-2) if loss.kind == "logistic" else 1e-12
+        self.x_star = exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=self.profile)
 
-
-def _reference_solution(data, loss, tol, profile):
-    xstar_tol = min(1e-12, tol * 1e-2) if loss.kind == "logistic" else 1e-12
-    return exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=profile)
-
-
-def _budget(args):
-    """The command's tolerance and pass budget, checked before any work;
-    q and tau are placeholders that every run replaces."""
-    return SolverConfig(q=0.0, tau=1, tol=args.tol, max_effective_passes=args.max_passes,
-                        check_every_passes=args.check_every)
-
-
-def _solve(budget, data, loss, x_star, q, tau, alpha, seed):
-    """One solver run under the command's tolerance and pass budget."""
-    cfg = dataclasses.replace(budget, q=q, tau=tau, alpha=alpha, seed=seed)
-    return run_solver(data, loss, cfg, x_star=x_star)
+    def solve(self, q, tau, alpha):
+        """One solver run per seed at (q, tau, alpha) under the budget."""
+        configs = (dataclasses.replace(self.budget, q=q, tau=tau, alpha=alpha, seed=seed)
+                   for seed in self.seeds)
+        return [run_solver(self.data, self.loss, cfg, x_star=self.x_star) for cfg in configs]
 
 
 def cmd_run(args):
-    budget = _budget(args)
-    alpha = None if args.alpha == "auto" else _number(args, "alpha", float)
-    seeds = _parse_seeds(args.seed)
-    data, loss, dataset_id = _load_dataset(args)
-    profile = smoothness_profile(data, loss)
-    q, tau = _resolve_plan(args, data, profile)
-    x_star = _reference_solution(data, loss, args.tol, profile)
-    cfg0 = InterpolationConfig(q=q, tau=tau, n=data.n)
-    resolved_alpha = alpha if alpha is not None else stepsize(cfg0, profile)
-
-    series = []
-    summaries = []
-    all_converged = True
-    for seed in seeds:
-        result = _solve(budget, data, loss, x_star, q, tau, resolved_alpha, seed)
-        all_converged &= result.converged
-        passes = result.passes_to_tol(args.tol, data.n)
-        wall = result.points[-1].wall_seconds
-        summaries.append({"seed": seed, "converged": result.converged,
-                          "diverged": result.diverged, "passes": passes, "wall_seconds": wall})
-        series.append(TrajectorySeries("sagd", q, tau, seed, data.n, result.points))
+    pipe = _Pipeline(args)
+    q, (tau,), n = pipe.q, pipe.taus, pipe.data.n
+    icfg = InterpolationConfig(q=q, tau=tau, n=n)  # checks q and tau, also for an explicit alpha
+    alpha = pipe.alpha if pipe.alpha is not None else stepsize(icfg, pipe.profile)
+    results = pipe.solve(q, tau, alpha)
 
     if args.out:
         out = _resolve_out(args.out)
         manifest = RunManifest.new(
-            dataset_id, loss.kind, loss.lam, q, tau, resolved_alpha, seeds, f"sagd-{__version__}"
+            pipe.dataset_id, pipe.loss.kind, pipe.loss.lam, q, tau, alpha, pipe.seeds,
+            f"sagd-{__version__}",
         )
+        series = [TrajectorySeries("sagd", q, tau, r.seed, n, r.points) for r in results]
         write_results_csv(series, out, manifest=manifest)
         if args.plot:
             emit_svg_plot(out, args.x_axis, _resolve_out(args.plot))
-    elif args.plot:
-        raise SagdError("--plot needs --out")
 
+    summaries = [{"seed": r.seed, "converged": r.converged, "diverged": r.diverged,
+                  "passes": r.passes_to_tol(args.tol, n),
+                  "wall_seconds": r.points[-1].wall_seconds} for r in results]
     if args.json:
-        payload = {"dataset": dataset_id, "q": q, "tau": tau, "alpha": resolved_alpha,
+        payload = {"dataset": pipe.dataset_id, "q": q, "tau": tau, "alpha": alpha,
                    "tol": args.tol, "runs": summaries}
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -321,34 +320,23 @@ def cmd_run(args):
                 f"seed {s['seed']}: {state}, passes={passes}, "
                 f"wall={s['wall_seconds']:.3f}s"
             )
-    return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if all(r.converged for r in results) else EXIT_NO_CONVERGENCE
 
 
 def cmd_sweep(args):
-    budget = _budget(args)
-    taus = _parse_taus(args.taus)
-    seeds = _parse_seeds(args.seed)
-    data, loss, dataset_id = _load_dataset(args)
-    profile = smoothness_profile(data, loss)
-    plan = optimal_plan(profile, data.n)
-    q = plan.best.q if args.q == "auto" else _number(args, "q", float)
-    x_star = _reference_solution(data, loss, args.tol, profile)
-    alphas = stepsize(InterpolationConfig(q=q, tau=np.array(taus), n=data.n), profile)
+    pipe = _Pipeline(args)
+    q, n = pipe.q, pipe.data.n
+    alphas = stepsize(InterpolationConfig(q=q, tau=np.array(pipe.taus), n=n), pipe.profile)
 
     rows = []
     all_converged = True
-    for tau, alpha in zip(taus, alphas.tolist()):
-        per_seed = []
-        diverged = []
-        for seed in seeds:
-            result = _solve(budget, data, loss, x_star, q, tau, alpha, seed)
-            all_converged &= result.converged
-            passes = result.passes_to_tol(args.tol, data.n)
-            per_seed.append(passes if passes is not None else float("inf"))
-            if result.diverged:
-                diverged.append(seed)
-        rows.append({"tau": tau, "median_passes": statistics.median(per_seed),
-                     "diverged": diverged})
+    for tau, alpha in zip(pipe.taus, alphas.tolist()):
+        results = pipe.solve(q, tau, alpha)
+        all_converged &= all(r.converged for r in results)
+        passes = [r.passes_to_tol(args.tol, n) for r in results]
+        median = statistics.median(float("inf") if p is None else p for p in passes)
+        rows.append({"tau": tau, "median_passes": median,
+                     "diverged": [r.seed for r in results if r.diverged]})
 
     best_row = min(rows, key=lambda r: r["median_passes"])
     if args.out:
@@ -358,15 +346,15 @@ def cmd_sweep(args):
             for row in rows:
                 fh.write(f"{row['tau']},{row['median_passes']:.17g}\n")
     if args.json:
-        payload = {"dataset": dataset_id, "q": q, "rows": rows,
-                   "best_tau_observed": best_row["tau"], "planner_tau": plan.best.tau}
+        payload = {"dataset": pipe.dataset_id, "q": q, "rows": rows,
+                   "best_tau_observed": best_row["tau"], "planner_tau": pipe.best.tau}
         print(json.dumps(payload, sort_keys=True))
     else:
         for row in rows:
             seeds_note = ", ".join(map(str, row["diverged"]))
             print(f"tau={row['tau']:>5}  median passes={row['median_passes']:.2f}"
                   + (f"  DIVERGED (seeds {seeds_note})" if row["diverged"] else ""))
-        print(f"best observed tau: {best_row['tau']}; planner tau*: {plan.best.tau}")
+        print(f"best observed tau: {best_row['tau']}; planner tau*: {pipe.best.tau}")
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 

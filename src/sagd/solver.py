@@ -27,9 +27,6 @@ from .problem import (  # noqa: F401  full_grad: perfbench/tracer.py spans it by
     smoothness_profile,
 )
 
-TABLE_POLICIES = ("at-x0", "zeros")
-
-
 @dataclass
 class GradientTable:
     """Stored per-sample gradients (one column each) plus their running sum.
@@ -72,7 +69,6 @@ class SolverConfig:
     q: float
     tau: int
     alpha: float = None  # None resolves to the theoretical stepsize
-    table_init: str = "at-x0"
     seed: int = 0
     tol: float = 1e-10
     max_effective_passes: float = 100.0
@@ -84,8 +80,6 @@ class SolverConfig:
             raise InvalidInputError(f"q must be in [0, 1], got {self.q}")
         if self.tau < 1:
             raise InvalidInputError("tau must be >= 1")
-        if self.table_init not in TABLE_POLICIES:
-            raise InvalidInputError(f"unknown table_init {self.table_init!r}")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")
         if self.alpha is not None and not self.alpha > 0.0:
@@ -134,19 +128,11 @@ class RunResult:
         return None
 
 
-def init_table(data, loss, x0, policy):
-    """Build the gradient table.
-
-    "at-x0" fills column j with the gradient of sample j at x0 (n gradient
-    evaluations, which the caller accounts for); "zeros" starts empty.
-    """
-    d, n = data.d, data.n
-    if policy == "zeros":
-        return GradientTable(J=np.zeros((d, n)), col_sum=np.zeros(d))
-    if policy == "at-x0":
-        j_mat = np.empty((d, n))
-        return GradientTable(J=j_mat, col_sum=gradient_sum(data, loss, x0, out=j_mat))
-    raise InvalidInputError(f"unknown table policy {policy!r}")
+def init_table(data, loss, x):
+    """The gradient table at x: column j holds the gradient of sample j
+    (n gradient evaluations, which the caller accounts for)."""
+    j_mat = np.empty((data.d, data.n))
+    return GradientTable(J=j_mat, col_sum=gradient_sum(data, loss, x, out=j_mat))
 
 
 def sagd_step(state, data, loss, cfg, rng, grad=None, batch_grad=None):
@@ -210,14 +196,9 @@ def lyapunov(state, x_star, grad_table_star, l_max):
     return float(dx @ dx) + coef * float(np.sum(dj * dj))
 
 
-def gradient_matrix(data, loss, x):
-    """Per-sample gradients at x, one column each (d x n)."""
-    return init_table(data, loss, x, "at-x0").J
-
-
-def run(data, loss, cfg, x_star=None, x0=None):
-    """Run the iteration until the error reaches ``cfg.tol``, the pass
-    budget is exhausted, or the run diverges: it stops at the first
+def run(data, loss, cfg, x_star=None):
+    """Run the iteration from x = 0 until the error reaches ``cfg.tol``, the
+    pass budget is exhausted, or the run diverges: it stops at the first
     checkpoint whose error or iterate is not finite, with ``diverged`` set.
 
     Error is ||x - x*|| when ``x_star`` is given, otherwise the full
@@ -227,9 +208,7 @@ def run(data, loss, cfg, x_star=None, x0=None):
     that differ only by seed are sampled at identical iteration counts.
     Wall time is measured around the iteration loop only.
     """
-    n, d = data.n, data.d
-    if cfg.tau > n:
-        raise InvalidInputError(f"tau = {cfg.tau} exceeds n = {n}")
+    n = data.n
     if loss.kind == "logistic":
         check_logistic_labels(data)
     icfg = InterpolationConfig(q=cfg.q, tau=cfg.tau, n=n)
@@ -241,23 +220,20 @@ def run(data, loss, cfg, x_star=None, x0=None):
         raise InvalidInputError(f"resolved stepsize {alpha} is not positive")
 
     rng = SeededRng(cfg.seed)
-    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    if x0.shape != (d,):
-        raise InvalidInputError(f"x0 has shape {x0.shape}, expected ({d},)")
-    table = init_table(data, loss, x0, cfg.table_init)
+    x0 = np.zeros(data.d)
     state = SolverState(
-        x=x0.copy(),
-        table=table,
+        x=x0,
+        table=init_table(data, loss, x0),
         theta=n / icfg.cost_per_iter,
         alpha=alpha,
-        grad_evals=n if cfg.table_init == "at-x0" else 0,
+        grad_evals=n,  # the table fill
     )
 
     grad_star = None
     if cfg.track_lyapunov:
         if x_star is None:
             raise InvalidInputError("track_lyapunov needs x_star")
-        grad_star = gradient_matrix(data, loss, x_star)
+        grad_star = init_table(data, loss, x_star).J
 
     grad = gradient_fn(data, loss)
     batch_grad = batch_gradient_fn(data, loss)

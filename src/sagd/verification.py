@@ -18,7 +18,9 @@ from .exceptions import InvalidInputError
 from .numerics import SeededRng
 from .problem import SmoothnessProfile
 
-DEFAULT_Q_GRID = tuple(i / 20 for i in range(21))
+Q_GRID = tuple(i / 20 for i in range(21))
+ORACLE_SEED = 20240801  # seeds the random smoothness vectors of the constants suite
+COND_SCALES = (0.5, 2.0)  # 4 L_max / mu = cond * (n - 1) in the envelope suite
 
 
 @dataclass
@@ -43,16 +45,14 @@ def _residual(cfg):
 
 def check_constants_against_oracles(
     n_max=8,
-    q_grid=DEFAULT_Q_GRID,
     levels_per_pair=20,
-    seed=20240801,
     rho_fn=None,
     smoothness_fn=None,
     theta_fn=None,
 ):
     """Compare every closed-form sampling constant with its enumeration.
 
-    Grid: n in {2..n_max}, tau in {1..n}, q over ``q_grid``.  Tolerances:
+    Grid: n in {2..n_max}, tau in {1..n}, q over ``Q_GRID``.  Tolerances:
     bias correction and projector mean to 1e-12, sketch residual to
     1e-9 * max(1, oracle), expected smoothness to 1e-9 relative over
     ``levels_per_pair`` random smoothness vectors per (n, tau).  The closed
@@ -69,14 +69,14 @@ def check_constants_against_oracles(
     rho_fn = rho_fn or _residual
     smoothness_fn = smoothness_fn or complexity.expected_smoothness
     theta_fn = theta_fn or complexity.theta
-    rng = SeededRng(seed)
+    rng = SeededRng(ORACLE_SEED)
     failures = []
     checks = 0
     start = time.perf_counter()
     for n in range(2, n_max + 1):
         for tau in range(1, n + 1):
             level_sets = [0.5 + rng.uniforms(n) for _ in range(levels_per_pair)]
-            cfg = complexity.InterpolationConfig(q=np.asarray(q_grid, float), tau=tau, n=n)
+            cfg = complexity.InterpolationConfig(q=np.asarray(Q_GRID, float), tau=tau, n=n)
             th_all, rho_all = theta_fn(cfg), rho_fn(cfg)
             l1_all = [
                 smoothness_fn(cfg, SmoothnessProfile(
@@ -85,7 +85,7 @@ def check_constants_against_oracles(
                 for levels in level_sets
             ]
             max_terms = [sketch_oracle.oracle_smoothness_max_term(lv, tau) for lv in level_sets]
-            for i, q in enumerate(q_grid):
+            for i, q in enumerate(Q_GRID):
                 checks += 1
                 mean = sketch_oracle.oracle_expected_projection(n, tau, q)
                 th_oracle = sketch_oracle.bias_correction_of(np.diag(mean))
@@ -123,13 +123,12 @@ def _envelopes(n, tau, profile, rho_fn):
 
 def check_envelope_shapes(
     n_values=(10, 100, 1000),
-    cond_values=(0.5, 2.0),
     taus_per_n=12,
     rho_fn=None,
 ):
     """Shape properties of the complexity envelopes on dense q grids.
 
-    For each n and condition setting (4 L_max / mu = cond * (n - 1)):
+    For each n and condition scale in ``COND_SCALES``:
     the smoothness envelope is nondecreasing in q; the residual envelope is
     nonincreasing outside the branch window [q-, q+] and concave strictly
     inside it; the branch roots solve their defining equation to 1e-9
@@ -148,7 +147,7 @@ def check_envelope_shapes(
             | {n}
         )
         taus = [t for t in taus if 4 <= t <= n]
-        for cond_scale in cond_values:
+        for cond_scale in COND_SCALES:
             l_max = 1.0
             mu = 4.0 * l_max / (cond_scale * (n - 1))
             profile = SmoothnessProfile.uniform(n, l_max, mu)

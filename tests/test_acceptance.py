@@ -99,7 +99,7 @@ def test_criterion_3_reduction_identities():
 
     def fresh_state(q, tau, alpha, seed):
         step_rng = SeededRng(seed)
-        table = init_table(data, loss, np.zeros(4), "at-x0")
+        table = init_table(data, loss, np.zeros(4))
         theta = data.n / (q * (tau - 1) + 1.0)
         return SolverState(x=np.zeros(4), table=table, theta=theta, alpha=alpha), step_rng
 

@@ -32,6 +32,35 @@ def count_profiles(monkeypatch):
     return calls
 
 
+def count_work(monkeypatch):
+    """Count every loaded dataset ("load"), profile (1) and reference
+    solution ("reference") that the CLI computes."""
+    calls = count_profiles(monkeypatch)
+
+    def counted(name, label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("parse_libsvm", "synth_gaussian"):
+        counted(name, "load", getattr(cli, name))
+    counted("exact_solution", "reference", lambda *a, **k: None)
+    return calls
+
+
+def dataset_flags(tmp_path, source):
+    """Flags for a small dataset: synthetic ridge, or LIBSVM logistic."""
+    if source == "synth":
+        return ("--synth", "30,3,gaussian")
+    path = tmp_path / "d.svm"
+    data = synth_gaussian(30, 3, seed=1)
+    labels = np.where(data.labels >= 0.0, 1.0, -1.0)
+    write_libsvm(problem.Dataset(data.indptr, data.indices, data.values, labels, data.d), path)
+    return ("--data", str(path), "--loss", "logistic")
+
+
 class TestPlan:
     def test_explicit_profile_table(self, capsys):
         code, out, _ = run_cli(
@@ -190,23 +219,40 @@ class TestRun:
     def test_budget_checked_before_any_work(
         self, capsys, tmp_path, monkeypatch, command, source, flag, value
     ):
-        # no profile, plan or reference solution is computed for a bad budget
-        calls = count_profiles(monkeypatch)
-        monkeypatch.setattr(cli, "exact_solution", lambda *a, **k: calls.append("reference"))
-        if source == "data":
-            path = tmp_path / "d.svm"
-            data = synth_gaussian(30, 3, seed=1)
-            labels = np.where(data.labels >= 0.0, 1.0, -1.0)
-            write_libsvm(problem.Dataset(data.indptr, data.indices, data.values, labels, data.d),
-                         path)
-            flags = ("--data", str(path), "--loss", "logistic")
-        else:
-            flags = ("--synth", "30,3,gaussian")
+        # no data, profile, plan or reference solution is computed for a bad budget
+        flags = dataset_flags(tmp_path, source)
+        calls = count_work(monkeypatch)
         taus = ("--taus", "1,2") if command == "sweep" else ()
         code, out, err = run_cli(capsys, command, *flags, *taus, flag, value)
         assert code == 2
         assert err.startswith("error:") and "plan:" not in out + err
         assert calls == []
+
+    @pytest.mark.parametrize("source", ["synth", "data"])
+    def test_plot_without_out_checked_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                      source):
+        flags = dataset_flags(tmp_path, source)
+        calls = count_work(monkeypatch)
+        code, out, err = run_cli(capsys, "run", *flags, "--plot", str(tmp_path / "p.svg"))
+        assert code == 2
+        assert err == "error: --plot needs --out\n" and "plan:" not in out
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("source", ["synth", "data"])
+    @pytest.mark.parametrize("seeds", ["-1", "18446744073709551616", "1,-1"])
+    def test_seed_range_checked_before_any_work(
+        self, capsys, tmp_path, monkeypatch, command, source, seeds
+    ):
+        # the first bad seed is named before any data is loaded
+        bad = seeds.split(",")[-1]
+        flags = dataset_flags(tmp_path, source)
+        calls = count_work(monkeypatch)
+        taus = ("--taus", "1,2") if command == "sweep" else ()
+        code, out, err = run_cli(capsys, command, *flags, *taus, "--q", "0.5", "--seed", seeds)
+        assert code == 2
+        assert err == f"error: seed {bad} is not a 64-bit unsigned integer\n"
+        assert "plan:" not in out and calls == []
 
     def test_zero_alpha_rejected(self, capsys):
         code, _, err = run_cli(

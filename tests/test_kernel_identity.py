@@ -94,7 +94,7 @@ def test_array_kernels_match_row_loops(case):
     data, loss, x, block_bytes, loop_size = case
     with row_sum_patches(block_bytes, loop_size):
         assert same_bits(problem.full_grad(data, loss, x), row_full_grad(data, loss, x))
-        table = init_table(data, loss, x, "at-x0")
+        table = init_table(data, loss, x)
         j_mat, col_sum = row_init_table_at_x(data, loss, x)
         assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
         assert same_bits(problem.objective(data, loss, x), row_objective(data, loss, x))

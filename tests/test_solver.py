@@ -22,7 +22,6 @@ from sagd.solver import (
     GradientTable,
     SolverConfig,
     SolverState,
-    gradient_matrix,
     init_table,
     lyapunov,
     run,
@@ -39,7 +38,7 @@ def _dataset(n, d, seed, normalize=False):
 def _make_state(data, loss, cfg, x0=None):
     rng = SeededRng(cfg.seed)
     x0 = np.zeros(data.d) if x0 is None else x0
-    table = init_table(data, loss, x0, cfg.table_init)
+    table = init_table(data, loss, x0)
     theta = data.n / (cfg.q * (cfg.tau - 1) + 1.0)
     alpha = cfg.alpha
     if alpha is None:
@@ -48,23 +47,18 @@ def _make_state(data, loss, cfg, x0=None):
 
 
 class TestInitTable:
-    def test_zeros_policy(self):
-        data = _dataset(6, 3, 0)
-        table = init_table(data, LossSpec("ridge", 0.1), np.zeros(3), "zeros")
-        assert np.all(table.J == 0.0) and np.all(table.col_sum == 0.0)
-
     def test_at_x0_single_sample(self):
         data = _dataset(1, 3, 1)
         loss = LossSpec("ridge", 0.2)
         x0 = np.ones(3)
-        table = init_table(data, loss, x0, "at-x0")
+        table = init_table(data, loss, x0)
         assert np.allclose(table.col_sum, full_grad(data, loss, x0) * 1, rtol=1e-15)
 
     def test_at_x0_column_mean_is_full_gradient(self):
         data = _dataset(9, 4, 2)
         loss = LossSpec("ridge", 0.05)
         x0 = np.arange(4.0)
-        table = init_table(data, loss, x0, "at-x0")
+        table = init_table(data, loss, x0)
         fg = full_grad(data, loss, x0)
         assert np.linalg.norm(table.col_sum / data.n - fg) <= 1e-12 * (1 + np.linalg.norm(fg))
 
@@ -181,7 +175,7 @@ class TestLyapunov:
         data = _dataset(7, 3, 13)
         loss = LossSpec("ridge", 0.1)
         x_star = exact_solution(data, loss)
-        g_star = gradient_matrix(data, loss, x_star)
+        g_star = init_table(data, loss, x_star).J
         table = GradientTable(J=g_star.copy(), col_sum=g_star.sum(axis=1))
         state = SolverState(x=x_star.copy(), table=table, theta=7.0, alpha=0.1)
         assert lyapunov(state, x_star, g_star, l_max=1.5) == 0.0
@@ -190,7 +184,7 @@ class TestLyapunov:
         data = _dataset(5, 2, 14)
         loss = LossSpec("ridge", 0.1)
         x_star = np.zeros(2)
-        g_star = gradient_matrix(data, loss, x_star)
+        g_star = init_table(data, loss, x_star).J
         table = GradientTable(J=np.ones((2, 5)), col_sum=np.full(2, 5.0))
         x = np.array([3.0, 4.0])
         state = SolverState(x=x, table=table, theta=5.0, alpha=0.0)

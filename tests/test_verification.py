@@ -3,7 +3,7 @@ from collections import Counter
 from sagd import sketch_oracle
 from sagd.complexity import sketch_residual
 from sagd.verification import (
-    DEFAULT_Q_GRID,
+    Q_GRID,
     SuiteResult,
     check_constants_against_oracles,
     check_envelope_shapes,
@@ -80,7 +80,7 @@ class TestConstantsSuiteEnumeratesOnce:
         logs = self._run(monkeypatch)
         enumerations = Counter(args for args, _ in logs["enumerate_sampling"])
         triples = {(n, tau, q) for n in range(2, self.N_MAX + 1)
-                   for tau in range(1, n + 1) for q in DEFAULT_Q_GRID}
+                   for tau in range(1, n + 1) for q in Q_GRID}
         assert set(enumerations) == triples
         assert max(enumerations.values()) <= 2
         max_terms = Counter(
@@ -103,7 +103,7 @@ class TestConstantsSuiteEnumeratesOnce:
             assert max_term == sketch_oracle.oracle_smoothness_max_term(levels, tau)
             assert l_max == float(levels.max())
             assert l1 == sketch_oracle.oracle_expected_smoothness(n, tau, q, levels)
-        assert sum(seen.values()) == len(DEFAULT_Q_GRID) * self.LEVELS * sum(
+        assert sum(seen.values()) == len(Q_GRID) * self.LEVELS * sum(
             n for n in range(2, self.N_MAX + 1)
         )
 
