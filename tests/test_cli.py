@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -61,7 +62,34 @@ def dataset_flags(tmp_path, source):
     return ("--data", str(path), "--loss", "logistic")
 
 
+def plan_grid_argv():
+    """Explicit-profile plans: n in {2, 3, 4, 5, 10, 37, 100}, 4 L_max / mu in
+    {0.05n, 0.7n, n - 1, 5n} (at least 4), L_bar / L_max in {1, 0.7}."""
+    l_max = 1.3
+    for n in (2, 3, 4, 5, 10, 37, 100):
+        for cond in (0.05 * n, 0.7 * n, n - 1.0, 5.0 * n):
+            for ratio in (1.0, 0.7):
+                yield ("plan", "--n", str(n), "--l-max", repr(l_max),
+                       "--l-bar", repr(ratio * l_max), "--mu", repr(4.0 * l_max / max(4.0, cond)))
+
+
+# sha256 of every grid plan's stdout, in grid order
+PLAN_GRID_DIGESTS = {
+    "json": "3549545331cd22ac468c9b85d57872a72b753c5fc31dbdd54432edb0bd21fff5",
+    "text": "19c95d915e5c48a24f8ed1a5b8d045a34768e26211492a3c494de694cd008c77",
+}
+
+
 class TestPlan:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_plan_output_bytes_pinned(self, capsys, fmt):
+        digest = hashlib.sha256()
+        for argv in plan_grid_argv():
+            code, out, err = run_cli(capsys, *argv, *(("--json",) if fmt == "json" else ()))
+            assert code == 0 and err == ""
+            digest.update(out.encode())
+        assert digest.hexdigest() == PLAN_GRID_DIGESTS[fmt]
+
     def test_explicit_profile_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "plan", "--n", "1000", "--l-max", "1.001",
