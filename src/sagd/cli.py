@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .complexity import InterpolationConfig, full_batch_interpolation, stepsize
 from .data_io import (
+    X_AXES,
     RunManifest,
     TrajectorySeries,
     emit_svg_plot,
@@ -93,8 +94,7 @@ def build_parser():
                        help="effective passes between convergence checks")
     p_run.add_argument("--out", help="results CSV path")
     p_run.add_argument("--plot", help="SVG plot path (needs --out)")
-    p_run.add_argument("--x-axis", choices=("effective_passes", "wall_seconds"),
-                       default="effective_passes")
+    p_run.add_argument("--x-axis", choices=X_AXES, default="effective_passes")
     p_run.add_argument("--json", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="compare minibatch sizes at fixed q")
@@ -181,15 +181,7 @@ def _load_dataset(args, seed=0):
     return data, LossSpec(args.loss, lam), dataset_id
 
 
-def _candidate_row(c):
-    return {
-        "tau": c.tau,
-        "kind": c.q_kind,
-        "q": c.q,
-        "omega_coef": c.omega_coef,
-        "alpha": c.alpha,
-        "covered": c.covered,
-    }
+_CANDIDATE_KEYS = ("tau", "kind", "q", "omega_coef", "alpha", "covered")  # PlanCandidate's fields
 
 
 def cmd_plan(args):
@@ -208,7 +200,9 @@ def cmd_plan(args):
         source = dataset_id
     plan = optimal_plan(profile, n)
     closed = full_batch_interpolation(profile, n) if n >= 3 else None
+    slate = plan.all_candidates
     if args.json:
+        columns = (slate[name].tolist() for name in slate.dtype.names)
         payload = {
             "source": source,
             "n": n,
@@ -216,8 +210,8 @@ def cmd_plan(args):
             "l_bar": plan.l_bar,
             "mu": plan.mu,
             "saga_omega": plan.saga_omega,
-            "best": _candidate_row(plan.best),
-            "candidates": [_candidate_row(c) for c in plan.all_candidates],
+            "best": dict(zip(_CANDIDATE_KEYS, dataclasses.astuple(plan.best))),
+            "candidates": [dict(zip(_CANDIDATE_KEYS, row)) for row in zip(*columns)],
             "full_batch": None if closed is None else dataclasses.asdict(closed),
         }
         print(json.dumps(payload, sort_keys=True))
@@ -230,8 +224,10 @@ def cmd_plan(args):
             f"q={closed.q:.6g} alpha={closed.alpha:.6g} omega={closed.omega_coef:.6g}"
         )
     print(f"{'tau':>6} {'kind':>14} {'q':>12} {'omega':>14} {'alpha':>12}")
-    for c in sorted(plan.all_candidates, key=lambda c: (c.omega_coef, c.tau)):
-        print(f"{c.tau:>6} {c.q_kind:>14} {c.q:>12.6g} {c.omega_coef:>14.6g} {c.alpha:>12.6g}")
+    order = np.lexsort((slate.tau, slate.omega_coef))  # stable: ties keep slate order
+    shown = ("tau", "q_kind", "q", "omega_coef", "alpha")
+    for tau, kind, q, omega, alpha in zip(*(slate[name][order].tolist() for name in shown)):
+        print(f"{tau:>6} {kind:>14} {q:>12.6g} {omega:>14.6g} {alpha:>12.6g}")
     best = plan.best
     print(f"chosen: q*={best.q:.6g} tau*={best.tau} omega={best.omega_coef:.6g}")
     return EXIT_OK
@@ -242,33 +238,38 @@ class _Pipeline:
     and the per-seed solve.
 
     Construction runs, in order: the budget check (``budget`` is a
-    SolverConfig that each solve completes with q, tau, alpha and seed),
-    the command's own flags (sweep's ``taus``; run's ``alpha``, None for
-    auto), the ``seeds``, the dataset, its ``profile``, the planner's
-    ``best`` candidate (None when run's --q and --tau are both explicit),
-    ``q`` and run's one tau, and the reference solution ``x_star``.
+    SolverConfig, with run's explicit alpha or None, that each solve
+    completes with q, tau, alpha and seed), the command's number flags, the
+    ``seeds``, the dataset, the explicit q and taus checked against its n,
+    its ``profile``, the planner's ``best`` candidate (None when run's --q
+    and --tau are both explicit), ``q`` and ``taus`` (run's one tau), and
+    the reference solution ``x_star``.
     """
 
     def __init__(self, args):
+        sweep = args.command == "sweep"
+        alpha = None if sweep or args.alpha == "auto" else _number(args, "alpha", float)
         self.budget = SolverConfig(
-            q=0.0, tau=1, tol=args.tol, max_effective_passes=args.max_passes,
+            q=0.0, tau=1, alpha=alpha, tol=args.tol, max_effective_passes=args.max_passes,
             check_every_passes=args.check_every,
         )
-        sweep = args.command == "sweep"
         if not sweep and args.plot and not args.out:
             raise SagdError("--plot needs --out")
-        self.taus = _parse_taus(args.taus) if sweep else None
-        self.alpha = None if sweep or args.alpha == "auto" else _number(args, "alpha", float)
+        q = None if args.q == "auto" else _number(args, "q", float)
+        tau = None if sweep or args.tau == "auto" else _number(args, "tau", int)
+        self.taus = _parse_taus(args.taus) if sweep else [tau]
         self.seeds = _parse_seeds(args.seed)
         data, loss, self.dataset_id = _load_dataset(args, self.seeds[0])
         self.data, self.loss = data, loss
+        taus = np.array([1 if t is None else t for t in self.taus])  # auto q, tau: 0, 1
+        InterpolationConfig(0.0 if q is None else q, taus, data.n)
         self.profile = smoothness_profile(data, loss)
         plan = None
-        if sweep or "auto" in (args.q, args.tau):  # sweep reports the planner's tau*
+        if sweep or None in (q, tau):  # sweep reports the planner's tau*
             plan = optimal_plan(self.profile, data.n)
-        self.q = plan.best.q if args.q == "auto" else _number(args, "q", float)
+        self.q = plan.best.q if q is None else q
         if not sweep:
-            self.taus = [plan.best.tau if args.tau == "auto" else _number(args, "tau", int)]
+            self.taus = [plan.best.tau if tau is None else tau]
             if plan is not None:
                 print(
                     f"plan: q*={plan.best.q:.6g} tau*={plan.best.tau} "
@@ -289,8 +290,9 @@ class _Pipeline:
 def cmd_run(args):
     pipe = _Pipeline(args)
     q, (tau,), n = pipe.q, pipe.taus, pipe.data.n
-    icfg = InterpolationConfig(q=q, tau=tau, n=n)  # checks q and tau, also for an explicit alpha
-    alpha = pipe.alpha if pipe.alpha is not None else stepsize(icfg, pipe.profile)
+    alpha = pipe.budget.alpha
+    if alpha is None:
+        alpha = stepsize(InterpolationConfig(q=q, tau=tau, n=n), pipe.profile)
     results = pipe.solve(q, tau, alpha)
 
     if args.out:

@@ -10,12 +10,11 @@ every tau, plus the single-sample baseline, and picks the cheapest.
 """
 
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .complexity import InterpolationConfig, stepsize, total_complexity
+from .complexity import InterpolationConfig, _scalar, stepsize, total_complexity
 from .exceptions import InvalidInputError
 from .problem import SmoothnessProfile
 
@@ -45,10 +44,15 @@ class PlanCandidate:
 
 @dataclass
 class Plan:
-    """Planner output: chosen candidate, the whole slate, and the profile."""
+    """Planner output: chosen candidate, the whole slate, and the profile.
+
+    ``all_candidates`` is a numpy record array with :class:`PlanCandidate`'s
+    fields, one row per candidate; ``best`` is that winning row as a
+    PlanCandidate of Python scalars.
+    """
 
     best: PlanCandidate
-    all_candidates: list
+    all_candidates: np.recarray
     saga_omega: float
     n: int
     l_max: float
@@ -56,31 +60,32 @@ class Plan:
     mu: float
 
 
-def branch_roots_array(tau, n):
-    """Array form of :func:`branch_roots` over an integer array ``tau``:
-    ``(q_minus, q_plus)``, NaN wherever the roots do not exist."""
+def _check_taus(tau, n, lo):
+    """``tau`` as an array after checking every entry is in [lo, n]; the
+    message names the first one that is not."""
     tau = np.asarray(tau)
-    disc = n * tau + 4.0 * (1.0 - n)
-    with np.errstate(divide="ignore", invalid="ignore"):  # absent roots turn NaN
-        root = np.where((tau == 1) | (disc < 0.0), np.nan, np.sqrt(n * tau) * np.sqrt(disc))
-        den = 2.0 * (n - 1) * (tau - 1)
-        base = n * tau + 2.0 * (1.0 - n)
-        return (base - root) / den, (base + root) / den
+    bad = ~((lo <= tau) & (tau <= n))  # NaN is bad too
+    if bad.any():
+        raise InvalidInputError(f"need {lo} <= tau <= n, got tau={tau[bad][0]}, n={n}")
+    return tau
 
 
 def branch_roots(tau, n):
     """The two q values where the sketch residual switches branch, i.e. the
     roots of q theta(q)^2 = (n / tau)((n - 1) / (tau - 1)).
 
-    Returns ``(q_minus, q_plus)``, or None when tau = 1 (no crossing) or the
-    discriminant n tau + 4 (1 - n) is negative (roots are complex).
+    Returns ``(q_minus, q_plus)``, both NaN where tau = 1 (no crossing) or
+    the discriminant n tau + 4 (1 - n) is negative (roots are complex).
     """
     if n < 2:
         raise InvalidInputError("need n >= 2")
-    if not 1 <= tau <= n:
-        raise InvalidInputError(f"need 1 <= tau <= n, got tau={tau}, n={n}")
-    q_minus, q_plus = branch_roots_array(tau, n)
-    return None if np.isnan(q_minus) else (float(q_minus), float(q_plus))
+    tau = _check_taus(tau, n, 1)
+    disc = n * tau + 4.0 * (1.0 - n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # absent roots turn NaN
+        root = np.where((tau == 1) | (disc < 0.0), np.nan, np.sqrt(n * tau) * np.sqrt(disc))
+        den = 2.0 * (n - 1) * (tau - 1)
+        base = n * tau + 2.0 * (1.0 - n)
+        return _scalar((base - root) / den), _scalar((base + root) / den)
 
 
 def tau_window(n, l_max, mu):
@@ -102,10 +107,15 @@ def tau_window(n, l_max, mu):
     return tau_min, tau_max
 
 
-def q_intersections_array(tau, n, l_max, mu):
-    """Array form of :func:`q_intersections` over an integer array ``tau``
-    in [2, n]: ``(kind, q)``, q NaN wherever there is no intersection."""
-    tau = np.asarray(tau)
+def q_intersections(tau, n, l_max, mu):
+    """Intersection of the two complexity envelopes at tau in [2, n].
+
+    Returns ``(kind, q)`` with kind "Q_I1" for tau in [tau_min, tau_max]
+    (low-branch residual) or "Q_I2" elsewhere (high branch); q is NaN
+    outside both windows, when the defining denominator vanishes, or when
+    the value is not a probability.
+    """
+    tau = _check_taus(tau, n, 2)
     tau_min, tau_max = tau_window(n, l_max, mu)
     cond = 4.0 * l_max / mu
     low = (tau_min <= tau) & (tau <= tau_max)
@@ -115,21 +125,7 @@ def q_intersections_array(tau, n, l_max, mu):
         q_low = np.where(den == 0.0, np.nan, (n - 1) / den)
     q = np.where(low, q_low, np.where(high, (n - cond) / (cond * (tau - 1)), np.nan))
     q = np.where((0.0 <= q) & (q <= 1.0), q, np.nan)
-    return np.where(low, KIND_Q_I1, KIND_Q_I2), q
-
-
-def q_intersections(tau, n, l_max, mu):
-    """Intersection of the two complexity envelopes at a given tau.
-
-    Returns ``(kind, q)`` with kind "Q_I1" for tau in [tau_min, tau_max]
-    (low-branch residual) or "Q_I2" for tau in (tau_max, n] (high branch);
-    None outside both windows, when the defining denominator vanishes, or
-    when the value is not a probability.
-    """
-    if not 2 <= tau <= n:
-        raise InvalidInputError(f"need 2 <= tau <= n, got tau={tau}, n={n}")
-    kind, q = q_intersections_array(tau, n, l_max, mu)
-    return None if np.isnan(q) else (str(kind), float(q))
+    return _scalar(np.where(low, KIND_Q_I1, KIND_Q_I2)), _scalar(q)
 
 
 def optimal_minibatch_tau(n, mu, l_max):
@@ -161,8 +157,8 @@ def optimal_plan(profile, n):
     # per tau = 2..n: the lower branch root, then the envelope intersection
     all_taus = np.arange(1, n + 1)
     taus = all_taus[1:]
-    q_minus, _ = branch_roots_array(taus, n)
-    hit_kind, hit_q = q_intersections_array(taus, n, l_max, mu)
+    q_minus, _ = branch_roots(taus, n)
+    hit_kind, hit_q = q_intersections(taus, n, l_max, mu)
     pair_q = np.column_stack((q_minus, hit_q)).ravel()
     pair_kind = np.column_stack((np.full(taus.size, KIND_Q_MINUS), hit_kind)).ravel()
     keep = (0.0 <= pair_q) & (pair_q <= 1.0)
@@ -182,14 +178,12 @@ def optimal_plan(profile, n):
     cfg = InterpolationConfig(q=q, tau=tau, n=n)
     omega = total_complexity(cfg, uniform).omega_coef
     alpha = stepsize(cfg, profile)
-    kinds = [sys.intern(k) for k in kind.tolist()]  # the kind constants' str objects, shared
-    rows = zip(tau.tolist(), kinds, q.tolist(), omega.tolist(), alpha.tolist(), covered.tolist())
-    candidates = [PlanCandidate(*row) for row in rows]
-    best = candidates[np.lexsort((q, -tau, omega))[0]]
+    names = [f.name for f in fields(PlanCandidate)]
+    slate = np.rec.fromarrays((tau, kind, q, omega, alpha, covered), names=names)
     return Plan(
-        best=best,
-        all_candidates=candidates,
-        saga_omega=candidates[0].omega_coef,
+        best=PlanCandidate(*slate[np.lexsort((q, -tau, omega))[0]].item()),
+        all_candidates=slate,
+        saga_omega=omega[0].item(),
         n=n,
         l_max=l_max,
         l_bar=profile.L_bar,

@@ -82,8 +82,8 @@ class SolverConfig:
             raise InvalidInputError("tau must be >= 1")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")
-        if self.alpha is not None and not self.alpha > 0.0:
-            raise InvalidInputError("alpha must be positive")
+        if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0.0):
+            raise InvalidInputError(f"alpha must be finite and positive, got {self.alpha}")
         if not (np.isfinite(self.max_effective_passes) and self.max_effective_passes > 0.0):
             raise InvalidInputError("max_effective_passes must be finite and positive")
         if not (np.isfinite(self.check_every_passes) and self.check_every_passes > 0.0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import complexity, planner, sketch_oracle
-from .exceptions import InvalidInputError
+from .exceptions import EnumerationLimitError, InvalidInputError
 from .numerics import SeededRng
 from .problem import SmoothnessProfile
 
@@ -66,6 +66,10 @@ def check_constants_against_oracles(
     """
     if n_max < 2:
         raise InvalidInputError(f"need n_max >= 2, got {n_max}")
+    if n_max > sketch_oracle.ENUMERATION_CAP:  # fail before enumerating the smaller n
+        raise EnumerationLimitError(
+            f"enumeration is capped at n <= {sketch_oracle.ENUMERATION_CAP}, got n = {n_max}"
+        )
     rho_fn = rho_fn or _residual
     smoothness_fn = smoothness_fn or complexity.expected_smoothness
     theta_fn = theta_fn or complexity.theta
@@ -153,13 +157,12 @@ def check_envelope_shapes(
             profile = SmoothnessProfile.uniform(n, l_max, mu)
             for tau in taus:
                 checks += 1
-                roots = planner.branch_roots(tau, n)
-                if roots is None:
+                q_minus, q_plus = planner.branch_roots(tau, n)
+                if math.isnan(q_minus):
                     failures.append(f"missing-roots(n={n},tau={tau})")
                     continue
-                q_minus, q_plus = roots
                 threshold = (n / tau) * ((n - 1) / (tau - 1))
-                for root in roots:
+                for root in (q_minus, q_plus):
                     th = n / (root * (tau - 1) + 1.0)
                     if abs(root * th * th - threshold) > 1e-9 * threshold:
                         failures.append(f"root-residual(n={n},tau={tau},q={root:.4f})")
@@ -195,7 +198,7 @@ def check_envelope_shapes(
                     failures.append(f"residual-envelope-not-concave(n={n},tau={tau})")
             # intersection candidates across the whole tau range
             hit_taus = np.arange(2, n + 1, max(1, (n - 2) // 40 or 1))
-            _, hit_q = planner.q_intersections_array(hit_taus, n, l_max, mu)
+            _, hit_q = planner.q_intersections(hit_taus, n, l_max, mu)
             found = ~np.isnan(hit_q)
             hit_taus, hit_q = hit_taus[found], hit_q[found]
             checks += hit_q.size

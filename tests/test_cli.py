@@ -257,6 +257,35 @@ class TestRun:
         assert calls == []
 
     @pytest.mark.parametrize("source", ["synth", "data"])
+    @pytest.mark.parametrize(
+        "argv,work,message",
+        [
+            (("run", "--alpha", "0"), [], "alpha must be finite and positive, got 0.0"),
+            (("run", "--alpha", "-1"), [], "alpha must be finite and positive, got -1.0"),
+            (("run", "--alpha", "nan"), [], "alpha must be finite and positive, got nan"),
+            (("run", "--alpha", "inf", "--q", "0", "--tau", "1"), [],
+             "alpha must be finite and positive, got inf"),
+            (("run", "--q", "0.5", "--tau", "31"), ["load"], "need 1 <= tau <= n, got tau=31, n=30"),
+            (("run", "--q", "1.5", "--tau", "2"), ["load"], "q must be in [0, 1], got 1.5"),
+            (("run", "--q", "1.5"), ["load"], "q must be in [0, 1], got 1.5"),
+            (("run", "--tau", "0"), ["load"], "need 1 <= tau <= n, got tau=0, n=30"),
+            (("sweep", "--q", "0.5", "--taus", "1,31"), ["load"],
+             "need 1 <= tau <= n, got tau=31, n=30"),
+            (("sweep", "--q", "-0.5", "--taus", "1,2"), ["load"], "q must be in [0, 1], got -0.5"),
+        ],
+    )
+    def test_out_of_range_checked_before_any_work(
+        self, capsys, tmp_path, monkeypatch, source, argv, work, message
+    ):
+        # a bad alpha fails before the data is loaded; a bad q or tau right after
+        flags = dataset_flags(tmp_path, source)
+        calls = count_work(monkeypatch)
+        code, out, err = run_cli(capsys, argv[0], *flags, *argv[1:])
+        assert code == 2
+        assert err == f"error: {message}\n" and "plan:" not in out
+        assert calls == work
+
+    @pytest.mark.parametrize("source", ["synth", "data"])
     def test_plot_without_out_checked_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                       source):
         flags = dataset_flags(tmp_path, source)
@@ -402,7 +431,7 @@ class TestVerify:
         payload = json.loads(out)
         assert all(suite["passed"] for suite in payload)
 
-    @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+    @pytest.mark.parametrize("n_max", ["1", "0", "-3", "13"])
     def test_degenerate_grid_rejected(self, capsys, n_max):
         code, out, err = run_cli(capsys, "verify", "--n-max", n_max)
         assert code == 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -37,10 +38,34 @@ class TestBranchRoots:
         assert abs(q_minus - expect) <= 1e-9 * expect
 
     def test_negative_discriminant_absent(self):
-        assert pl.branch_roots(2, 5) is None  # 4(1-5) + 10 = -6
+        assert all(math.isnan(r) for r in pl.branch_roots(2, 5))  # 4(1-5) + 10 = -6
 
     def test_tau_one_absent(self):
-        assert pl.branch_roots(1, 9) is None
+        assert all(math.isnan(r) for r in pl.branch_roots(1, 9))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 37, 100])
+    def test_array_equals_scalar_calls(self, n):
+        taus = np.arange(1, n + 1)
+        arrays = pl.branch_roots(taus, n)
+        for i, tau in enumerate(taus.tolist()):
+            roots = pl.branch_roots(tau, n)
+            assert [type(r) for r in roots] == [float, float]
+            for root, column in zip(roots, arrays):
+                assert np.array_equal(root, column[i], equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "tau,n,message",
+        [
+            (0, 5, "got tau=0, n=5"),
+            (6, 5, "got tau=6, n=5"),
+            ([1, 5, 0, 7], 5, "got tau=0, n=5"),
+            (math.nan, 5, "got tau=nan, n=5"),
+            (1, 1, "need n >= 2"),
+        ],
+    )
+    def test_validation_names_first_bad_tau(self, tau, n, message):
+        with pytest.raises(InvalidInputError, match=message):
+            pl.branch_roots(tau, n)
 
     def test_bound_chain(self):
         for n in (10, 50, 100, 1000):
@@ -101,35 +126,43 @@ class TestQIntersections:
     def test_envelopes_equal_at_intersection(self):
         for n, l_max, mu in [(100, 1.0, 0.05), (500, 1.0, 4.0 / 750)]:
             prof = _uniform(n, l_max, mu)
-            found = 0
-            for tau in range(2, n + 1):
-                hit = pl.q_intersections(tau, n, l_max, mu)
-                if hit is None:
-                    continue
-                found += 1
-                kind, q = hit
-                assert 0.0 <= q <= 1.0
-                mc = total_complexity(InterpolationConfig(q=q, tau=tau, n=n), prof)
-                gap = abs(mc.smoothness_term - mc.residual_term)
-                assert gap <= 1e-6 * max(mc.smoothness_term, mc.residual_term), (tau, kind)
-            assert found > 0
+            taus = np.arange(2, n + 1)
+            _, qs = pl.q_intersections(taus, n, l_max, mu)
+            found = ~np.isnan(qs)
+            assert found.any()
+            assert np.all((0.0 <= qs[found]) & (qs[found] <= 1.0))
+            mc = total_complexity(InterpolationConfig(q=qs[found], tau=taus[found], n=n), prof)
+            gap = np.abs(mc.smoothness_term - mc.residual_term)
+            assert np.all(gap <= 1e-6 * np.maximum(mc.smoothness_term, mc.residual_term))
 
     def test_high_branch_kind_needs_low_condition(self):
         # n <= 4 L_max / mu leaves no room for the high-branch intersection
         n, l_max, mu = 10, 1.0, 0.2
-        kinds = set()
-        for tau in range(2, n + 1):
-            hit = pl.q_intersections(tau, n, l_max, mu)
-            if hit:
-                kinds.add(hit[0])
-        assert pl.KIND_Q_I2 not in kinds
+        kinds, qs = pl.q_intersections(np.arange(2, n + 1), n, l_max, mu)
+        assert pl.KIND_Q_I2 not in kinds[~np.isnan(qs)]
 
     def test_high_branch_appears_above_window(self):
         n, l_max, mu = 100, 1.0, 0.5  # 4 L_max / mu = 8 << n
         _, tau_max = pl.tau_window(n, l_max, mu)
-        hit = pl.q_intersections(int(math.floor(tau_max)) + 1, n, l_max, mu)
-        assert hit is not None and hit[0] == pl.KIND_Q_I2
-        assert 0.0 < hit[1] <= 1.0
+        kind, q = pl.q_intersections(int(math.floor(tau_max)) + 1, n, l_max, mu)
+        assert kind == pl.KIND_Q_I2
+        assert 0.0 < q <= 1.0
+
+    @pytest.mark.parametrize("n,cond", [(2, 4.0), (10, 5.0), (37, 0.7 * 37), (100, 500.0)])
+    def test_array_equals_scalar_calls(self, n, cond):
+        l_max, mu = 1.3, 4.0 * 1.3 / cond
+        taus = np.arange(2, n + 1)
+        kinds, qs = pl.q_intersections(taus, n, l_max, mu)
+        for i, tau in enumerate(taus.tolist()):
+            kind, q = pl.q_intersections(tau, n, l_max, mu)
+            assert (type(kind), type(q)) == (str, float)
+            assert kind == kinds[i] and np.array_equal(q, qs[i], equal_nan=True)
+
+    @pytest.mark.parametrize("tau", [1, 11, [2, 10, 1, 0]])
+    def test_validation_names_first_bad_tau(self, tau):
+        bad = tau[2] if isinstance(tau, list) else tau
+        with pytest.raises(InvalidInputError, match=f"need 2 <= tau <= n, got tau={bad}, n=10"):
+            pl.q_intersections(tau, 10, 1.0, 0.1)
 
 
 class TestOptimalMinibatchTau:
@@ -170,11 +203,9 @@ class TestOptimalPlan:
         assert plan.best.omega_coef <= plan.saga_omega
 
     def test_baseline_candidate_present(self):
-        plan = pl.optimal_plan(_uniform(30, 1.0, 0.05), 30)
-        kinds = [c.q_kind for c in plan.all_candidates]
-        assert pl.KIND_SAGA_BASELINE in kinds
-        baseline = next(c for c in plan.all_candidates if c.q_kind == pl.KIND_SAGA_BASELINE)
-        assert (baseline.q, baseline.tau) == (0.0, 1)
+        slate = pl.optimal_plan(_uniform(30, 1.0, 0.05), 30).all_candidates
+        assert slate.q_kind.tolist().count(pl.KIND_SAGA_BASELINE) == 1
+        assert (slate.q_kind[0], slate.q[0], slate.tau[0]) == (pl.KIND_SAGA_BASELINE, 0.0, 1)
 
     def test_candidate_count_bound(self):
         for n in (10, 50, 200):
@@ -184,24 +215,25 @@ class TestOptimalPlan:
     def test_candidates_carry_consistent_omega(self):
         n = 40
         prof = _uniform(n, 1.0, 0.04)
-        plan = pl.optimal_plan(prof, n)
-        for c in plan.all_candidates:
-            mc = total_complexity(InterpolationConfig(q=c.q, tau=c.tau, n=n), prof)
-            assert c.omega_coef == mc.omega_coef
+        slate = pl.optimal_plan(prof, n).all_candidates
+        for tau, q, omega in zip(slate.tau.tolist(), slate.q.tolist(), slate.omega_coef.tolist()):
+            mc = total_complexity(InterpolationConfig(q=q, tau=tau, n=n), prof)
+            assert omega == mc.omega_coef
 
     def test_best_is_minimum(self):
         plan = pl.optimal_plan(_uniform(60, 1.0, 0.02), 60)
-        assert plan.best.omega_coef == min(c.omega_coef for c in plan.all_candidates)
+        assert plan.best.omega_coef == plan.all_candidates.omega_coef.min()
 
     def test_qs_are_probabilities(self):
         plan = pl.optimal_plan(_uniform(80, 1.0, 0.3), 80)
-        assert all(0.0 <= c.q <= 1.0 for c in plan.all_candidates)
+        qs = plan.all_candidates.q
+        assert np.all((0.0 <= qs) & (qs <= 1.0))
 
     def test_uncovered_roots_only_for_tiny_tau(self):
-        plan = pl.optimal_plan(_uniform(4, 1.0, 0.2), 4)
-        for c in plan.all_candidates:
-            if not c.covered:
-                assert c.q_kind == pl.KIND_Q_MINUS and c.tau in (2, 3)
+        slate = pl.optimal_plan(_uniform(4, 1.0, 0.2), 4).all_candidates
+        uncovered = slate[~slate.covered]
+        assert set(uncovered.q_kind.tolist()) <= {pl.KIND_Q_MINUS}
+        assert set(uncovered.tau.tolist()) <= {2, 3}
 
     @pytest.mark.parametrize(
         "n,cond",
@@ -227,9 +259,9 @@ class TestOptimalPlan:
             levels, float(levels.max()), float(levels.mean()), 0.05, "lambda-lower-bound"
         )
         plan = pl.optimal_plan(prof, n)
-        for c in plan.all_candidates[:5]:
-            cfg = InterpolationConfig(q=c.q, tau=c.tau, n=n)
-            assert c.alpha == stepsize(cfg, prof)
+        for row in plan.all_candidates[:5].tolist():
+            c = pl.PlanCandidate(*row)
+            assert c.alpha == stepsize(InterpolationConfig(q=c.q, tau=c.tau, n=n), prof)
 
 
 def _scalar_slate(profile, n):
@@ -252,12 +284,12 @@ def _scalar_slate(profile, n):
     if t_scan != t_round:
         slate.append(make(t_scan, pl.KIND_ONE, 1.0))
     for tau in range(2, n + 1):
-        roots = pl.branch_roots(tau, n)
-        if roots is not None and 0.0 <= roots[0] <= 1.0:
-            slate.append(make(tau, pl.KIND_Q_MINUS, roots[0], covered=tau >= 4))
-        hit = pl.q_intersections(tau, n, l_max, mu)
-        if hit is not None:
-            slate.append(make(tau, *hit))
+        q_minus, _ = pl.branch_roots(tau, n)
+        if 0.0 <= q_minus <= 1.0:  # False for NaN
+            slate.append(make(tau, pl.KIND_Q_MINUS, q_minus, covered=tau >= 4))
+        kind, q = pl.q_intersections(tau, n, l_max, mu)
+        if not math.isnan(q):
+            slate.append(make(tau, kind, q))
     return slate
 
 
@@ -272,8 +304,10 @@ class TestVectorizedPlan:
         prof = SmoothnessProfile.from_bounds(n, l_max, l_bar_ratio * l_max, 4.0 * l_max / cond)
         plan = pl.optimal_plan(prof, n)
         slate = _scalar_slate(prof, n)
-        assert plan.all_candidates == slate
+        assert plan.all_candidates.dtype.names == tuple(f.name for f in fields(pl.PlanCandidate))
+        assert len(plan.all_candidates) == len(slate)
+        assert plan.all_candidates.tolist() == [astuple(c) for c in slate]
         assert plan.best == min(slate, key=lambda c: (c.omega_coef, -c.tau, c.q))
-        for c in plan.all_candidates:
-            assert (type(c.tau), type(c.q_kind), type(c.q)) == (int, str, float)
-            assert (type(c.omega_coef), type(c.alpha), type(c.covered)) == (float, float, bool)
+        assert plan.saga_omega == slate[0].omega_coef
+        assert [type(v) for v in astuple(plan.best)] == [int, str, float, float, float, bool]
+        assert type(plan.saga_omega) is float

@@ -298,6 +298,11 @@ class TestRun:
         with pytest.raises(InvalidInputError):
             SolverConfig(q=0.0, tau=1, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(InvalidInputError, match="alpha must be finite and positive"):
+            SolverConfig(q=0.0, tau=1, alpha=alpha)
+
     def test_tau_exceeding_n_rejected(self):
         data = _dataset(5, 2, 20)
         with pytest.raises(InvalidInputError):

@@ -7,6 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from sagd import cli
+from sagd.planner import optimal_plan
+from sagd.problem import SmoothnessProfile, smoothness_profile
+
 ROOT = Path(__file__).resolve().parents[1]
 
 CALLS = [
@@ -33,3 +37,10 @@ def test_traced_child_runs_every_command(tmp_path):
     for name in ("solver.sagd_step.batch.calls", "solver.sagd_step.single.calls",
                  "problem.smoothness_profile.calls", "solver.table.refresh.calls"):
         assert layers[name] > 0, name
+    # the tracer counts candidates with len(); it must count the slate's rows
+    data, loss, _ = cli._load_dataset(cli.build_parser().parse_args(CALLS[2]), seed=1)
+    plans = [optimal_plan(SmoothnessProfile.from_bounds(50, 1.0, 1.0, 0.05), 50),
+             optimal_plan(smoothness_profile(data, loss), data.n)]
+    rows = [plan.all_candidates.tau.size for plan in plans]
+    assert result["calls"][0]["plan"]["candidates"] == rows[0]
+    assert layers["planner.optimal_plan.candidates"] == sum(rows)
