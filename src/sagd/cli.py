@@ -30,7 +30,7 @@ from .data_io import (
     write_results_csv,
 )
 from .exceptions import ConvergenceError, SagdError
-from .planner import optimal_plan
+from .planner import optimal_plan, plan_q, plan_tau
 from .problem import (
     LossSpec,
     SmoothnessProfile,
@@ -129,19 +129,26 @@ def _parse_seeds(text):
 
 
 def _parse_taus(text):
-    taus = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    """The non-empty (lo, hi) ranges of a --taus list, left unexpanded."""
+    ranges = []
+    for tok in filter(None, map(str.strip, text.split(","))):
         try:
-            lo, hi = tok.split("-", 1) if "-" in tok[1:] else (tok, tok)
-            taus.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, tok.split("-", 1) if "-" in tok[1:] else (tok, tok))
         except ValueError:
             raise SagdError(f"bad --taus entry {tok!r}") from None
-    if not taus:
+        if lo <= hi:
+            ranges.append((lo, hi))
+    if not ranges:
         raise SagdError(f"empty tau list {text!r}")
-    return sorted(set(taus))
+    return ranges
+
+
+def _expand_taus(ranges, n):
+    """The sorted distinct taus of ``ranges``, each range checked to lie in [1, n] first."""
+    bad = [lo for lo, _ in ranges if lo < 1] or [max(lo, n + 1) for lo, hi in ranges if hi > n]
+    if bad:
+        raise SagdError(f"need 1 <= tau <= n, got tau={min(bad)}, n={n}")
+    return sorted(set().union(*(range(lo, hi + 1) for lo, hi in ranges)))
 
 
 def _number(args, flag, kind):
@@ -241,9 +248,10 @@ class _Pipeline:
     SolverConfig, with run's explicit alpha or None, that each solve
     completes with q, tau, alpha and seed), the command's number flags, the
     ``seeds``, the dataset, the explicit q and taus checked against its n,
-    its ``profile``, the planner's ``best`` candidate (None when run's --q
-    and --tau are both explicit), ``q`` and ``taus`` (run's one tau), and
-    the reference solution ``x_star``.
+    its ``profile``, the planner's ``best`` candidate (None unless a sweep
+    or both of run's --q and --tau are auto), ``q`` and ``taus`` (run's one
+    tau; one auto value is planned with the other held fixed), and the
+    reference solution ``x_star``.
     """
 
     def __init__(self, args):
@@ -257,26 +265,32 @@ class _Pipeline:
             raise SagdError("--plot needs --out")
         q = None if args.q == "auto" else _number(args, "q", float)
         tau = None if sweep or args.tau == "auto" else _number(args, "tau", int)
-        self.taus = _parse_taus(args.taus) if sweep else [tau]
+        ranges = _parse_taus(args.taus) if sweep else None
         self.seeds = _parse_seeds(args.seed)
         data, loss, self.dataset_id = _load_dataset(args, self.seeds[0])
         self.data, self.loss = data, loss
-        taus = np.array([1 if t is None else t for t in self.taus])  # auto q, tau: 0, 1
-        InterpolationConfig(0.0 if q is None else q, taus, data.n)
-        self.profile = smoothness_profile(data, loss)
-        plan = None
-        if sweep or None in (q, tau):  # sweep reports the planner's tau*
-            plan = optimal_plan(self.profile, data.n)
-        self.q = plan.best.q if q is None else q
+        InterpolationConfig(0.0 if q is None else q, 1 if tau is None else tau, data.n)
+        if sweep:
+            self.taus = _expand_taus(ranges, data.n)
+        self.profile = profile = smoothness_profile(data, loss)
+        self.best = line = None
+        if sweep or (q is None and tau is None):  # sweep reports the planner's tau*
+            plan = optimal_plan(profile, data.n)
+            self.best = best = plan.best
+            q, tau = best.q if q is None else q, best.tau
+            line = (f"plan: q*={best.q:.6g} tau*={best.tau} "
+                    f"omega={best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})")
+        elif q is None:  # an auto value is planned with the explicit one held fixed
+            q, omega = plan_q(profile, data.n, tau)
+            line = f"plan: q*={q:.6g} at tau={tau} omega={omega:.6g}"
+        elif tau is None:
+            tau, omega = plan_tau(profile, data.n, q)
+            line = f"plan: tau*={tau} at q={q:.6g} omega={omega:.6g}"
+        self.q = q
         if not sweep:
-            self.taus = [plan.best.tau if tau is None else tau]
-            if plan is not None:
-                print(
-                    f"plan: q*={plan.best.q:.6g} tau*={plan.best.tau} "
-                    f"omega={plan.best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})",
-                    file=sys.stderr if args.json else sys.stdout,  # --json: stdout is one document
-                )
-        self.best = None if plan is None else plan.best
+            self.taus = [tau]
+        if line and not sweep:  # with --json, stdout holds the JSON document alone
+            print(line, file=sys.stderr if args.json else sys.stdout)
         xstar_tol = min(1e-12, args.tol * 1e-2) if loss.kind == "logistic" else 1e-12
         self.x_star = exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=self.profile)
 

@@ -23,9 +23,9 @@ _INV_2_53 = 2.0 ** -53
 _LANES = 256
 _STEPS = 64
 _CHUNK = _LANES * _STEPS
-# Fewer fresh words than this come from the scalar loop: below it a lane
-# chunk's fixed cost (the spread and 64 vector steps, whatever the count)
-# and the once-per-process matrix build are not repaid.
+# Refills of fewer words than this come from the scalar loop: below it a
+# lane chunk's cost (the spread and 64 vector steps) and the once-per-process
+# matrix build are not repaid.
 _SCALAR_WORDS = 4096
 _FIRST_FILL = 64  # the read buffer starts this small and doubles up to _CHUNK
 
@@ -111,17 +111,16 @@ class SeededRng:
     rejection sampling and are exactly uniform.  Normals come from a
     Box-Muller pair with the sine half cached.
 
-    Every draw reads one word stream, whichever method takes it.  Single
-    draws read a buffer that starts at 64 words and doubles up to one
-    chunk of 16384; the bulk draws (``words``, ``uniforms``, ``normals``)
-    take the buffer's unread words and generate the rest directly, a chunk
-    at a time.  Fewer than 4096 fresh words come from a scalar loop.  More
-    come from lanes: the update is linear over GF(2), so jump matrices set
-    256 lanes 64 words apart, and the lanes step together as numpy uint64
-    arrays; the last word's lane gives the state the next chunk starts
-    from.  Bit identity is the contract: every method returns exactly what
-    the one-word-at-a-time generator gives, and the stream continues from
-    the next unread word after any mix of single and bulk draws.
+    Every draw reads one buffer; words leave the generator only by
+    refilling it, with at least the draw's shortfall and otherwise double
+    the last fill, from 64 words up to one chunk of 16384.  Refills under
+    4096 words come from a scalar loop.  Larger ones are whole lane chunks:
+    the update is linear over GF(2), so jump matrices set 256 lanes 64
+    words apart, the lanes step together as numpy uint64 arrays, and the
+    last lane ends at the state after the chunk; the surplus stays
+    buffered.  Bit identity is the contract: every method returns exactly
+    what the one-word-at-a-time generator gives, and the stream continues
+    from the next unread word after any mix of single and bulk draws.
 
     Instances are single-owner mutable state: concurrent use requires
     independent instances.
@@ -184,26 +183,13 @@ class SeededRng:
 
     def normal(self):
         """Standard normal draw (Box-Muller, sine half cached)."""
-        z = self._spare_normal
-        if z is not None:
-            self._spare_normal = None
-            return z
-        u1 = ((self.next_u64() >> 11) + 1) * _INV_2_53  # (0, 1], log-safe
-        u2 = (self.next_u64() >> 11) * _INV_2_53
-        r = math.sqrt(-2.0 * math.log(u1))
-        a = 2.0 * math.pi * u2
-        self._spare_normal = r * math.sin(a)
-        return r * math.cos(a)
+        return float(self.normals(1)[0])
 
     def words(self, count):
         """The next ``count`` raw words, as a uint64 array."""
-        pos = self._pos
-        head = self._buf[pos:pos + count]
-        self._pos = pos + len(head)
-        if len(head) == count:
-            return head
-        tail = self._generate(count - len(head))
-        return np.concatenate((head, tail)) if len(head) else tail
+        out = self._peek(count)
+        self._pos += count
+        return out
 
     def uniforms(self, count):
         """``count`` draws of ``uniform()``, as an array."""
@@ -234,17 +220,13 @@ class SeededRng:
 
     def _refill(self, need):
         """Make the unread words, then at least ``need`` fresh ones, the buffer."""
-        tail = self._buf[self._pos:]
-        fresh = self._generate(max(need, min(2 * len(self._buf), _CHUNK), _FIRST_FILL))
-        self._buf = np.concatenate((tail, fresh)) if len(tail) else fresh
-        self._pos = 0
-
-    def _generate(self, count):
-        """The ``count`` words after the state, advancing the state past them."""
+        count = max(need, min(2 * len(self._buf), _CHUNK), _FIRST_FILL)
         if count < _SCALAR_WORDS:
-            return np.array(self._scalar_words(count), dtype=np.uint64)
-        chunks = [self._lane_chunk(min(_CHUNK, count - a)) for a in range(0, count, _CHUNK)]
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            fresh = [self._scalar_words(count)]
+        else:
+            fresh = [self._lane_chunk() for _ in range(-(-count // _CHUNK))]
+        self._buf = np.concatenate((self._buf[self._pos:], *fresh))
+        self._pos = 0
 
     def _scalar_words(self, count):
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
@@ -261,38 +243,29 @@ class SeededRng:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return out
+        return np.array(out, dtype=np.uint64)
 
-    def _lane_chunk(self, count):
-        """The next ``count`` (at most _CHUNK) words, from lanes _STEPS words
-        apart stepped together; the state ends after the last of them."""
-        lanes = -(-count // _STEPS)
-        starts = np.empty((lanes, 4), dtype=np.uint64)
-        starts[0] = (self._s0, self._s1, self._s2, self._s3)
-        have = 1
-        for power in _spread_matrices():  # lanes have .. 2 have - 1 start have * _STEPS later
-            if have == lanes:
-                break
-            m = min(have, lanes - have)
-            starts[have:have + m] = _apply(power, starts[:m])
-            have += m
+    def _lane_chunk(self):
+        """The next _CHUNK words, from _LANES lanes _STEPS words apart stepped
+        together; the last lane's state is the state after them."""
+        starts = np.array([[self._s0, self._s1, self._s2, self._s3]], dtype=np.uint64)
+        for power in _spread_matrices():  # lanes k .. 2k - 1 start k * _STEPS words later
+            starts = np.concatenate((starts, _apply(power, starts)))
         s = np.ascontiguousarray(starts.T)
-        block = np.empty((lanes, _STEPS), dtype=np.uint64)
-        t = np.empty(lanes, dtype=np.uint64)
-        last = count - (lanes - 1) * _STEPS  # words read from the last lane
+        block = np.empty((_LANES, _STEPS), dtype=np.uint64)
+        t = np.empty(_LANES, dtype=np.uint64)
         for b in range(_STEPS):
             _step_lanes(s, block[:, b], t)
-            if b + 1 == last:
-                self._s0, self._s1, self._s2, self._s3 = s[:, -1].tolist()
-        return block.ravel()[:count]
+        self._s0, self._s1, self._s2, self._s3 = s[:, -1].tolist()
+        return block.ravel()
 
 
 def _box_muller(w, out):
-    """Normals from an even number of words, pair by pair as ``normal()``
-    draws them: out[0::2] the cosine halves, out[1::2] the sine halves.
+    """Normals from an even number of words, a Box-Muller pair from each
+    two: out[0::2] the cosine halves, out[1::2] the sine halves.
 
-    log, cos and sin run through ``math`` (libm), as in ``normal()``;
-    numpy's SIMD versions may round differently.  The integer-to-float
+    log, cos and sin run through ``math`` (libm), as a scalar transcription
+    would; numpy's SIMD versions may round differently.  The integer-to-float
     conversions, sqrt and the products are exact or correctly rounded in
     numpy too, so every value has the bits of the scalar draw.
     """

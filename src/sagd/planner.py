@@ -137,6 +137,31 @@ def optimal_minibatch_tau(n, mu, l_max):
     return min(max(int(math.floor(t + 0.5)), 1), n)
 
 
+def plan_q(profile, n, tau):
+    """The best q at a fixed tau on the planner's uniform profile: the argmin
+    of omega over q = 0, 1, the lower branch root and the envelope
+    intersection, those in [0, 1], ties to the smaller q (so tau = 1 gives
+    q = 0).  Returns ``(q, omega_coef)``."""
+    q = [0.0]
+    if tau > 1:
+        q += [1.0, branch_roots(tau, n)[0], q_intersections(tau, n, profile.L_max, profile.mu)[1]]
+    q = np.array([v for v in q if 0.0 <= v <= 1.0])  # drops absent (NaN) candidates
+    uniform = SmoothnessProfile.uniform(n, profile.L_max, profile.mu)
+    omega = total_complexity(InterpolationConfig(q, tau, n), uniform).omega_coef
+    best = np.lexsort((q, omega))[0]
+    return q[best].item(), omega[best].item()
+
+
+def plan_tau(profile, n, q):
+    """The best tau at a fixed q on the planner's uniform profile: the argmin
+    of omega over tau = 1..n, ties to the larger tau as in ``optimal_plan``'s
+    q = 1 scan.  Returns ``(tau, omega_coef)``."""
+    uniform = SmoothnessProfile.uniform(n, profile.L_max, profile.mu)
+    omega = total_complexity(InterpolationConfig(q, np.arange(1, n + 1), n), uniform).omega_coef
+    tau = int(np.flatnonzero(omega == omega.min())[-1]) + 1
+    return tau, omega[tau - 1].item()
+
+
 def optimal_plan(profile, n):
     """Enumerate the candidate (q, tau) slate and return the cheapest.
 

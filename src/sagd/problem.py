@@ -41,8 +41,7 @@ class Dataset:
 
     Row i has feature slots ``indices[indptr[i]:indptr[i+1]]`` (strictly
     increasing; a row may be empty) holding the same slice of ``values``.
-    ``normalized`` asserts unit-norm rows and is checked.  The arrays are
-    never written: derived datasets share the ones they keep.
+    The arrays are never written: derived datasets share the ones they keep.
     """
 
     indptr: np.ndarray
@@ -50,7 +49,6 @@ class Dataset:
     values: np.ndarray
     labels: np.ndarray
     d: int
-    normalized: bool = False
 
     def __post_init__(self):
         self.indptr = ptr = np.asarray(self.indptr, dtype=np.int64)
@@ -78,16 +76,6 @@ class Dataset:
             raise InvalidInputError(f"row {row}: feature indices must be strictly increasing")
         if not (np.isfinite(self.labels).all() and np.isfinite(self.values).all()):
             raise InvalidInputError("labels and feature values must be finite")
-        if self.normalized:
-            # one reduction for the whole check (bincount keeps empty rows,
-            # unlike np.add.reduceat); the bit-exact norms are _row_sq_norms
-            rows = np.repeat(np.arange(self.n), np.diff(ptr))
-            sq = np.bincount(rows, weights=np.square(self.values), minlength=self.n)
-            off = np.abs(np.sqrt(sq) - 1.0) > 1e-12
-            if off.any():
-                raise InvalidInputError(
-                    f"normalized dataset has row {np.argmax(off)} with norm != 1"
-                )
 
     @property
     def n(self):
@@ -116,13 +104,13 @@ class Dataset:
         return [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
     @classmethod
-    def from_dense(cls, a, labels, normalized=False):
+    def from_dense(cls, a, labels):
         a = np.array(a, dtype=np.float64)
         if a.ndim != 2:
             raise InvalidInputError("from_dense needs a 2-D matrix")
         n, d = a.shape
         indptr, indices = np.arange(n + 1) * d, np.tile(np.arange(d), n)
-        return cls(indptr, indices, a.ravel(), labels, d, normalized)
+        return cls(indptr, indices, a.ravel(), labels, d)
 
 
 @dataclass(frozen=True)
@@ -512,4 +500,4 @@ def normalize_rows(data):
     # divide, not multiply by the reciprocal, for correctly rounded entries
     scale = np.where(np.abs(nrm - 1.0) <= 1e-12, 1.0, nrm)
     values = data.values / np.repeat(scale, np.diff(data.indptr))
-    return Dataset(data.indptr, data.indices, values, data.labels.copy(), data.d, normalized=True)
+    return Dataset(data.indptr, data.indices, values, data.labels.copy(), data.d)

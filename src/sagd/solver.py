@@ -135,18 +135,16 @@ def init_table(data, loss, x):
     return GradientTable(J=j_mat, col_sum=gradient_sum(data, loss, x, out=j_mat))
 
 
-def sagd_step(state, data, loss, cfg, rng, grad=None, batch_grad=None):
+def sagd_step(state, data, loss, cfg, rng, grad, batch_grad):
     """Advance the iterate by one step, updating the table in place.
 
+    ``grad`` and ``batch_grad`` are ``gradient_fn`` and ``batch_gradient_fn``, bound once.
     With q exactly 0 or 1 no branch coin is consumed, so those settings
     share their random stream with the pure methods they reduce to.
     Minibatch gradients are evaluated as one vectorized batch on dense
     datasets (per-sample loop otherwise); either way the reduction order is
     fixed, so trajectories are reproducible per seed.
     """
-    if grad is None:
-        grad = gradient_fn(data, loss)
-        batch_grad = batch_gradient_fn(data, loss)
     n = data.n
     q = cfg.q
     if q >= 1.0:

@@ -23,8 +23,10 @@ from sagd.problem import (
     Dataset,
     LossSpec,
     SmoothnessProfile,
+    batch_gradient_fn,
     exact_solution,
     full_grad,
+    gradient_fn,
     normalize_rows,
     smoothness_profile,
 )
@@ -97,6 +99,8 @@ def test_criterion_3_reduction_identities():
     loss = LossSpec("ridge", 0.1)
     from sagd.solver import SolverState, init_table, sagd_step
 
+    grad, batch = gradient_fn(data, loss), batch_gradient_fn(data, loss)
+
     def fresh_state(q, tau, alpha, seed):
         step_rng = SeededRng(seed)
         table = init_table(data, loss, np.zeros(4))
@@ -105,7 +109,8 @@ def test_criterion_3_reduction_identities():
 
     # full-batch step vs gradient descent step
     state, step_rng = fresh_state(1.0, 10, 0.05, 1)
-    sagd_step(state, data, loss, SolverConfig(q=1.0, tau=10, alpha=0.05, seed=1), step_rng)
+    cfg = SolverConfig(q=1.0, tau=10, alpha=0.05, seed=1)
+    sagd_step(state, data, loss, cfg, step_rng, grad, batch)
     gd = -0.05 * full_grad(data, loss, np.zeros(4))
     assert np.linalg.norm(state.x - gd) <= 1e-15 * (1 + np.linalg.norm(gd))
 
@@ -114,7 +119,7 @@ def test_criterion_3_reduction_identities():
     ref = reference_saga(data, loss, np.zeros(4), 0.04, 2, 40)
     cfg = SolverConfig(q=0.0, tau=1, alpha=0.04, seed=2)
     for k in range(40):
-        sagd_step(state, data, loss, cfg, step_rng)
+        sagd_step(state, data, loss, cfg, step_rng, grad, batch)
         assert np.array_equal(state.x, ref[k + 1]), f"single-sample diverged at {k}"
 
     # q = 1 vs reference minibatch method, exact under the shared seed
@@ -122,7 +127,7 @@ def test_criterion_3_reduction_identities():
     ref = reference_minibatch_saga(data, loss, np.zeros(4), 0.03, 4, 40, 3)
     cfg = SolverConfig(q=1.0, tau=3, alpha=0.03, seed=4)
     for k in range(40):
-        sagd_step(state, data, loss, cfg, step_rng)
+        sagd_step(state, data, loss, cfg, step_rng, grad, batch)
         assert np.array_equal(state.x, ref[k + 1]), f"minibatch diverged at {k}"
     _report(3, "full-batch/GD, single-sample and minibatch reductions are exact")
 

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sagd import cli, problem, solver
+from sagd import cli, planner, problem, solver
+from sagd.complexity import InterpolationConfig, stepsize, total_complexity
 from sagd.data_io import read_results_csv, synth_gaussian, write_libsvm
 from sagd.verification import check_constants_against_oracles
 
@@ -71,6 +73,14 @@ def plan_grid_argv():
             for ratio in (1.0, 0.7):
                 yield ("plan", "--n", str(n), "--l-max", repr(l_max),
                        "--l-bar", repr(ratio * l_max), "--mu", repr(4.0 * l_max / max(4.0, cond)))
+
+
+def _profiles_300x4():
+    """The true and the planner's uniform profile of ``--synth 300,4,gaussian
+    --normalize --seed 1`` with the default ridge lambda."""
+    data = problem.normalize_rows(synth_gaussian(300, 4, seed=1))
+    profile = problem.smoothness_profile(data, problem.LossSpec("ridge", 1 / 300))
+    return profile, problem.SmoothnessProfile.uniform(300, profile.L_max, profile.mu)
 
 
 # sha256 of every grid plan's stdout, in grid order
@@ -177,6 +187,35 @@ class TestRun:
         assert len(payload["runs"]) == 2
         assert all(r["converged"] for r in payload["runs"])
 
+    def test_auto_q_planned_at_the_given_tau(self, capsys):
+        # the planner's q* is chosen for its own tau* (17 here); at tau = 40
+        # the lower branch root beats it and every other q
+        args = ("run", "--synth", "300,4,gaussian", "--normalize", "--seed", "1",
+                "--max-passes", "1", "--json")
+        _, _, err = run_cli(capsys, *args)
+        assert err.startswith("plan: q*=0.98032 tau*=17 ")
+        _, out, err = run_cli(capsys, *args, "--tau", "40")
+        payload = json.loads(out)
+        assert (payload["q"], payload["tau"]) == (planner.branch_roots(40, 300)[0], 40)
+        profile, uniform = _profiles_300x4()
+        grid = total_complexity(InterpolationConfig(np.linspace(0, 1, 10001), 40, 300), uniform)
+        omega = total_complexity(InterpolationConfig(payload["q"], 40, 300), uniform).omega_coef
+        assert omega < grid.omega_coef.min()
+        assert err == f"plan: q*={payload['q']:.6g} at tau=40 omega={omega:.6g}\n"
+        assert payload["alpha"] == stepsize(InterpolationConfig(payload["q"], 40, 300), profile)
+
+    def test_auto_tau_planned_at_the_given_q(self, capsys):
+        _, out, err = run_cli(
+            capsys, "run", "--synth", "300,4,gaussian", "--normalize", "--seed", "1",
+            "--max-passes", "1", "--json", "--q", "0.5",
+        )
+        payload = json.loads(out)
+        _, uniform = _profiles_300x4()
+        omega = {t: total_complexity(InterpolationConfig(0.5, t, 300), uniform).omega_coef
+                 for t in range(1, 301)}
+        assert (payload["q"], payload["tau"]) == (0.5, min(omega, key=omega.get)) == (0.5, 4)
+        assert err == f"plan: tau*=4 at q=0.5 omega={omega[4]:.6g}\n"
+
     def test_profile_computed_once_per_command(self, capsys, monkeypatch):
         # the command's profile feeds the plan, the stepsize and the reference
         calls = count_profiles(monkeypatch)
@@ -272,15 +311,24 @@ class TestRun:
             (("sweep", "--q", "0.5", "--taus", "1,31"), ["load"],
              "need 1 <= tau <= n, got tau=31, n=30"),
             (("sweep", "--q", "-0.5", "--taus", "1,2"), ["load"], "q must be in [0, 1], got -0.5"),
+            (("sweep", "--q", "0.5", "--taus", "1-1000000"), ["load"],
+             "need 1 <= tau <= n, got tau=31, n=30"),
         ],
     )
     def test_out_of_range_checked_before_any_work(
         self, capsys, tmp_path, monkeypatch, source, argv, work, message
     ):
-        # a bad alpha fails before the data is loaded; a bad q or tau right after
+        # a bad alpha fails before the data is loaded; a bad q or tau right
+        # after, and a --taus range is checked before it is expanded
         flags = dataset_flags(tmp_path, source)
         calls = count_work(monkeypatch)
-        code, out, err = run_cli(capsys, argv[0], *flags, *argv[1:])
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, argv[0], *flags, *argv[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
         assert code == 2
         assert err == f"error: {message}\n" and "plan:" not in out
         assert calls == work

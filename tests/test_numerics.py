@@ -72,7 +72,7 @@ class TestLaneStream:
         draws=st.lists(
             st.tuples(
                 st.sampled_from(("next_u64", "uniform", "normal", "randint_below",
-                                 "words", "uniforms", "normals")),
+                                 "words", "uniforms", "normals", "sample_subset")),
                 st.one_of(st.sampled_from(BULK_COUNTS), st.integers(0, 200)),
             ),
             max_size=8,
@@ -96,6 +96,11 @@ class TestLaneStream:
                 assert got.tolist() == [ref.next_u64() for _ in range(count)]
             elif kind == "uniforms":
                 assert _bits(rng.uniforms(count)) == _bits([ref.uniform() for _ in range(count)])
+            elif kind == "sample_subset":  # peeks, then consumes, the buffered words
+                tau = max(count, 1)
+                n = tau + min(bound, 300)
+                expect = arange_sample_subset(ref, n, tau).tolist()
+                assert sample_subset(rng, n, tau).tolist() == expect
             else:  # a spare cached before or left after the bulk draw is read in order
                 assert _bits(rng.normals(count)) == _bits([ref.normal() for _ in range(count)])
         # the stream continues from the next unread word

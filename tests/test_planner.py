@@ -264,6 +264,38 @@ class TestOptimalPlan:
             assert c.alpha == stepsize(InterpolationConfig(q=c.q, tau=c.tau, n=n), prof)
 
 
+
+class TestPlanOneValue:
+    @pytest.mark.parametrize("n,cond", [(40, 10.0), (40, 120.0), (60, 59.0), (30, 300.0)])
+    def test_plan_q_beats_dense_grid(self, n, cond):
+        # with tau held fixed, no q of a dense grid beats the planned one
+        prof = _uniform(n, 1.0, 4.0 / cond)
+        for tau in (1, 2, 3, n // 3, n - 1, n):
+            q, omega = pl.plan_q(prof, n, tau)
+            assert omega == total_complexity(InterpolationConfig(q, tau, n), prof).omega_coef
+            grid = total_complexity(InterpolationConfig(np.linspace(0.0, 1.0, 1001), tau, n), prof)
+            assert omega <= grid.omega_coef.min() * (1 + 1e-9)
+            if tau == 1:
+                assert q == 0.0
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.98, 1.0])
+    def test_plan_tau_equals_scalar_scan(self, q):
+        # ties go to the larger tau; q = 0 ties everywhere and gives tau = n
+        n = 50
+        prof = _uniform(n, 1.0, 0.05)
+        omega = [total_complexity(InterpolationConfig(q, t, n), prof).omega_coef
+                 for t in range(1, n + 1)]
+        tau = max(range(1, n + 1), key=lambda t: (-omega[t - 1], t))
+        assert pl.plan_tau(prof, n, q) == (tau, omega[tau - 1])
+
+    def test_plans_use_the_uniform_profile(self):
+        levels = np.linspace(0.5, 2.0, 20)
+        prof = SmoothnessProfile(levels, 2.0, float(levels.mean()), 0.05, "lambda-lower-bound")
+        uniform = _uniform(20, 2.0, 0.05)
+        assert pl.plan_q(prof, 20, 7) == pl.plan_q(uniform, 20, 7)
+        assert pl.plan_tau(prof, 20, 0.4) == pl.plan_tau(uniform, 20, 0.4)
+
+
 def _scalar_slate(profile, n):
     """The planner's candidate list built one (q, tau) at a time."""
     l_max, mu = profile.L_max, profile.mu

@@ -303,7 +303,6 @@ class TestNormalizeRows:
         data = Dataset([0, 2], [0, 1], [3.0, 4.0], labels=np.array([1.0]), d=2)
         out = normalize_rows(data)
         assert out.values.tolist() == [0.6, 0.8]
-        assert out.normalized
 
     def test_unit_rows_unchanged_and_idempotent(self):
         data = _random_dataset(12, 5, 21)
@@ -322,7 +321,3 @@ class TestNormalizeRows:
         data = Dataset([0, 1, 1], [0], [1.0], labels=np.array([1.0, 2.0]), d=2)
         with pytest.raises(InvalidInputError, match="row 1"):
             normalize_rows(data)
-
-    def test_normalized_flag_requires_unit_norms(self):
-        with pytest.raises(InvalidInputError):
-            Dataset([0, 2], [0, 1], [3.0, 4.0], labels=np.array([1.0]), d=2, normalized=True)

@@ -1,3 +1,4 @@
+import functools
 import math
 import statistics
 
@@ -36,6 +37,8 @@ def _dataset(n, d, seed, normalize=False):
 
 
 def _make_state(data, loss, cfg, x0=None):
+    """A fresh state and a no-argument step that advances it, with the
+    gradient kernels bound once as ``run`` binds them."""
     rng = SeededRng(cfg.seed)
     x0 = np.zeros(data.d) if x0 is None else x0
     table = init_table(data, loss, x0)
@@ -43,7 +46,9 @@ def _make_state(data, loss, cfg, x0=None):
     alpha = cfg.alpha
     if alpha is None:
         alpha = stepsize(InterpolationConfig(cfg.q, cfg.tau, data.n), smoothness_profile(data, loss))
-    return SolverState(x=x0.copy(), table=table, theta=theta, alpha=alpha), rng
+    state = SolverState(x=x0.copy(), table=table, theta=theta, alpha=alpha)
+    grad, batch = gradient_fn(data, loss), batch_gradient_fn(data, loss)
+    return state, functools.partial(sagd_step, state, data, loss, cfg, rng, grad, batch)
 
 
 class TestInitTable:
@@ -68,9 +73,9 @@ class TestStepReductions:
         data = _dataset(12, 4, 5)
         loss = LossSpec("ridge", 0.1)
         cfg = SolverConfig(q=1.0, tau=12, alpha=0.05, seed=7)
-        state, rng = _make_state(data, loss, cfg)
+        state, step = _make_state(data, loss, cfg)
         x0 = state.x.copy()
-        sagd_step(state, data, loss, cfg, rng)
+        step()
         gd = x0 - 0.05 * full_grad(data, loss, x0)
         assert np.linalg.norm(state.x - gd) <= 1e-15 * (1 + np.linalg.norm(gd))
 
@@ -79,10 +84,10 @@ class TestStepReductions:
         loss = LossSpec("ridge", 0.2)
         alpha, seed, steps = 0.04, 11, 35  # crosses a refresh boundary
         cfg = SolverConfig(q=0.0, tau=1, alpha=alpha, seed=seed)
-        state, rng = _make_state(data, loss, cfg)
+        state, step = _make_state(data, loss, cfg)
         ref = reference_saga(data, loss, np.zeros(3), alpha, seed, steps)
         for k in range(steps):
-            sagd_step(state, data, loss, cfg, rng)
+            step()
             assert np.array_equal(state.x, ref[k + 1]), f"diverged at step {k}"
 
     @pytest.mark.parametrize("tau", [2, 4])
@@ -91,10 +96,10 @@ class TestStepReductions:
         loss = LossSpec("ridge", 0.15)
         alpha, seed, steps = 0.03, 13, 30
         cfg = SolverConfig(q=1.0, tau=tau, alpha=alpha, seed=seed)
-        state, rng = _make_state(data, loss, cfg)
+        state, step = _make_state(data, loss, cfg)
         ref = reference_minibatch_saga(data, loss, np.zeros(3), alpha, seed, steps, tau)
         for k in range(steps):
-            sagd_step(state, data, loss, cfg, rng)
+            step()
             assert np.array_equal(state.x, ref[k + 1]), f"diverged at step {k}"
 
     def test_minibatch_reduction_exact_logistic(self):
@@ -104,10 +109,10 @@ class TestStepReductions:
         data = Dataset.from_dense(a, y)
         loss = LossSpec("logistic", 0.1)
         cfg = SolverConfig(q=1.0, tau=3, alpha=0.2, seed=3)
-        state, step_rng = _make_state(data, loss, cfg)
+        state, step = _make_state(data, loss, cfg)
         ref = reference_minibatch_saga(data, loss, np.zeros(3), 0.2, 3, 20, 3)
         for k in range(20):
-            sagd_step(state, data, loss, cfg, step_rng)
+            step()
             assert np.array_equal(state.x, ref[k + 1])
 
 
@@ -135,12 +140,10 @@ class TestBookkeeping:
         loss = LossSpec("ridge", 0.1)
         q, tau, steps = 0.35, 6, 100_000
         cfg = SolverConfig(q=q, tau=tau, alpha=0.01, seed=21)
-        state, rng = _make_state(data, loss, cfg)
+        state, step = _make_state(data, loss, cfg)
         start = state.grad_evals
-        grad = gradient_fn(data, loss)
-        batch = batch_gradient_fn(data, loss)
         for _ in range(steps):
-            sagd_step(state, data, loss, cfg, rng, grad, batch)
+            step()
         mean_cost = (state.grad_evals - start) / steps
         expect = q * (tau - 1) + 1
         sigma = math.sqrt(q * (1 - q)) * (tau - 1) / math.sqrt(steps)
@@ -150,11 +153,9 @@ class TestBookkeeping:
         data = _dataset(15, 3, 11)
         loss = LossSpec("ridge", 0.05)
         cfg = SolverConfig(q=0.4, tau=3, alpha=0.02, seed=22)
-        state, rng = _make_state(data, loss, cfg)
-        grad = gradient_fn(data, loss)
-        batch = batch_gradient_fn(data, loss)
+        state, step = _make_state(data, loss, cfg)
         for _ in range(100_000):
-            sagd_step(state, data, loss, cfg, rng, grad, batch)
+            step()
         drift = np.linalg.norm(state.table.col_sum - state.table.J.sum(axis=1))
         assert drift <= 1e-8 * (1 + np.linalg.norm(state.table.col_sum))
 
