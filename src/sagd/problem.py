@@ -10,10 +10,11 @@ per-sample smoothness bound to ||a_i||^2 / 8.
 
 A :class:`Dataset` stores its rows as CSR arrays; dense data has full
 rows.  The full-data kernels round exactly like a loop over the rows: one
-BLAS dot per row, and sums over rows in row order (:func:`_row_sum`).
+BLAS dot per row, and sums over rows in row order, each one fold-and-reduce
+per block of rows (:func:`_row_sum`; rows of one entry accumulate instead).
 The full gradient is bound once (:func:`gradient_sum_fn`): sparse rows read
 x through one gather buffer, and a block of terms is one broadcast product
-(dense) or one scatter (sparse).
+(dense) or one flat scatter (sparse).
 """
 
 import math
@@ -30,9 +31,6 @@ MU_LAMBDA_BOUND = "lambda-lower-bound"
 
 # scratch bytes of one block of rows in an order-preserving row sum
 _BLOCK_BYTES = 1 << 20
-# rows this long or longer are summed by in-place adds (vectorized along
-# the row); shorter ones by np.add.accumulate (a scalar loop per column)
-_ROW_LOOP_SIZE = 256
 
 
 @dataclass(eq=False)  # arrays have no single truth value; compare by identity
@@ -265,28 +263,27 @@ def sample_grad(data, loss, x, i):
     return gradient_fn(row, loss)(_point(data, x), 0)
 
 
-def _block_rows(row_bytes):
-    """Rows in one block of :func:`_row_sum`."""
-    return max(1, _BLOCK_BYTES // row_bytes)
+def _block_rows(row_size):
+    """Rows in one block of :func:`_row_sum` for rows of ``row_size`` floats."""
+    return max(1, _BLOCK_BYTES // (8 * row_size))
 
 
 def _row_sum(acc, n, block):
     """``acc`` plus rows 0..n-1, rounded exactly as ``for row: acc += row``.
 
-    ``block(s, e)`` returns an array of rows s..e-1 (each shaped like
-    ``acc``, at most _BLOCK_BYTES in all) that may be overwritten, as may
-    ``acc``.  Long rows are added one by one; short ones fold the running
-    sum into the first row and ``np.add.accumulate`` adds the rest in order."""
-    step = _block_rows(acc.nbytes)
+    ``block(s, e)`` returns rows s..e-1 (each shaped like ``acc``, at most
+    _BLOCK_BYTES in all) as a C-contiguous float64 array, free to overwrite.
+    The running sum is folded into the first row and ``np.add.reduce`` adds
+    the rows in order, as it does whenever rows hold two or more entries;
+    it would sum rows of one entry pairwise, so those accumulate."""
+    step = _block_rows(acc.size)
     for s in range(0, n, step):
         blk = block(s, min(s + step, n))
-        if acc.size >= _ROW_LOOP_SIZE:
-            for row in blk:
-                acc += row
-            continue
         blk[0] += acc
-        np.add.accumulate(blk, axis=0, out=blk)
-        acc = blk[-1].copy()
+        if acc.size == 1:
+            acc = np.add.accumulate(blk, axis=0, out=blk)[-1].copy()
+        else:
+            acc = np.add.reduce(blk, axis=0)
     return acc
 
 
@@ -320,13 +317,14 @@ def gradient_sum_fn(data, loss):
 
     Binding takes the row views, the buffers and one block of scratch
     once.  A block of terms c_i a_i + lambda x is one broadcast product for
-    dense data, and lambda x plus one scatter of the block's entries for
-    sparse data (indices rise within a row: no slot is hit twice).
+    dense data, and lambda x plus one flat scatter of the block's entries
+    for sparse data (indices rise within a row: no slot is hit twice).
     """
     dots = _row_dots_fn(data)
     y, lam, ridge = data.labels, loss.lam, loss.kind == "ridge"
     n, d = data.n, data.d
-    scratch = np.empty((min(_block_rows(8 * d), n), d))
+    step = _block_rows(d)  # the block rows of gsum's _row_sum
+    scratch = np.empty((min(step, n), d))
     if data.is_dense:
         a = data.dense_matrix()
 
@@ -335,15 +333,15 @@ def gradient_sum_fn(data, loss):
             blk += lamx
             return blk
     else:
-        ptr, idx, vals = data.indptr.tolist(), data.indices, data.values
+        ptr, vals = data.indptr.tolist(), data.values
         rows = np.repeat(np.arange(n), np.diff(data.indptr))
+        slots = (rows % step) * d + data.indices
 
         def terms(coef, lamx, s, e):
             lo, hi = ptr[s], ptr[e]
             blk = scratch[: e - s]
             blk[...] = lamx
-            rid = rows[lo:hi]
-            blk[rid - s, idx[lo:hi]] += vals[lo:hi] * coef[rid]
+            blk.reshape(-1)[slots[lo:hi]] += vals[lo:hi] * coef[rows[lo:hi]]
             return blk
 
     def gsum(x, out=None):
@@ -351,7 +349,7 @@ def gradient_sum_fn(data, loss):
         if ridge:
             coef = z - y
         else:
-            coef = -0.5 * y * np.array([_sigmoid_neg(t) for t in (y * z).tolist()])
+            coef = -0.5 * y * np.fromiter(map(_sigmoid_neg, (y * z).tolist()), float, n)
         lamx = lam * x
 
         def block(s, e):

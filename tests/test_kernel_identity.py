@@ -3,8 +3,7 @@
 Every comparison is on the bytes of the float64 results, so even the sign
 of a zero must match.  The block size of the order-preserving row sums is
 drawn too, down to one row per block, so that the running sum crosses
-block boundaries on these small datasets, and so is the row length from
-which they add row by row instead of accumulating.
+block boundaries on these small datasets.
 """
 
 from unittest import mock
@@ -35,9 +34,9 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def row_sum_patches(block_bytes, loop_size):
-    """Patch the block budget and the row-by-row threshold of the row sums."""
-    return mock.patch.multiple(problem, _BLOCK_BYTES=block_bytes, _ROW_LOOP_SIZE=loop_size)
+def row_sum_patches(block_bytes):
+    """Patch the block budget of the row sums."""
+    return mock.patch.object(problem, "_BLOCK_BYTES", block_bytes)
 
 
 def random_dataset(rng, n, d, kind, density, scale=1.0):
@@ -58,8 +57,7 @@ def random_dataset(rng, n, d, kind, density, scale=1.0):
 @st.composite
 def problems(draw):
     """A dataset (dense or sparse, possibly with empty, unit or signed-zero
-    entries), a loss on it, a point x, a block budget and a row-loop
-    threshold."""
+    entries), a loss on it, a point x and a block budget."""
     n = draw(st.integers(1, 12))
     d = draw(st.integers(1, 7))
     kind = draw(st.sampled_from(("ridge", "logistic")))
@@ -84,15 +82,14 @@ def problems(draw):
     loss = LossSpec(kind, draw(st.sampled_from((0.0, 1e-3, 0.5))))
     x = rng.standard_normal(d) * draw(st.sampled_from((0.0, 1.0, 30.0)))
     block_bytes = draw(st.sampled_from((1, 64, 1 << 20)))
-    loop_size = draw(st.sampled_from((1, 8, 256)))
-    return data, loss, x, block_bytes, loop_size
+    return data, loss, x, block_bytes
 
 
 @settings(max_examples=300, deadline=None)
 @given(problems())
 def test_array_kernels_match_row_loops(case):
-    data, loss, x, block_bytes, loop_size = case
-    with row_sum_patches(block_bytes, loop_size):
+    data, loss, x, block_bytes = case
+    with row_sum_patches(block_bytes):
         assert same_bits(problem.full_grad(data, loss, x), row_full_grad(data, loss, x))
         table = init_table(data, loss, x)
         j_mat, col_sum = row_init_table_at_x(data, loss, x)
@@ -123,10 +120,10 @@ def test_array_kernels_match_row_loops(case):
 def test_bound_gradient_sum_matches_row_loop_on_every_call(case, seed):
     # one binding serves a sequence of points; a gather buffer or scratch
     # block left over from an earlier call would show up in a later one
-    data, loss, x, block_bytes, loop_size = case
+    data, loss, x, block_bytes = case
     rng = np.random.default_rng(seed)
     points = [x, rng.standard_normal(data.d), rng.standard_normal(data.d) * 30.0]
-    with row_sum_patches(block_bytes, loop_size):
+    with row_sum_patches(block_bytes):
         gsum = problem.gradient_sum_fn(data, loss)
         for k, p in enumerate(points):
             j_mat, col_sum = row_init_table_at_x(data, loss, p)
@@ -139,14 +136,101 @@ def test_bound_gradient_sum_matches_row_loop_on_every_call(case, seed):
 
 
 @pytest.mark.parametrize("density", [1.0, 0.3])
-@pytest.mark.parametrize("block_bytes,loop_size", [(64, 1), (64, 256), (1 << 20, 256)])
-def test_logistic_reference_matches_row_loop_descent(density, block_bytes, loop_size):
+@pytest.mark.parametrize("block_bytes", [1, 64, 1 << 20])
+def test_logistic_reference_matches_row_loop_descent(density, block_bytes):
     data = random_dataset(np.random.default_rng(11), 40, 8, "logistic", density)
     loss = LossSpec("logistic", 0.05)
     step = 1.0 / float(row_smoothness_levels(data, loss)[0].mean())
     expect = row_gradient_descent(data, loss, step, tol=1e-10, max_iters=5000)
-    with row_sum_patches(block_bytes, loop_size):
+    with row_sum_patches(block_bytes):
         assert same_bits(problem.exact_solution(data, loss, tol=1e-10), expect)
+
+
+def row_loop_sum(block):
+    acc = np.zeros(block.shape[1:])
+    for row in block:
+        acc += row
+    return acc
+
+
+def adversarial_block(rng, shape):
+    """Entries of random sign and magnitude 1e-8 to 1e8: any change in the
+    order of a sum shows in the low bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+
+
+def test_add_reduce_adds_rows_in_order_when_rows_hold_two_or_more_entries():
+    # the numpy property problem._row_sum rests on
+    rng = np.random.default_rng(20)
+    ks = [1, 2, 8, 9, 16, 17, 130, 1000, 3000, *rng.integers(1, 3000, size=6).tolist()]
+    for k in ks:
+        for m in (2, 3, 5):
+            for shape in ((k, m), (k, m, m)):
+                blk = adversarial_block(rng, shape)
+                assert same_bits(np.add.reduce(blk, axis=0), row_loop_sum(blk)), (
+                    f"numpy {np.__version__}: np.add.reduce over axis 0 of a C-contiguous "
+                    f"{shape} float64 block no longer adds its rows in order"
+                )
+
+
+def test_add_reduce_sums_one_entry_rows_pairwise():
+    # why problem._row_sum accumulates rows of one entry: numpy sums a
+    # column of 9 pairwise and pairs the two 1s (numpy 2.4 gives 2), where
+    # the row loop rounds 2**53 + 1 down twice and ends at 0
+    blk = np.zeros((9, 1))
+    blk[1:5, 0] = (2.0**53, 1.0, 1.0, -(2.0**53))
+    assert row_loop_sum(blk)[0] == np.add.accumulate(blk, axis=0)[-1, 0] == 0.0
+    assert np.add.reduce(blk, axis=0)[0] != 0.0, (
+        f"numpy {np.__version__}: np.add.reduce no longer sums a column pairwise; "
+        "problem._row_sum's np.add.accumulate branch may be unneeded"
+    )
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("kind", ["ridge", "logistic"])
+def test_one_column_kernels_match_row_loops(kind, dense):
+    # d = 1: every row sum has rows of one entry, 64 of them in one block,
+    # enough for a pairwise sum to show; the hypothesis grid has n <= 12
+    rng = np.random.default_rng(21)
+    n = 64
+    a = adversarial_block(rng, (n, 1))
+    if kind == "ridge":
+        labels = adversarial_block(rng, n)
+    else:
+        labels = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    if dense:
+        data = Dataset.from_dense(a, labels)
+    else:
+        keep = rng.uniform(size=n) < 0.8
+        indptr = np.concatenate([[0], np.cumsum(keep)])
+        data = Dataset(indptr, np.zeros(keep.sum(), dtype=np.int64), a[keep, 0], labels, 1)
+    assert data.is_dense == dense
+    loss = LossSpec(kind, 1e-3)
+    x = np.array([0.7])
+    assert same_bits(problem.full_grad(data, loss, x), row_full_grad(data, loss, x))
+    table = init_table(data, loss, x)
+    j_mat, col_sum = row_init_table_at_x(data, loss, x)
+    assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
+    assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
+    assert same_bits(problem._ridge_rhs(data), row_ridge_rhs(data))
+    levels, mu = row_smoothness_levels(data, loss)
+    prof = problem.smoothness_profile(data, loss)
+    assert same_bits(prof.L, levels) and same_bits(prof.mu, mu)
+
+
+def test_wide_sparse_logistic_matches_row_loops():
+    # about the shape of the sparse-logistic benchmark, in 60-row blocks
+    # (the last one partial), so the flat scatter slots wrap at every block
+    data = random_dataset(np.random.default_rng(22), 200, 300, "logistic", 0.02)
+    loss = LossSpec("logistic", 0.05)
+    x = np.random.default_rng(23).standard_normal(data.d)
+    step = 1.0 / float(row_smoothness_levels(data, loss)[0].mean())
+    expect = row_gradient_descent(data, loss, step, tol=1e-5, max_iters=200)
+    with row_sum_patches(60 * 8 * data.d):
+        table = init_table(data, loss, x)
+        j_mat, col_sum = row_init_table_at_x(data, loss, x)
+        assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
+        assert same_bits(problem.exact_solution(data, loss, tol=1e-5), expect)
 
 
 def test_logistic_reference_splits_rows_once(monkeypatch):
