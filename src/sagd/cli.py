@@ -189,6 +189,30 @@ def _load_dataset(args, seed=0):
 
 
 _CANDIDATE_KEYS = ("tau", "kind", "q", "omega_coef", "alpha", "covered")  # PlanCandidate's fields
+_ROW_KEY_ORDER = sorted(range(len(_CANDIDATE_KEYS)), key=_CANDIDATE_KEYS.__getitem__)
+_ROW_TEMPLATE = "{%s}" % ", ".join(f"{json.dumps(_CANDIDATE_KEYS[i])}: %s" for i in _ROW_KEY_ORDER)
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_texts(column):
+    """The JSON text of every entry of one slate column, as ``json.dumps`` writes it."""
+    values = column.tolist()
+    if column.dtype.kind == "i":
+        return list(map(int.__repr__, values))
+    if column.dtype.kind == "f":
+        texts = list(map(float.__repr__, values))
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            texts[i] = _JSON_NON_FINITE[texts[i]]
+        return texts
+    encoded = {v: json.dumps(v) for v in set(values)}  # kinds and flags: few distinct values
+    return list(map(encoded.__getitem__, values))
+
+
+def _json_rows(columns):
+    """One JSON object per candidate from the slate's columns, given in ``_CANDIDATE_KEYS``
+    order: each byte-equal to ``json.dumps`` of the row's dict with ``sort_keys=True``."""
+    texts = [_json_texts(columns[i]) for i in _ROW_KEY_ORDER]
+    return [_ROW_TEMPLATE % row for row in zip(*texts)]
 
 
 def cmd_plan(args):
@@ -209,19 +233,19 @@ def cmd_plan(args):
     closed = full_batch_interpolation(profile, n) if n >= 3 else None
     slate = plan.all_candidates
     if args.json:
-        columns = (slate[name].tolist() for name in slate.dtype.names)
-        payload = {
+        (best,) = _json_rows([np.atleast_1d(v) for v in dataclasses.astuple(plan.best)])
+        candidates = ", ".join(_json_rows([slate[name] for name in slate.dtype.names]))
+        rest = {  # every key sorts after "candidates"
             "source": source,
             "n": n,
             "l_max": plan.l_max,
             "l_bar": plan.l_bar,
             "mu": plan.mu,
             "saga_omega": plan.saga_omega,
-            "best": dict(zip(_CANDIDATE_KEYS, dataclasses.astuple(plan.best))),
-            "candidates": [dict(zip(_CANDIDATE_KEYS, row)) for row in zip(*columns)],
             "full_batch": None if closed is None else dataclasses.asdict(closed),
         }
-        print(json.dumps(payload, sort_keys=True))
+        print(f'{{"best": {best}, "candidates": [{candidates}], '
+              + json.dumps(rest, sort_keys=True)[1:])
         return EXIT_OK
     print(f"profile: n={n} L_max={plan.l_max:.6g} L_bar={plan.l_bar:.6g} mu={plan.mu:.6g}")
     print(f"single-sample baseline omega: {plan.saga_omega:.6g}")

@@ -50,12 +50,19 @@ def enumerate_sampling(n, tau, q):
     return atoms
 
 
+def _atom_groups(n, tau, q):
+    """The atoms of ``enumerate_sampling(n, tau, q)``, in its order, as two
+    ``(mass, index rows)`` array pairs: the n singletons, then the subsets."""
+    atoms = enumerate_sampling(n, tau, q)
+    return [(np.array([a.probability for a in run]), np.array([a.indices for a in run]))
+            for run in (atoms[:n], atoms[n:])]
+
+
 def oracle_expected_projection(n, tau, q):
     """Mean of the coordinate projectors, Sum_atoms p * Pi, as a dense matrix."""
     out = np.zeros((n, n))
-    for atom in enumerate_sampling(n, tau, q):
-        idx = list(atom.indices)
-        out[idx, idx] += atom.probability
+    for mass, idx in _atom_groups(n, tau, q):
+        np.add.at(out, (idx, idx), mass[:, None])
     return out
 
 
@@ -85,10 +92,8 @@ def oracle_residual_eigenvalues(n, tau, q):
     moment is the projector mean's diagonal, added atom by atom in the same
     order, so c is read off it bit for bit."""
     m = np.zeros((n, n))
-    for atom in enumerate_sampling(n, tau, q):
-        e_s = np.zeros(n)
-        e_s[list(atom.indices)] = 1.0
-        m += atom.probability * np.outer(e_s, e_s)
+    for mass, idx in _atom_groups(n, tau, q):
+        np.add.at(m, (idx[:, :, None], idx[:, None, :]), mass[:, None, None])
     c = bias_correction_of(np.diag(m))
     m *= c * c
     m -= np.ones((n, n))
@@ -110,11 +115,9 @@ def oracle_smoothness_max_term(levels, tau):
         return float(levels.max())
     if not 2 <= tau <= n:
         raise InvalidInputError(f"need 1 <= tau <= n, got tau={tau}, n={n}")
+    combos = np.array(list(itertools.combinations(range(n), tau)))
     totals = np.zeros(n)
-    for combo in itertools.combinations(range(n), tau):
-        mean = levels[list(combo)].mean()
-        for i in combo:
-            totals[i] += mean
+    np.add.at(totals, combos, levels[combos].mean(axis=1)[:, None])
     return float(totals.max())
 
 

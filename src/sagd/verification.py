@@ -80,14 +80,11 @@ def check_constants_against_oracles(
     for n in range(2, n_max + 1):
         for tau in range(1, n + 1):
             level_sets = [0.5 + rng.uniforms(n) for _ in range(levels_per_pair)]
+            profiles = [SmoothnessProfile(lv, float(lv.max()), float(lv.mean()), 1e-3,
+                                          "lambda-lower-bound") for lv in level_sets]
             cfg = complexity.InterpolationConfig(q=np.asarray(Q_GRID, float), tau=tau, n=n)
             th_all, rho_all = theta_fn(cfg), rho_fn(cfg)
-            l1_all = [
-                smoothness_fn(cfg, SmoothnessProfile(
-                    levels, float(levels.max()), float(levels.mean()), 1e-3, "lambda-lower-bound"
-                ))
-                for levels in level_sets
-            ]
+            l1_all = [smoothness_fn(cfg, profile) for profile in profiles]
             max_terms = [sketch_oracle.oracle_smoothness_max_term(lv, tau) for lv in level_sets]
             for i, q in enumerate(Q_GRID):
                 checks += 1
@@ -101,9 +98,9 @@ def check_constants_against_oracles(
                 rho_oracle = sketch_oracle.oracle_sketch_residual(n, tau, q)
                 if abs(rho_all[i] - rho_oracle) > 1e-9 * max(1.0, rho_oracle):
                     failures.append(f"residual(n={n},tau={tau},q={q:.2f})")
-                for k, (levels, l1, max_term) in enumerate(zip(level_sets, l1_all, max_terms)):
+                for k, (profile, l1, max_term) in enumerate(zip(profiles, l1_all, max_terms)):
                     l1_oracle = sketch_oracle.assemble_expected_smoothness(
-                        n, tau, q, th_oracle, max_term, float(levels.max())
+                        n, tau, q, th_oracle, max_term, profile.L_max
                     )
                     if abs(l1[i] - l1_oracle) > 1e-9 * max(1.0, abs(l1_oracle)):
                         failures.append(f"smoothness(n={n},tau={tau},q={q:.2f},levels={k})")

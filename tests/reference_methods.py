@@ -14,14 +14,21 @@ them bit for bit.
 subset sampler one word at a time, as they were written before the
 generator read its words through a buffered lane stream.  ``SeededRng``
 and ``sample_subset`` must reproduce them bit for bit.
+
+The ``loop_*`` functions are the enumeration oracles one sampling atom or
+one subset at a time, as they were written before the oracles scattered
+whole enumerations through ``np.add.at``.  The ``sketch_oracle`` functions
+must reproduce them bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from sagd.numerics import SeededRng, sample_subset, symmetric_eigen
 from sagd.problem import batch_gradient_fn, gradient_fn
+from sagd.sketch_oracle import bias_correction_of, enumerate_sampling
 
 _MASK64 = (1 << 64) - 1
 
@@ -266,3 +273,41 @@ def row_smoothness_levels(data, loss):
         w, _ = symmetric_eigen(row_gram_matrix(data))
         return sq_norms + loss.lam, float(w[0]) / data.n + loss.lam
     return sq_norms / 8.0 + loss.lam, loss.lam
+
+
+def loop_expected_projection(n, tau, q):
+    """Sum_atoms p * Pi, one atom at a time."""
+    out = np.zeros((n, n))
+    for atom in enumerate_sampling(n, tau, q):
+        idx = list(atom.indices)
+        out[idx, idx] += atom.probability
+    return out
+
+
+def loop_residual_eigenvalues(n, tau, q):
+    """Eigenvalues of c^2 E[(Pi e)(Pi e)^T] - e e^T, the second moment
+    summed one atom's outer product at a time."""
+    m = np.zeros((n, n))
+    for atom in enumerate_sampling(n, tau, q):
+        e_s = np.zeros(n)
+        e_s[list(atom.indices)] = 1.0
+        m += atom.probability * np.outer(e_s, e_s)
+    c = bias_correction_of(np.diag(m))
+    m *= c * c
+    m -= np.ones((n, n))
+    w, _ = symmetric_eigen(m)
+    return w
+
+
+def loop_smoothness_max_term(levels, tau):
+    """max_i of the subset means summed over the tau-subsets holding i, one
+    subset and one index at a time."""
+    levels = np.asarray(levels, dtype=np.float64)
+    if tau == 1:
+        return float(levels.max())
+    totals = np.zeros(levels.size)
+    for combo in itertools.combinations(range(levels.size), tau):
+        mean = levels[list(combo)].mean()
+        for i in combo:
+            totals[i] += mean
+    return float(totals.max())

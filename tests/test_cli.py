@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 from sagd import cli, planner, problem, solver
 from sagd.complexity import InterpolationConfig, stepsize, total_complexity
 from sagd.data_io import read_results_csv, synth_gaussian, write_libsvm
+from sagd.planner import PlanCandidate
 from sagd.verification import check_constants_against_oracles
 
 
@@ -89,6 +92,28 @@ PLAN_GRID_DIGESTS = {
     "text": "19c95d915e5c48a24f8ed1a5b8d045a34768e26211492a3c494de694cd008c77",
 }
 
+# sha256 of `plan --n N --l-max 1.3 --l-bar 0.91 --mu 0.5 --json` for the
+# smallest slates; n = 2 has no full-batch closed form ("full_batch": null)
+SMALL_PLAN_DIGESTS = {
+    2: "d8bb063d5e02a3da600716a6cdf63927eee95264a7ef3d2cdeaa51139ca8e6d3",
+    3: "f95325abec8d1f4cf4ad0d053ed21305f508cd255f96151e789ee104ad76817d",
+}
+
+
+def hand_slate():
+    """A slate with every candidate kind, an uncovered row, and +-inf and
+    NaN in each float column."""
+    inf, nan = float("inf"), float("nan")
+    rows = [
+        (1, planner.KIND_SAGA_BASELINE, 0.0, 12.4, 0.1923076923076923, True),
+        (3, planner.KIND_ONE, 1.0, inf, -inf, True),
+        (2, planner.KIND_Q_MINUS, nan, 20.8, 1e-300, False),
+        (40, planner.KIND_Q_I1, -inf, nan, inf, True),
+        (12345, planner.KIND_Q_I2, inf, -inf, nan, False),
+    ]
+    names = [f.name for f in dataclasses.fields(PlanCandidate)]
+    return np.rec.fromarrays(list(zip(*rows)), names=names), rows
+
 
 class TestPlan:
     @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -99,6 +124,23 @@ class TestPlan:
             assert code == 0 and err == ""
             digest.update(out.encode())
         assert digest.hexdigest() == PLAN_GRID_DIGESTS[fmt]
+
+    @pytest.mark.parametrize("n", sorted(SMALL_PLAN_DIGESTS))
+    def test_small_plan_json_bytes_pinned(self, capsys, n):
+        code, out, _ = run_cli(capsys, "plan", "--n", str(n), "--l-max", "1.3",
+                               "--l-bar", "0.91", "--mu", "0.5", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SMALL_PLAN_DIGESTS[n]
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        assert ('"full_batch": null' in out) == (n == 2)
+
+    def test_row_encoder_matches_json_dumps(self):
+        slate, rows = hand_slate()
+        want = [json.dumps(dict(zip(cli._CANDIDATE_KEYS, row)), sort_keys=True) for row in rows]
+        assert cli._json_rows([slate[name] for name in slate.dtype.names]) == want
+        for row, text in zip(rows, want):  # one PlanCandidate, as cmd_plan encodes "best"
+            best = dataclasses.astuple(PlanCandidate(*row))
+            assert cli._json_rows([np.atleast_1d(v) for v in best]) == [text]
 
     def test_explicit_profile_table(self, capsys):
         code, out, _ = run_cli(
@@ -478,6 +520,16 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert all(suite["passed"] for suite in payload)
+
+    def test_json_bytes_pinned(self, capsys):
+        # verdicts, check counts and failure lists; only wall time may change
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "5", "--json")
+        assert code == 0
+        masked = re.sub(r'"elapsed": [^,}]+', '"elapsed": null', out)
+        assert masked.count('"elapsed": null') == 2
+        assert hashlib.sha256(masked.encode()).hexdigest() == (
+            "8a5726adacb5edc1e5676f26bb2f225f2ad916e17ba7ea6b5d76a2f333d79e89"
+        )
 
     @pytest.mark.parametrize("n_max", ["1", "0", "-3", "13"])
     def test_degenerate_grid_rejected(self, capsys, n_max):

@@ -7,6 +7,13 @@ from sagd import sketch_oracle as oracle
 from sagd.complexity import InterpolationConfig, theta
 from sagd.exceptions import EnumerationLimitError, InvalidInputError
 from sagd.problem import Dataset, LossSpec, full_grad
+from sagd.verification import Q_GRID
+
+from reference_methods import (
+    loop_expected_projection,
+    loop_residual_eigenvalues,
+    loop_smoothness_max_term,
+)
 
 
 class TestEnumerateSampling:
@@ -130,6 +137,29 @@ class TestSmoothnessMaxTerm:
             (n / tau) * l_bar + ((n - tau) / (tau * (tau - 1))) * l_max
         )
         assert abs(got - want) <= 1e-12 * want
+
+
+class TestMatchesAtomLoops:
+    """The scattered enumerations keep the bits of the atom-by-atom loops."""
+
+    def test_projection_and_residual(self):
+        for n in range(1, 9):
+            for tau in range(1, n + 1):
+                for q in (*Q_GRID, 1 / 3, 0.123456789):
+                    got = oracle.oracle_expected_projection(n, tau, q)
+                    assert got.tobytes() == loop_expected_projection(n, tau, q).tobytes()
+                    got = oracle.oracle_residual_eigenvalues(n, tau, q)
+                    assert got.tobytes() == loop_residual_eigenvalues(n, tau, q).tobytes()
+
+    def test_smoothness_max_term(self):
+        # tau >= 8 reaches numpy's pairwise summation inside the subset means
+        rng = np.random.default_rng(11)
+        for n in range(1, oracle.ENUMERATION_CAP + 1):
+            for tau in range(1, n + 1):
+                for _ in range(3):
+                    levels = 10.0 ** rng.uniform(-3.0, 5.0, n)
+                    got = oracle.oracle_smoothness_max_term(levels, tau)
+                    assert got == loop_smoothness_max_term(levels, tau), (n, tau)
 
 
 class TestExpectedDirection:
