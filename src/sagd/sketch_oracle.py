@@ -6,7 +6,8 @@ closed form: the bias correction, the projector mean, the sketch residual,
 and the max term inside the expected smoothness constant.  They exist to
 test the closed forms, so they deliberately avoid every shortcut the closed
 forms rely on (the residual eigenvalue comes from a dense eigensolve, not
-from the circulant structure).
+from the circulant structure).  Every atom is added in ``enumerate_sampling``
+order, by one in-order ``np.add.at`` per group: an atom loop's bits exactly.
 """
 
 import itertools
@@ -89,8 +90,8 @@ def oracle_residual_eigenvalues(n, tau, q):
     c^2 E[(Pi e)(Pi e)^T] - e e^T (it has at most two distinct).
 
     One enumeration: since (Pi e)_i^2 = (Pi e)_i, the diagonal of the second
-    moment is the projector mean's diagonal, added atom by atom in the same
-    order, so c is read off it bit for bit."""
+    moment is the projector mean's diagonal, given the same additions in the
+    same order, so c is read off it bit for bit."""
     m = np.zeros((n, n))
     for mass, idx in _atom_groups(n, tau, q):
         np.add.at(m, (idx[:, :, None], idx[:, None, :]), mass[:, None, None])
