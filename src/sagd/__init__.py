@@ -16,7 +16,6 @@ from .complexity import (
     MethodConstants,
     expected_smoothness,
     full_batch_interpolation,
-    jacobian_smoothness,
     sketch_residual,
     stepsize,
     theta,
@@ -59,8 +58,6 @@ from .problem import (
     exact_solution,
     full_grad,
     normalize_rows,
-    objective,
-    sample_grad,
     smoothness_profile,
 )
 from .solver import (

@@ -129,15 +129,16 @@ def _parse_seeds(text):
 
 
 def _parse_taus(text):
-    """The non-empty (lo, hi) ranges of a --taus list, left unexpanded."""
+    """The (lo, hi) ranges of a --taus list, left unexpanded."""
     ranges = []
     for tok in filter(None, map(str.strip, text.split(","))):
         try:
             lo, hi = map(int, tok.split("-", 1) if "-" in tok[1:] else (tok, tok))
         except ValueError:
             raise SagdError(f"bad --taus entry {tok!r}") from None
-        if lo <= hi:
-            ranges.append((lo, hi))
+        if lo > hi:
+            raise SagdError(f"bad --taus entry {tok!r}: the range runs backwards")
+        ranges.append((lo, hi))
     if not ranges:
         raise SagdError(f"empty tau list {text!r}")
     return ranges
@@ -192,6 +193,7 @@ _CANDIDATE_KEYS = ("tau", "kind", "q", "omega_coef", "alpha", "covered")  # Plan
 _ROW_KEY_ORDER = sorted(range(len(_CANDIDATE_KEYS)), key=_CANDIDATE_KEYS.__getitem__)
 _ROW_TEMPLATE = "{%s}" % ", ".join(f"{json.dumps(_CANDIDATE_KEYS[i])}: %s" for i in _ROW_KEY_ORDER)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_BLOCK_ROWS = 4096  # plan --json formats and writes this many candidate rows at a time
 
 
 def _json_texts(column):
@@ -234,7 +236,11 @@ def cmd_plan(args):
     slate = plan.all_candidates
     if args.json:
         (best,) = _json_rows([np.atleast_1d(v) for v in dataclasses.astuple(plan.best)])
-        candidates = ", ".join(_json_rows([slate[name] for name in slate.dtype.names]))
+        print(f'{{"best": {best}, "candidates": [', end="")
+        columns = [slate[name] for name in slate.dtype.names]
+        for s in range(0, len(slate), _JSON_BLOCK_ROWS):
+            rows = _json_rows([c[s:s + _JSON_BLOCK_ROWS] for c in columns])
+            print((", " if s else "") + ", ".join(rows), end="")
         rest = {  # every key sorts after "candidates"
             "source": source,
             "n": n,
@@ -244,8 +250,7 @@ def cmd_plan(args):
             "saga_omega": plan.saga_omega,
             "full_batch": None if closed is None else dataclasses.asdict(closed),
         }
-        print(f'{{"best": {best}, "candidates": [{candidates}], '
-              + json.dumps(rest, sort_keys=True)[1:])
+        print("], " + json.dumps(rest, sort_keys=True)[1:])
         return EXIT_OK
     print(f"profile: n={n} L_max={plan.l_max:.6g} L_bar={plan.l_bar:.6g} mu={plan.mu:.6g}")
     print(f"single-sample baseline omega: {plan.saga_omega:.6g}")

@@ -69,8 +69,6 @@ class MethodConstants:
     theta: float                 # bias-correction factor n / (q (tau - 1) + 1)
     cost_per_iter: float         # expected gradient evaluations per step
     expected_smoothness: float   # second-moment bound for the gradient estimator
-    jacobian_smoothness: float   # second-moment bound for the table update
-    stochastic_condition: float  # smallest eigenvalue of the sampling projector mean
     sketch_residual: float       # excess variance of the corrected sampling
     residual_branch: str         # "low" | "high" | "boundary"
     stepsize: float
@@ -125,11 +123,6 @@ def sketch_residual(cfg):
     return _scalar(rho), _scalar(branch)
 
 
-def jacobian_smoothness(cfg, l_max):
-    """Smoothness constant for the sketched table update: L_max (q (tau-1) + 1)."""
-    return l_max * cfg.cost_per_iter
-
-
 def residual_term(cfg, profile, rho):
     """Complexity envelope driven by a sketch residual ``rho``:
     (theta + 4 rho L_max / (mu n)) (q (tau - 1) + 1)."""
@@ -158,8 +151,6 @@ def total_complexity(cfg, profile):
         theta=th,
         cost_per_iter=cost,
         expected_smoothness=l1,
-        jacobian_smoothness=jacobian_smoothness(cfg, l_max),
-        stochastic_condition=1.0 / th,
         sketch_residual=rho,
         residual_branch=branch,
         stepsize=_scalar(alpha),

@@ -12,8 +12,6 @@ import math
 import statistics
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .exceptions import InvalidInputError, ParseError
 from .numerics import SeededRng
 from .problem import Dataset
@@ -116,7 +114,7 @@ def synth_uniform(n, d, seed):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance of one results file; serializable and round-trippable."""
+    """Provenance of one results file, written as JSON beside it."""
 
     dataset_id: str
     loss: str
@@ -135,12 +133,6 @@ class RunManifest:
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        raw["seeds"] = tuple(raw["seeds"])
-        return cls(**raw)
 
 
 @dataclass

@@ -181,10 +181,6 @@ class SeededRng:
             if u < limit:
                 return u % n
 
-    def normal(self):
-        """Standard normal draw (Box-Muller, sine half cached)."""
-        return float(self.normals(1)[0])
-
     def words(self, count):
         """The next ``count`` raw words, as a uint64 array."""
         out = self._peek(count)
@@ -199,8 +195,8 @@ class SeededRng:
         return out
 
     def normals(self, count):
-        """``count`` draws of ``normal()``, as an array; an odd count leaves
-        the sine half of the last pair cached, as ``normal()`` does."""
+        """``count`` standard normal draws (Box-Muller), as an array; an odd
+        count leaves the sine half of the last pair cached for the next call."""
         k = 1 if count and self._spare_normal is not None else 0
         z = np.empty(k + 2 * ((count - k + 1) // 2))
         if k:

@@ -154,8 +154,8 @@ def plan_q(profile, n, tau):
 
 def plan_tau(profile, n, q):
     """The best tau at a fixed q on the planner's uniform profile: the argmin
-    of omega over tau = 1..n, ties to the larger tau as in ``optimal_plan``'s
-    q = 1 scan.  Returns ``(tau, omega_coef)``."""
+    of omega over tau = 1..n, ties to the larger tau (more parallelizable).
+    Returns ``(tau, omega_coef)``."""
     uniform = SmoothnessProfile.uniform(n, profile.L_max, profile.mu)
     omega = total_complexity(InterpolationConfig(q, np.arange(1, n + 1), n), uniform).omega_coef
     tau = int(np.flatnonzero(omega == omega.min())[-1]) + 1
@@ -180,19 +180,16 @@ def optimal_plan(profile, n):
     uniform = SmoothnessProfile.uniform(n, l_max, mu, profile.mu_source)
 
     # per tau = 2..n: the lower branch root, then the envelope intersection
-    all_taus = np.arange(1, n + 1)
-    taus = all_taus[1:]
+    taus = np.arange(2, n + 1)
     q_minus, _ = branch_roots(taus, n)
     hit_kind, hit_q = q_intersections(taus, n, l_max, mu)
     pair_q = np.column_stack((q_minus, hit_q)).ravel()
     pair_kind = np.column_stack((np.full(taus.size, KIND_Q_MINUS), hit_kind)).ravel()
     keep = (0.0 <= pair_q) & (pair_q <= 1.0)
 
-    # q = 1 family: the rounded closed-form tau plus the argmin of an
-    # exhaustive scan (they can differ by one when rounding picks the
-    # worse neighbor); scan ties break toward larger tau.
-    scan = total_complexity(InterpolationConfig(1.0, all_taus, n), uniform).omega_coef
-    t_scan = int(all_taus[scan == scan.min()].max())
+    # q = 1 family: the rounded closed-form tau plus the exhaustive scan's
+    # argmin (they can differ by one when rounding picks the worse neighbor)
+    t_scan, _ = plan_tau(profile, n, 1.0)
     t_round = optimal_minibatch_tau(n, mu, l_max)
     ones = [t_round] if t_scan == t_round else [t_round, t_scan]
 

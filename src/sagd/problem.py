@@ -31,6 +31,8 @@ MU_LAMBDA_BOUND = "lambda-lower-bound"
 
 # scratch bytes of one block of rows in an order-preserving row sum
 _BLOCK_BYTES = 1 << 20
+# ridge mu comes from an exact eigensolve up to this dimension, else lambda
+_EXACT_MU_DIM_LIMIT = 512
 
 
 @dataclass(eq=False)  # arrays have no single truth value; compare by identity
@@ -247,22 +249,6 @@ def batch_gradient_fn(data, loss):
     return batch
 
 
-def _point(data, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (data.d,):
-        raise InvalidInputError(f"x has shape {x.shape}, expected ({data.d},)")
-    return x
-
-
-def sample_grad(data, loss, x, i):
-    """Gradient of the single-sample objective f_i at x."""
-    if not 0 <= i < data.n:
-        raise InvalidInputError(f"sample index {i} out of range [0, {data.n})")
-    s, e = data.indptr[i : i + 2]  # bind over row i alone: O(nnz_i), not O(n)
-    row = Dataset([0, e - s], data.indices[s:e], data.values[s:e], data.labels[i : i + 1], data.d)
-    return gradient_fn(row, loss)(_point(data, x), 0)
-
-
 def _block_rows(row_size):
     """Rows in one block of :func:`_row_sum` for rows of ``row_size`` floats."""
     return max(1, _BLOCK_BYTES // (8 * row_size))
@@ -363,27 +349,12 @@ def gradient_sum_fn(data, loss):
     return gsum
 
 
-def gradient_sum(data, loss, x, out=None):
-    """sum_i grad f_i(x) through a one-off :func:`gradient_sum_fn` binding."""
-    return gradient_sum_fn(data, loss)(x, out)
-
-
 def full_grad(data, loss, x):
     """Gradient of f, accumulated in fixed index order for reproducibility."""
-    return gradient_sum(data, loss, _point(data, x)) / data.n
-
-
-def objective(data, loss, x):
-    """Objective value f(x)."""
-    x = _point(data, x)
-    dots = _row_dots_fn(data)(x)
-    y = data.labels
-    if loss.kind == "ridge":
-        terms = np.square(dots - y)
-    else:
-        terms = np.logaddexp(0.0, -(y * dots))
-    total = np.add.accumulate(terms)[-1] / (2.0 * data.n)  # row order, like a loop
-    return float(total) + 0.5 * loss.lam * float(x @ x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (data.d,):
+        raise InvalidInputError(f"x has shape {x.shape}, expected ({data.d},)")
+    return gradient_sum_fn(data, loss)(x) / data.n
 
 
 def _gram_matrix(data):
@@ -398,21 +369,19 @@ def _gram_matrix(data):
 
 
 def _ridge_rhs(data):
-    """A^T y accumulated row by row."""
-    y = data.labels
+    """A^T y accumulated row by row: ``np.add.at`` adds the terms of a
+    repeated slot in input order, which is row order."""
     rhs = np.zeros(data.d)
-    if data.is_dense:
-        a = data.dense_matrix()
-        return _row_sum(rhs, data.n, lambda s, e: y[s:e, None] * a[s:e])
-    for yi, ix, v in zip(y, data.split(data.indices), data.split(data.values)):
-        rhs[ix] += yi * v
+    terms = np.repeat(data.labels, np.diff(data.indptr))
+    terms *= data.values  # in place: no second length-nnz array
+    np.add.at(rhs, data.indices, terms)
     return rhs
 
 
-def smoothness_profile(data, loss, exact_mu_dim_limit=512):
+def smoothness_profile(data, loss):
     """Per-sample smoothness constants and the strong convexity constant.
 
-    Ridge: L_i = ||a_i||^2 + lambda and, when d <= exact_mu_dim_limit,
+    Ridge: L_i = ||a_i||^2 + lambda and, when d <= _EXACT_MU_DIM_LIMIT,
     mu = lambda_min(A^T A)/n + lambda from an exact eigensolve; above the
     limit mu falls back to lambda (a valid lower bound: a smaller mu only
     inflates planned complexity, never breaks the stepsize guarantee).
@@ -423,7 +392,7 @@ def smoothness_profile(data, loss, exact_mu_dim_limit=512):
     mu, source = lam, MU_LAMBDA_BOUND
     if loss.kind == "ridge":
         levels = sq_norms + lam
-        if data.d <= exact_mu_dim_limit:
+        if data.d <= _EXACT_MU_DIM_LIMIT:
             w, _ = symmetric_eigen(_gram_matrix(data))
             mu, source = float(w[0]) / data.n + lam, MU_EXACT_EIGEN
     else:

@@ -22,7 +22,6 @@ from .problem import (  # noqa: F401  full_grad: perfbench/tracer.py spans it by
     batch_gradient_fn,
     full_grad,
     gradient_fn,
-    gradient_sum,
     gradient_sum_fn,
     smoothness_profile,
 )
@@ -132,10 +131,10 @@ def init_table(data, loss, x):
     """The gradient table at x: column j holds the gradient of sample j
     (n gradient evaluations, which the caller accounts for)."""
     j_mat = np.empty((data.d, data.n))
-    return GradientTable(J=j_mat, col_sum=gradient_sum(data, loss, x, out=j_mat))
+    return GradientTable(J=j_mat, col_sum=gradient_sum_fn(data, loss)(x, out=j_mat))
 
 
-def sagd_step(state, data, loss, cfg, rng, grad, batch_grad):
+def sagd_step(state, cfg, rng, grad, batch_grad):
     """Advance the iterate by one step, updating the table in place.
 
     ``grad`` and ``batch_grad`` are ``gradient_fn`` and ``batch_gradient_fn``, bound once.
@@ -145,7 +144,8 @@ def sagd_step(state, data, loss, cfg, rng, grad, batch_grad):
     datasets (per-sample loop otherwise); either way the reduction order is
     fixed, so trajectories are reproducible per seed.
     """
-    n = data.n
+    table = state.table
+    n = table.n
     q = cfg.q
     if q >= 1.0:
         take_batch = True
@@ -153,7 +153,6 @@ def sagd_step(state, data, loss, cfg, rng, grad, batch_grad):
         take_batch = False
     else:
         take_batch = rng.uniform() < q
-    table = state.table
     x = state.x
     # theta / n written as 1 / (q (tau-1) + 1): exact 1 at q = 0, 1/tau at q = 1
     scale = 1.0 / (q * (cfg.tau - 1) + 1.0)
@@ -202,14 +201,19 @@ def run(data, loss, cfg, x_star=None):
     Error is ||x - x*|| when ``x_star`` is given, otherwise the full
     gradient norm (those evaluations are tracked separately and never enter
     grad_evals).  Checkpoints land every
-    round(check_every_passes * n / (q (tau - 1) + 1)) iterations, so runs
-    that differ only by seed are sampled at identical iteration counts.
+    round(check_every_passes * n / (q (tau - 1) + 1)) iterations (a spacing
+    that overflows to inf is refused), so runs that differ only by seed are
+    sampled at identical iteration counts.
     Wall time is measured around the iteration loop only.
     """
     n = data.n
     if loss.kind == "logistic":
         check_logistic_labels(data)
     icfg = InterpolationConfig(q=cfg.q, tau=cfg.tau, n=n)
+    spacing = cfg.check_every_passes * n / icfg.cost_per_iter
+    if not math.isfinite(spacing):
+        raise InvalidInputError(f"checkpoint spacing of {spacing} iterations is not finite")
+    check_every = max(1, round(spacing))
     profile = None
     if cfg.alpha is None or cfg.track_lyapunov:
         profile = smoothness_profile(data, loss)
@@ -250,7 +254,6 @@ def run(data, loss, cfg, x_star=None):
             return None
         return lyapunov(state, x_star, grad_star, profile.L_max)
 
-    check_every = max(1, round(cfg.check_every_passes * n / icfg.cost_per_iter))
     budget = cfg.max_effective_passes * n
     err = measure()
     points = [TrajectoryPoint(0, state.grad_evals, 0.0, err, psi())]
@@ -261,7 +264,7 @@ def run(data, loss, cfg, x_star=None):
         if converged or diverged or state.grad_evals >= budget:
             break
         for _ in range(check_every):
-            sagd_step(state, data, loss, cfg, rng, grad, batch_grad)
+            sagd_step(state, cfg, rng, grad, batch_grad)
             if state.grad_evals >= budget:
                 break
         err = measure()

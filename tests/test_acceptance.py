@@ -110,7 +110,7 @@ def test_criterion_3_reduction_identities():
     # full-batch step vs gradient descent step
     state, step_rng = fresh_state(1.0, 10, 0.05, 1)
     cfg = SolverConfig(q=1.0, tau=10, alpha=0.05, seed=1)
-    sagd_step(state, data, loss, cfg, step_rng, grad, batch)
+    sagd_step(state, cfg, step_rng, grad, batch)
     gd = -0.05 * full_grad(data, loss, np.zeros(4))
     assert np.linalg.norm(state.x - gd) <= 1e-15 * (1 + np.linalg.norm(gd))
 
@@ -119,7 +119,7 @@ def test_criterion_3_reduction_identities():
     ref = reference_saga(data, loss, np.zeros(4), 0.04, 2, 40)
     cfg = SolverConfig(q=0.0, tau=1, alpha=0.04, seed=2)
     for k in range(40):
-        sagd_step(state, data, loss, cfg, step_rng, grad, batch)
+        sagd_step(state, cfg, step_rng, grad, batch)
         assert np.array_equal(state.x, ref[k + 1]), f"single-sample diverged at {k}"
 
     # q = 1 vs reference minibatch method, exact under the shared seed
@@ -127,7 +127,7 @@ def test_criterion_3_reduction_identities():
     ref = reference_minibatch_saga(data, loss, np.zeros(4), 0.03, 4, 40, 3)
     cfg = SolverConfig(q=1.0, tau=3, alpha=0.03, seed=4)
     for k in range(40):
-        sagd_step(state, data, loss, cfg, step_rng, grad, batch)
+        sagd_step(state, cfg, step_rng, grad, batch)
         assert np.array_equal(state.x, ref[k + 1]), f"minibatch diverged at {k}"
     _report(3, "full-batch/GD, single-sample and minibatch reductions are exact")
 

@@ -116,8 +116,16 @@ def hand_slate():
 
 
 class TestPlan:
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_plan_output_bytes_pinned(self, capsys, fmt):
+    @pytest.mark.parametrize(
+        "fmt,block_rows",
+        [("json", 1), ("json", 7), ("json", cli._JSON_BLOCK_ROWS), ("text", None)],
+        ids=["json-1", "json-7", "json", "text"],
+    )
+    def test_plan_output_bytes_pinned(self, capsys, monkeypatch, fmt, block_rows):
+        # plan --json writes its candidate rows a block at a time; every
+        # block size gives the same bytes
+        if block_rows is not None:
+            monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", block_rows)
         digest = hashlib.sha256()
         for argv in plan_grid_argv():
             code, out, err = run_cli(capsys, *argv, *(("--json",) if fmt == "json" else ()))
@@ -276,6 +284,7 @@ class TestRun:
             ("--alpha", ("run", "--q", "0.5", "--tau", "2", "--alpha", "abc")),
             ("--q", ("sweep", "--q", "x", "--taus", "1,2")),
             ("--taus", ("sweep", "--q", "0.5", "--taus", "1-x")),
+            ("--taus", ("sweep", "--q", "0.5", "--taus", "1,9-3")),
         ],
     )
     def test_bad_number_exits_2(self, capsys, flag, args):
@@ -311,6 +320,15 @@ class TestRun:
         )
         assert code == 2
         assert err.startswith("error:") and "passes must be finite and positive" in err
+
+    def test_overflowing_checkpoint_spacing_exits_2(self, capsys):
+        # 1e308 passes times n overflows to an infinite number of iterations
+        code, _, err = run_cli(
+            capsys, "run", "--synth", "30,3,gaussian", "--q", "0", "--tau", "1",
+            "--check-every", "1e308",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "checkpoint spacing" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
     def test_bad_tol_exits_2(self, capsys, tol):

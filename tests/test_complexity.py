@@ -123,18 +123,6 @@ class TestSketchResidual:
             assert branch == "low"
 
 
-class TestJacobianSmoothness:
-    def test_limits(self):
-        assert cx.jacobian_smoothness(cx.InterpolationConfig(q=0.0, tau=4, n=9), 2.0) == 2.0
-        assert cx.jacobian_smoothness(cx.InterpolationConfig(q=1.0, tau=9, n=9), 2.0) == 18.0
-
-    def test_times_theta_identity(self):
-        for n, tau, q in [(7, 3, 0.35), (11, 11, 0.8), (4, 2, 1.0)]:
-            cfg = cx.InterpolationConfig(q=q, tau=tau, n=n)
-            l2 = cx.jacobian_smoothness(cfg, 1.6)
-            assert abs(l2 * cx.theta(cfg) - n * 1.6) <= 1e-12 * n * 1.6
-
-
 class TestStepsize:
     def test_single_sample_uniform_levels(self):
         n, l_max, mu = 20, 1.5, 0.02
@@ -192,10 +180,8 @@ class TestTotalComplexity:
         prof = _profile_from_levels(np.linspace(0.5, 2.0, 12), mu=0.05)
         mc = cx.total_complexity(cfg, prof)
         assert abs(mc.theta * mc.cost_per_iter - 12) <= 1e-12 * 12
-        assert abs(mc.stochastic_condition * mc.theta - 1.0) <= 1e-15
         assert mc.omega_coef == max(mc.smoothness_term, mc.residual_term)
         assert mc.stepsize == cx.stepsize(cfg, prof)
-        assert mc.jacobian_smoothness == cx.jacobian_smoothness(cfg, prof.L_max)
 
 
 def _reference_constants(n, tau, q, prof):

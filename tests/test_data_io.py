@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -162,12 +164,12 @@ class TestResultsCsv:
         with pytest.raises(ParseError, match="missing columns"):
             read_results_csv(path)
 
-    def test_manifest_round_trip(self, tmp_path):
+    def test_manifest_json_beside_csv(self, tmp_path):
         manifest = RunManifest.new("synth", "ridge", 0.001, 0.5, 2, 0.01, [1, 2], "sagd-test")
         path = tmp_path / "res.csv"
         write_results_csv([_series()], path, manifest=manifest)
         text = (tmp_path / "res.csv.manifest.json").read_text()
-        assert RunManifest.from_json(text) == manifest
+        assert json.loads(text) == dict(dataclasses.asdict(manifest), seeds=[1, 2])
 
 
 class TestSvgPlot:

@@ -19,7 +19,6 @@ from reference_methods import (
     row_gram_matrix,
     row_init_table_at_x,
     row_normalized_values,
-    row_objective,
     row_ridge_rhs,
     row_smoothness_levels,
 )
@@ -94,7 +93,6 @@ def test_array_kernels_match_row_loops(case):
         table = init_table(data, loss, x)
         j_mat, col_sum = row_init_table_at_x(data, loss, x)
         assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
-        assert same_bits(problem.objective(data, loss, x), row_objective(data, loss, x))
         assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
         assert same_bits(problem._ridge_rhs(data), row_ridge_rhs(data))
 
@@ -184,6 +182,23 @@ def test_add_reduce_sums_one_entry_rows_pairwise():
         f"numpy {np.__version__}: np.add.reduce no longer sums a column pairwise; "
         "problem._row_sum's np.add.accumulate branch may be unneeded"
     )
+
+
+def test_add_at_adds_repeated_indices_in_input_order():
+    # the numpy property problem._ridge_rhs and the sketch_oracle scatters rest on
+    rng = np.random.default_rng(24)
+    for size, slots in ((2, 1), (9, 1), (1000, 1), (1000, 3), (5000, 40)):
+        for shape in ((slots,), (slots, slots)):  # flat and tuple indices
+            idx = tuple(rng.integers(0, slots, size=size) for _ in shape)
+            vals = adversarial_block(rng, size)
+            got, want = np.zeros(shape), np.zeros(shape)
+            np.add.at(got, idx, vals)
+            for pos, v in enumerate(vals.tolist()):
+                want[tuple(i[pos] for i in idx)] += v
+            assert same_bits(got, want), (
+                f"numpy {np.__version__}: np.add.at into a {shape} float64 array no longer "
+                "adds the updates of a repeated index in input order"
+            )
 
 
 @pytest.mark.parametrize("dense", [True, False])

@@ -28,7 +28,7 @@ class TestSeededRng:
         b = SeededRng(987654321)
         assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
         assert [a.uniform() for _ in range(50)] == [b.uniform() for _ in range(50)]
-        assert [a.normal() for _ in range(51)] == [b.normal() for _ in range(51)]
+        assert a.normals(51).tolist() == b.normals(51).tolist()
 
     def test_different_seeds_differ(self):
         a, b = SeededRng(1), SeededRng(2)
@@ -42,7 +42,7 @@ class TestSeededRng:
 
     def test_normal_moments(self):
         rng = SeededRng(6)
-        draws = np.array([rng.normal() for _ in range(40000)])
+        draws = rng.normals(40000)
         assert abs(draws.mean()) < 3 / math.sqrt(40000)
         assert abs(draws.var() - 1.0) < 3 * math.sqrt(2.0 / 40000)
 
@@ -87,7 +87,7 @@ class TestLaneStream:
             elif kind == "uniform":
                 assert _bits([rng.uniform()]) == _bits([ref.uniform()])
             elif kind == "normal":
-                assert _bits([rng.normal()]) == _bits([ref.normal()])
+                assert _bits(rng.normals(1)) == _bits([ref.normal()])
             elif kind == "randint_below":  # 2**63 + 1 rejects about half the words
                 assert rng.randint_below(bound) == ref.randint_below(bound)
             elif kind == "words":
@@ -105,7 +105,7 @@ class TestLaneStream:
                 assert _bits(rng.normals(count)) == _bits([ref.normal() for _ in range(count)])
         # the stream continues from the next unread word
         assert [rng.next_u64() for _ in range(3)] == [ref.next_u64() for _ in range(3)]
-        assert _bits([rng.normal(), rng.normal()]) == _bits([ref.normal(), ref.normal()])
+        assert _bits([*rng.normals(1), *rng.normals(1)]) == _bits([ref.normal(), ref.normal()])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, MAX_SEED])
     def test_synth_bulk_draw_matches_scalar_reference(self, seed):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from reference_methods import row_objective
+from sagd import problem
 from sagd.exceptions import InvalidInputError, NotStronglyConvexError
 from sagd.numerics import symmetric_eigen
 from sagd.problem import (
@@ -12,9 +14,8 @@ from sagd.problem import (
     batch_gradient_fn,
     exact_solution,
     full_grad,
+    gradient_fn,
     normalize_rows,
-    objective,
-    sample_grad,
     smoothness_profile,
 )
 
@@ -77,7 +78,7 @@ class TestDatasetLayout:
         data = Dataset([0, 2], [1, 3], [2.0, -1.0], [0.0], d=4)
         x = np.array([1.0, 10.0, 100.0, 1000.0])
         # ridge, lambda = 0: grad f_0(x) = (a^T x - y) a
-        assert sample_grad(data, LossSpec("ridge", 0.0), x, 0).tolist() == [
+        assert gradient_fn(data, LossSpec("ridge", 0.0))(x, 0).tolist() == [
             0.0, 2.0 * (20.0 - 1000.0), 0.0, -1.0 * (20.0 - 1000.0)
         ]
         assert data.dense_matrix().tolist() == [[0.0, 2.0, 0.0, -1.0]]
@@ -108,8 +109,9 @@ class TestGradients:
     def test_ridge_at_zero_no_reg(self):
         data = _random_dataset(4, 3, 0)
         loss = LossSpec("ridge", 0.0)
+        grad = gradient_fn(data, loss)
         for i in range(data.n):
-            g = sample_grad(data, loss, np.zeros(3), i)
+            g = grad(np.zeros(3), i)
             expect = -data.labels[i] * data.dense_matrix()[i]
             assert np.allclose(g, expect, rtol=0, atol=0)
 
@@ -117,7 +119,7 @@ class TestGradients:
         data = Dataset([0, 2], [0, 1], [1.0, 2.0], labels=np.array([5.0]), d=2)
         loss = LossSpec("ridge", 0.0)
         x = np.array([1.0, 2.0])  # a^T x = 5 = y
-        assert np.all(sample_grad(data, loss, x, 0) == 0.0)
+        assert np.all(gradient_fn(data, loss)(x, 0) == 0.0)
 
     @pytest.mark.parametrize("kind,lam", [("ridge", 0.3), ("logistic", 0.2)])
     def test_matches_finite_differences(self, kind, lam):
@@ -126,10 +128,11 @@ class TestGradients:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(4)
         h = 1e-6 * (1 + np.linalg.norm(x))
+        grad = gradient_fn(data, loss)
         for i in range(data.n):
             single = _single_sample(data, i)
-            fd = _fd_gradient(lambda z: objective(single, loss, z), x, h)
-            g = sample_grad(data, loss, x, i)
+            fd = _fd_gradient(lambda z: row_objective(single, loss, z), x, h)
+            g = grad(x, i)
             assert np.linalg.norm(g - fd) <= 1e-6 * (1 + np.linalg.norm(g))
 
     def test_full_grad_single_sample(self):
@@ -137,7 +140,7 @@ class TestGradients:
         loss = LossSpec("ridge", 0.1)
         x = np.array([0.5, -1.0, 2.0])
         assert np.allclose(
-            full_grad(data, loss, x), sample_grad(data, loss, x, 0), rtol=1e-15
+            full_grad(data, loss, x), gradient_fn(data, loss)(x, 0), rtol=1e-15
         )
 
     def test_full_grad_matches_finite_differences(self):
@@ -146,7 +149,7 @@ class TestGradients:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(3)
         h = 1e-6 * (1 + np.linalg.norm(x))
-        fd = _fd_gradient(lambda z: objective(data, loss, z), x, h)
+        fd = _fd_gradient(lambda z: row_objective(data, loss, z), x, h)
         g = full_grad(data, loss, x)
         assert np.linalg.norm(g - fd) <= 1e-6 * (1 + np.linalg.norm(g))
 
@@ -155,11 +158,6 @@ class TestGradients:
         loss = LossSpec("ridge", 0.1)
         x_star = exact_solution(data, loss)
         assert np.linalg.norm(full_grad(data, loss, x_star)) <= 1e-9
-
-    def test_index_bounds(self):
-        data = _random_dataset(3, 2, 7)
-        with pytest.raises(InvalidInputError):
-            sample_grad(data, LossSpec("ridge", 0.0), np.zeros(2), 3)
 
     def test_batch_matches_per_sample(self):
         data = _sign_dataset(8, 3, 8)
@@ -170,8 +168,9 @@ class TestGradients:
             x = rng.standard_normal(3)
             idx = np.array([1, 4, 6])
             rows = batch(x, idx)
+            grad = gradient_fn(data, loss)
             for pos, i in enumerate(idx):
-                assert np.allclose(rows[pos], sample_grad(data, loss, x, int(i)), rtol=1e-12)
+                assert np.allclose(rows[pos], grad(x, int(i)), rtol=1e-12)
 
     def test_batch_unavailable_for_sparse_rows(self):
         data = Dataset([0, 1, 4], [0, 0, 1, 2], [1.0] * 4, labels=np.array([1.0, -1.0]), d=3)
@@ -179,24 +178,27 @@ class TestGradients:
 
 
 class TestObjective:
+    """Pins the reference objective the finite-difference checks read."""
+
     def test_ridge_at_zero(self):
         data = _random_dataset(7, 2, 10)
         loss = LossSpec("ridge", 0.4)
         y = data.labels
         assert math.isclose(
-            objective(data, loss, np.zeros(2)), float(y @ y) / (2 * data.n), rel_tol=1e-14
+            row_objective(data, loss, np.zeros(2)), float(y @ y) / (2 * data.n), rel_tol=1e-14
         )
 
     def test_ridge_identity_design(self):
         data = Dataset.from_dense(np.eye(3), np.zeros(3))
         loss = LossSpec("ridge", 0.0)
         x = np.array([1.0, 2.0, 3.0])
-        assert math.isclose(objective(data, loss, x), float(x @ x) / 6, rel_tol=1e-14)
+        assert math.isclose(row_objective(data, loss, x), float(x @ x) / 6, rel_tol=1e-14)
 
     def test_logistic_at_zero(self):
         data = _sign_dataset(5, 3, 11)
         loss = LossSpec("logistic", 0.0)
-        assert math.isclose(objective(data, loss, np.zeros(3)), math.log(2) / 2, rel_tol=1e-14)
+        value = row_objective(data, loss, np.zeros(3))
+        assert math.isclose(value, math.log(2) / 2, rel_tol=1e-14)
 
     def test_logistic_rejects_bad_labels(self):
         data = _random_dataset(4, 2, 12)  # real-valued labels
@@ -229,9 +231,10 @@ class TestSmoothnessProfile:
         w, _ = symmetric_eigen(hess)
         assert abs(prof.mu - w[0]) <= 1e-9 * max(1.0, w[0])
 
-    def test_dim_limit_falls_back_to_lambda(self):
+    def test_dim_limit_falls_back_to_lambda(self, monkeypatch):
+        monkeypatch.setattr(problem, "_EXACT_MU_DIM_LIMIT", 4)
         data = _random_dataset(8, 5, 15)
-        prof = smoothness_profile(data, LossSpec("ridge", 0.3), exact_mu_dim_limit=4)
+        prof = smoothness_profile(data, LossSpec("ridge", 0.3))
         assert prof.mu == 0.3
         assert prof.mu_source == "lambda-lower-bound"
 

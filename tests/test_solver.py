@@ -48,7 +48,7 @@ def _make_state(data, loss, cfg, x0=None):
         alpha = stepsize(InterpolationConfig(cfg.q, cfg.tau, data.n), smoothness_profile(data, loss))
     state = SolverState(x=x0.copy(), table=table, theta=theta, alpha=alpha)
     grad, batch = gradient_fn(data, loss), batch_gradient_fn(data, loss)
-    return state, functools.partial(sagd_step, state, data, loss, cfg, rng, grad, batch)
+    return state, functools.partial(sagd_step, state, cfg, rng, grad, batch)
 
 
 class TestInitTable:
