@@ -193,7 +193,7 @@ _CANDIDATE_KEYS = ("tau", "kind", "q", "omega_coef", "alpha", "covered")  # Plan
 _ROW_KEY_ORDER = sorted(range(len(_CANDIDATE_KEYS)), key=_CANDIDATE_KEYS.__getitem__)
 _ROW_TEMPLATE = "{%s}" % ", ".join(f"{json.dumps(_CANDIDATE_KEYS[i])}: %s" for i in _ROW_KEY_ORDER)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_BLOCK_ROWS = 4096  # plan --json formats and writes this many candidate rows at a time
+_PLAN_BLOCK_ROWS = 4096  # plan formats and writes this many candidate rows at a time
 
 
 def _json_texts(column):
@@ -238,8 +238,8 @@ def cmd_plan(args):
         (best,) = _json_rows([np.atleast_1d(v) for v in dataclasses.astuple(plan.best)])
         print(f'{{"best": {best}, "candidates": [', end="")
         columns = [slate[name] for name in slate.dtype.names]
-        for s in range(0, len(slate), _JSON_BLOCK_ROWS):
-            rows = _json_rows([c[s:s + _JSON_BLOCK_ROWS] for c in columns])
+        for s in range(0, len(slate), _PLAN_BLOCK_ROWS):
+            rows = _json_rows([c[s:s + _PLAN_BLOCK_ROWS] for c in columns])
             print((", " if s else "") + ", ".join(rows), end="")
         rest = {  # every key sorts after "candidates"
             "source": source,
@@ -261,9 +261,13 @@ def cmd_plan(args):
         )
     print(f"{'tau':>6} {'kind':>14} {'q':>12} {'omega':>14} {'alpha':>12}")
     order = np.lexsort((slate.tau, slate.omega_coef))  # stable: ties keep slate order
-    shown = ("tau", "q_kind", "q", "omega_coef", "alpha")
-    for tau, kind, q, omega, alpha in zip(*(slate[name][order].tolist() for name in shown)):
-        print(f"{tau:>6} {kind:>14} {q:>12.6g} {omega:>14.6g} {alpha:>12.6g}")
+    columns = [slate[name] for name in ("tau", "q_kind", "q", "omega_coef", "alpha")]
+    for s in range(0, len(order), _PLAN_BLOCK_ROWS):
+        rows = order[s:s + _PLAN_BLOCK_ROWS]
+        print("\n".join(
+            f"{tau:>6} {kind:>14} {q:>12.6g} {omega:>14.6g} {alpha:>12.6g}"
+            for tau, kind, q, omega, alpha in zip(*(c[rows].tolist() for c in columns))
+        ))
     best = plan.best
     print(f"chosen: q*={best.q:.6g} tau*={best.tau} omega={best.omega_coef:.6g}")
     return EXIT_OK

@@ -10,11 +10,13 @@ per-sample smoothness bound to ||a_i||^2 / 8.
 
 A :class:`Dataset` stores its rows as CSR arrays; dense data has full
 rows.  The full-data kernels round exactly like a loop over the rows: one
-BLAS dot per row, and sums over rows in row order, each one fold-and-reduce
-per block of rows (:func:`_row_sum`; rows of one entry accumulate instead).
-The full gradient is bound once (:func:`gradient_sum_fn`): sparse rows read
-x through one gather buffer, and a block of terms is one broadcast product
-(dense) or one flat scatter (sparse).
+BLAS dot per row, called as one ``np.vecdot`` per row length (dense data is
+one length; sparse rows are grouped by entry count, :func:`_row_groups`),
+and sums over rows in row order, each one fold-and-reduce per block of rows
+(:func:`_row_sum`; rows of one entry accumulate instead).  The full gradient
+is bound once (:func:`gradient_sum_fn`): sparse rows read x through one
+gather buffer, and a block of terms is one broadcast product (dense) or one
+flat scatter (sparse).
 """
 
 import math
@@ -273,27 +275,75 @@ def _row_sum(acc, n, block):
     return acc
 
 
+def _row_dot(a, b):
+    """Row by row dot products of the (rows, len) block ``a`` with the block
+    or vector ``b``, bit-identical to ``v.dot(w)`` for each row: np.vecdot
+    calls BLAS ddot once per row, as ndarray.dot does.  ndarray.dot takes a
+    one-entry vector for a scalar and returns the plain product, which keeps
+    the sign of a zero product that ddot (adding it to +0.0) drops, so rows
+    of one entry multiply."""
+    if a.shape[1] == 1:
+        return a[:, 0] * b[..., 0]
+    return np.vecdot(a, b)
+
+
+def _row_groups(data):
+    """The rows grouped by entry count, one group per distinct count.
+
+    Returns ``(entries, groups)``: ``entries`` lists the nnz slots group by
+    group, rows ascending within a group, and each ``(rows, lo, hi)`` in
+    ``groups`` says that ``flat[entries][lo:hi].reshape(rows.size, -1)`` is
+    the group's block of rows for any length-nnz ``flat``."""
+    counts = np.diff(data.indptr)
+    order = np.argsort(counts, kind="stable")
+    sizes = counts[order]
+    ends = np.cumsum(sizes)
+    shift = data.indptr[:-1][order] - (ends - sizes)  # old row start less new row start
+    entries = np.arange(data.indices.size) + np.repeat(shift, sizes)
+    cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), data.n]
+    starts = [0, *ends.tolist()]
+    groups = [(order[b:e], starts[b], starts[e]) for b, e in zip(cuts[:-1], cuts[1:])]
+    return entries, groups
+
+
 def _row_dots_fn(data):
-    """Bind ``dots(x)``: a_i^T x for every sample, one BLAS dot per row as
-    ``v.dot(x)`` in :func:`gradient_fn` (``A @ x`` or einsum would round
-    differently).  Sparse rows read x through one gather buffer of length
-    nnz, filled by a single ``np.take`` per call."""
+    """Bind ``dots(x)``: a_i^T x for every sample, each as ``v.dot(x)`` in
+    :func:`gradient_fn` (:func:`_row_dot`; ``A @ x`` would round
+    differently): one call for dense data, one per row length for sparse
+    data, whose rows read x through one gather buffer of length nnz laid
+    out group by group and filled by a single ``np.take`` per call."""
     if data.is_dense:
         a = data.dense_matrix()
-        return lambda x: np.array(list(map(x.dot, a)))
-    vals, buf = data.split(data.values), np.empty(data.indices.size)
-    bufs = data.split(buf)
+        return lambda x: _row_dot(a, x)
+    entries, groups = _row_groups(data)
+    idx, vals, buf = data.indices[entries], data.values[entries], np.empty(entries.size)
+    blocks = [
+        (rows, vals[lo:hi].reshape(rows.size, -1), buf[lo:hi].reshape(rows.size, -1))
+        for rows, lo, hi in groups
+    ]
 
     def dots(x):
-        np.take(x, data.indices, out=buf)
-        return np.array(list(map(np.ndarray.dot, vals, bufs)))
+        np.take(x, idx, out=buf)
+        z = np.empty(data.n)
+        for rows, v, w in blocks:
+            z[rows] = _row_dot(v, w)
+        return z
 
     return dots
 
 
 def _row_sq_norms(data):
-    """||a_i||^2 for every sample, one BLAS dot per row."""
-    return np.array([v.dot(v) for v in data.split(data.values)])
+    """||a_i||^2 for every sample, each as ``v.dot(v)``: one :func:`_row_dot`
+    for dense data, one per row length for sparse data."""
+    if data.is_dense:
+        a = data.dense_matrix()
+        return _row_dot(a, a)
+    entries, groups = _row_groups(data)
+    vals, out = data.values[entries], np.empty(data.n)
+    for rows, lo, hi in groups:
+        v = vals[lo:hi].reshape(rows.size, -1)
+        out[rows] = _row_dot(v, v)
+    return out
 
 
 def gradient_sum_fn(data, loss):
@@ -301,7 +351,7 @@ def gradient_sum_fn(data, loss):
     bit-identical to :func:`gradient_fn`'s; with ``out`` (d x n) term i also
     lands in column i.
 
-    Binding takes the row views, the buffers and one block of scratch
+    Binding takes the row groups, the buffers and one block of scratch
     once.  A block of terms c_i a_i + lambda x is one broadcast product for
     dense data, and lambda x plus one flat scatter of the block's entries
     for sparse data (indices rise within a row: no slot is hit twice).
@@ -335,7 +385,11 @@ def gradient_sum_fn(data, loss):
         if ridge:
             coef = z - y
         else:
-            coef = -0.5 * y * np.fromiter(map(_sigmoid_neg, (y * z).tolist()), float, n)
+            # _sigmoid_neg over the rows: the same libm exp, then array + and /
+            t = y * z
+            ez = np.fromiter(map(math.exp, (-np.abs(t)).tolist()), float, n)
+            den = 1.0 + ez
+            coef = -0.5 * y * np.where(t >= 0.0, ez / den, 1.0 / den)
         lamx = lam * x
 
         def block(s, e):

@@ -118,14 +118,14 @@ def hand_slate():
 class TestPlan:
     @pytest.mark.parametrize(
         "fmt,block_rows",
-        [("json", 1), ("json", 7), ("json", cli._JSON_BLOCK_ROWS), ("text", None)],
-        ids=["json-1", "json-7", "json", "text"],
+        [("json", 1), ("json", 7), ("json", cli._PLAN_BLOCK_ROWS),
+         ("text", 1), ("text", 7), ("text", cli._PLAN_BLOCK_ROWS)],
+        ids=["json-1", "json-7", "json", "text-1", "text-7", "text"],
     )
     def test_plan_output_bytes_pinned(self, capsys, monkeypatch, fmt, block_rows):
-        # plan --json writes its candidate rows a block at a time; every
-        # block size gives the same bytes
-        if block_rows is not None:
-            monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", block_rows)
+        # plan writes its candidate rows a block at a time; every block
+        # size gives the same bytes
+        monkeypatch.setattr(cli, "_PLAN_BLOCK_ROWS", block_rows)
         digest = hashlib.sha256()
         for argv in plan_grid_argv():
             code, out, err = run_cli(capsys, *argv, *(("--json",) if fmt == "json" else ()))

@@ -201,6 +201,56 @@ def test_add_at_adds_repeated_indices_in_input_order():
             )
 
 
+def test_vecdot_makes_one_blas_dot_per_row():
+    # the numpy property problem._row_dot rests on: np.vecdot rounds each row
+    # as ndarray.dot does, against a block of rows and a broadcast vector
+    rng = np.random.default_rng(25)
+    for k in [*range(71), 256, 257, 300, 513, 1024]:
+        a, b = adversarial_block(rng, (5, k)), adversarial_block(rng, (5, k))
+        x = adversarial_block(rng, k)
+        for other, want in (
+            (b, [u.dot(v) for u, v in zip(a, b)]),
+            (x, [u.dot(x) for u in a]),
+            (a, [u.dot(u) for u in a]),
+        ):
+            assert same_bits(np.vecdot(a, other), want), (
+                f"numpy {np.__version__}: np.vecdot over rows of {k} float64 entries no "
+                "longer rounds each row as ndarray.dot does"
+            )
+
+
+def test_dot_of_one_entry_rows_keeps_the_sign_of_a_zero_product():
+    # why problem._row_dot multiplies rows of one entry: ndarray.dot returns
+    # the plain product of one-entry vectors, where np.vecdot's ddot adds it
+    # to +0.0; rows of any other length have the same bits either way
+    neg, pos = np.array([-0.0]), np.array([0.0])
+    assert np.signbit(neg.dot(pos)) and np.signbit(problem._row_dot(neg[None], pos))
+    assert not np.signbit(np.vecdot(neg[None], pos)[0]), (
+        f"numpy {np.__version__}: np.vecdot keeps the sign of a one-entry zero "
+        "product; problem._row_dot's multiply branch may be unneeded"
+    )
+    rng = np.random.default_rng(26)
+    for k in (0, 1, 2, 3, 16, 33):
+        a, b = rng.choice([-0.0, 0.0, -1.5, 2.0], size=(2, 400, k))
+        assert same_bits(problem._row_dot(a, b), [u.dot(v) for u, v in zip(a, b)])
+        assert same_bits(problem._row_dot(a, b[0]), [u.dot(b[0]) for u in a])
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_table_fill_keeps_the_signed_zeros_of_gradient_fn_on_one_entry_rows(dense):
+    # a zero label, lambda = 0 and x = -0 carry the sign of a zero dot into
+    # the table, which must hold what the solver's per-sample gradient writes
+    if dense:
+        data, x = Dataset.from_dense([[1.0], [-2.0]], [0.0, 0.0]), np.array([-0.0])
+    else:
+        data, x = Dataset([0, 1, 2], [0, 1], [1.0, -2.0], [0.0, 0.0], 2), np.array([-0.0, -0.0])
+    loss = LossSpec("ridge", 0.0)
+    grad = problem.gradient_fn(data, loss)
+    table = init_table(data, loss, x)
+    assert np.signbit(table.J[0, 0])
+    assert same_bits(table.J, np.column_stack([grad(x, i) for i in range(data.n)]))
+
+
 @pytest.mark.parametrize("dense", [True, False])
 @pytest.mark.parametrize("kind", ["ridge", "logistic"])
 def test_one_column_kernels_match_row_loops(kind, dense):
@@ -248,14 +298,68 @@ def test_wide_sparse_logistic_matches_row_loops():
         assert same_bits(problem.exact_solution(data, loss, tol=1e-5), expect)
 
 
-def test_logistic_reference_splits_rows_once(monkeypatch):
-    # the binding takes its row views once, however many iterations follow
+def mixed_length_dataset(rng, lengths, d, kind):
+    """One row per entry count in ``lengths`` (0 to d, slots at random),
+    with labels suited to ``kind``; dense when every row is full."""
+    keep = np.zeros((len(lengths), d), dtype=bool)
+    for row, k in zip(keep, lengths):
+        row[rng.choice(d, size=k, replace=False)] = True
+    a = rng.standard_normal(keep.shape) * 0.3 * keep
+    if kind == "ridge":
+        labels = rng.standard_normal(keep.shape[0])
+    else:
+        labels = np.where(rng.uniform(size=keep.shape[0]) < 0.5, -1.0, 1.0)
+    if keep.all():
+        return Dataset.from_dense(a, labels)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return Dataset(indptr, np.nonzero(keep)[1], a[keep], labels, d)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("kind", ["ridge", "logistic"])
+def test_long_and_mixed_length_rows_match_row_loops(kind, dense):
+    # rows of 16 entries and more reach ddot's unrolled loop, which the
+    # hypothesis grid (d <= 7) never does; the sparse rows mix every length
+    # from empty to full in one dataset, so each length is its own group
+    rng = np.random.default_rng(27)
+    if dense:
+        d, lengths = 40, [40] * 90
+    else:
+        d, lengths = 80, rng.permutation([0, 1, 2, 3, 7, 15, 16, 17, 31, 32, 33, 48, 64, 80] * 9)
+    data = mixed_length_dataset(rng, lengths, d, kind)
+    assert data.is_dense == dense
+    loss = LossSpec(kind, 0.05)
+    with row_sum_patches(25 * 8 * d):  # 25-row blocks, the last one partial
+        for x in (rng.standard_normal(d) * 3.0, adversarial_block(rng, d)):
+            assert same_bits(problem.full_grad(data, loss, x), row_full_grad(data, loss, x))
+            table = init_table(data, loss, x)
+            j_mat, col_sum = row_init_table_at_x(data, loss, x)
+            assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
+        levels, mu = row_smoothness_levels(data, loss)
+        prof = problem.smoothness_profile(data, loss)
+        assert same_bits(prof.L, levels) and same_bits(prof.mu, mu)
+        if kind == "ridge":
+            assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
+            assert same_bits(problem._ridge_rhs(data), row_ridge_rhs(data))
+        else:
+            expect = row_gradient_descent(data, loss, 1.0 / prof.L_bar, tol=1e-5, max_iters=400)
+            assert same_bits(problem.exact_solution(data, loss, tol=1e-5), expect)
+    # normalizing refuses an empty row, so its norms are checked on the others
+    if not dense:
+        with pytest.raises(InvalidInputError, match="cannot normalize zero row"):
+            problem.normalize_rows(data)
+    nonempty = mixed_length_dataset(rng, [k for k in lengths if k], d, kind)
+    assert same_bits(problem.normalize_rows(nonempty).values, row_normalized_values(nonempty))
+
+
+def test_logistic_reference_groups_rows_once(monkeypatch):
+    # the binding groups the rows by length once, however many iterations follow
     data = random_dataset(np.random.default_rng(12), 30, 9, "logistic", 0.4)
     loss = LossSpec("logistic", 0.05)
     prof = problem.smoothness_profile(data, loss)
     calls = []
-    split = Dataset.split
-    monkeypatch.setattr(Dataset, "split", lambda self, flat: calls.append(1) or split(self, flat))
+    groups = problem._row_groups
+    monkeypatch.setattr(problem, "_row_groups", lambda data: calls.append(1) or groups(data))
     counts = []
     for iters in (2, 60):
         calls.clear()
