@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 from sagd import sketch_oracle
@@ -47,6 +48,50 @@ class TestConstantsSuite:
         assert not result.passed
         assert any(f.startswith("theta(") for f in result.failures)
         assert not any(f.startswith("residual(") for f in result.failures)
+
+
+def _warped_residual(cfg):
+    # a residual warped toward +q^3 curvature violates monotonicity/concavity
+    rho, _ = sketch_residual(cfg)
+    return rho + 50.0 * cfg.q**3 * (1 - cfg.q) ** 0.5
+
+
+class TestFailurePins:
+    """Failure strings, their order and the check counts of the perturbed
+    runs, pinned by digest: the suites may change how they compute, not what
+    they report."""
+
+    @staticmethod
+    def _pin(result):
+        digest = hashlib.sha256("\n".join(result.failures).encode()).hexdigest()
+        return result.checks, len(result.failures), digest
+
+    def test_perturbed_constants_runs(self):
+        from sagd.complexity import expected_smoothness, theta
+
+        runs = [
+            check_constants_against_oracles(
+                n_max=4, rho_fn=lambda cfg: sketch_residual(cfg)[0] * (1 + 1e-6) + 1e-6
+            ),
+            check_constants_against_oracles(
+                n_max=3, levels_per_pair=3,
+                smoothness_fn=lambda cfg, prof: expected_smoothness(cfg, prof) + 1e-5,
+            ),
+            check_constants_against_oracles(
+                n_max=3, levels_per_pair=2, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
+            ),
+        ]
+        assert [self._pin(r) for r in runs] == [
+            (189, 189, "ba727c44e66af2221bf2ee42abb69d11a17a921ee4155d1bda9b802d98a23684"),
+            (105, 315, "ae201ba83eaee5b0f64a54c3e34729e617650ab086d92ee7e8f29f751c95fa66"),
+            (105, 105, "c6ab07648e7e3be73866c462c8fd92c095bfe02ded52dbd70311323dfedc3cfd"),
+        ]
+
+    def test_perturbed_envelope_run(self):
+        result = check_envelope_shapes(n_values=(10,), taus_per_n=4, rho_fn=_warped_residual)
+        assert self._pin(result) == (
+            27, 14, "d3563712a3f8d917faa5faae78879f4fbb38f981ce228b40455664bee9fd51f7"
+        )
 
 
 def _record(monkeypatch, name, log):
@@ -115,12 +160,7 @@ class TestEnvelopeSuite:
         assert result.checks > 0
 
     def test_perturbed_residual_breaks_shapes(self):
-        # a residual warped toward +q^3 curvature violates monotonicity/concavity
-        def warped(cfg):
-            rho, _ = sketch_residual(cfg)
-            return rho + 50.0 * cfg.q**3 * (1 - cfg.q) ** 0.5
-
-        result = check_envelope_shapes(n_values=(10,), taus_per_n=4, rho_fn=warped)
+        result = check_envelope_shapes(n_values=(10,), taus_per_n=4, rho_fn=_warped_residual)
         assert not result.passed
 
 
