@@ -305,25 +305,29 @@ def sample_subset(rng, n, tau):
     return np.array(picked, dtype=np.int64)
 
 
-def _check_square_symmetric(m, what):
+def _check_square_symmetric(m, what, stack=False):
+    """m as a float array; each matrix of it must be square, finite and
+    symmetric to 1e-12 relative (a ``(..., n, n)`` stack if ``stack``)."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"{what} requires a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{what} requires finite entries")
-    scale = np.linalg.norm(m)
-    if np.linalg.norm(m - m.T) > 1e-12 * scale:
+    scale = np.linalg.norm(m, axis=(-2, -1))
+    if np.any(np.linalg.norm(m - np.swapaxes(m, -2, -1), axis=(-2, -1)) > 1e-12 * scale):
         raise InvalidInputError(f"{what} requires a symmetric matrix (1e-12 relative)")
     return m
 
 
 def symmetric_eigen(m):
-    """Full eigendecomposition of a symmetric matrix.
+    """Full eigendecomposition of a symmetric matrix, or of each matrix of a
+    ``(..., n, n)`` stack (one stacked LAPACK call, the same bits as one call
+    per matrix).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors in matching columns, so that ``m @ v_k = w_k * v_k``.
     """
-    m = _check_square_symmetric(m, "symmetric_eigen")
+    m = _check_square_symmetric(m, "symmetric_eigen", stack=True)
     w, v = np.linalg.eigh(m)
     return w, v
 

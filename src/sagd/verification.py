@@ -2,7 +2,11 @@
 shape properties of the complexity envelopes that the planner relies on.
 
 Each suite returns a :class:`SuiteResult` listing every offending tuple, so
-a failure pinpoints the (n, tau, q) combination that broke.  The ``*_fn``
+a failure pinpoints the (n, tau, q) combination that broke.  Both suites
+compute on whole grids and only then list the failures: the constants
+suite makes one array-valued pass over the q grid per (n, tau), enumerating
+the sampling law once, and the envelope suite evaluates each (n, condition
+scale) once on its ``(taus, q)`` grid.  The ``*_fn``
 parameters exist so tests can inject a perturbed implementation and assert
 that the suite actually catches it; production callers leave them at None.
 """
@@ -10,6 +14,7 @@ that the suite actually catches it; production callers leave them at None.
 import math
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,14 +60,18 @@ def check_constants_against_oracles(
     Grid: n in {2..n_max}, tau in {1..n}, q over ``Q_GRID``.  Tolerances:
     bias correction and projector mean to 1e-12, sketch residual to
     1e-9 * max(1, oracle), expected smoothness to 1e-9 relative over
-    ``levels_per_pair`` random smoothness vectors per (n, tau).  The closed
-    forms are evaluated once per (n, tau) over the whole q grid.
+    ``levels_per_pair`` random smoothness vectors per (n, tau).
 
-    Each oracle quantity is enumerated once per distinct input: the
-    smoothness max term once per (n, tau, level set), and the projector
-    mean and the residual matrix once each per (n, tau, q), two
-    sampling-law enumerations that also give the bias correction.  The
-    values are bit-identical to the public ``sketch_oracle`` functions'.
+    Each (n, tau) is one pass over its whole q grid.  The closed forms are
+    evaluated once over ``Q_GRID``; ``smoothness_fn(cfg, stack)`` gets a
+    profile stand-in whose ``L_max`` and ``L_bar`` are ``(K, 1)`` columns,
+    so it gives one row per level set.  The oracles enumerate the pair's
+    atoms once: the projector mean (which gives the bias correction) and
+    the residual matrix for every q at once, and the max terms of the K
+    level sets, drawn by one ``rng.uniforms`` call, as one stack.  The
+    values are bit-identical to the scalar public ``sketch_oracle``
+    functions', and failures are listed per q, then in the order theta,
+    projector mean, residual, smoothness per level set.
     """
     if n_max < 2:
         raise InvalidInputError(f"need n_max >= 2, got {n_max}")
@@ -74,36 +83,40 @@ def check_constants_against_oracles(
     smoothness_fn = smoothness_fn or complexity.expected_smoothness
     theta_fn = theta_fn or complexity.theta
     rng = SeededRng(ORACLE_SEED)
+    qs = np.asarray(Q_GRID, float)
     failures = []
     checks = 0
     start = time.perf_counter()
     for n in range(2, n_max + 1):
         for tau in range(1, n + 1):
-            level_sets = [0.5 + rng.uniforms(n) for _ in range(levels_per_pair)]
-            profiles = [SmoothnessProfile(lv, float(lv.max()), float(lv.mean()), 1e-3,
-                                          "lambda-lower-bound") for lv in level_sets]
-            cfg = complexity.InterpolationConfig(q=np.asarray(Q_GRID, float), tau=tau, n=n)
-            th_all, rho_all = theta_fn(cfg), rho_fn(cfg)
-            l1_all = [smoothness_fn(cfg, profile) for profile in profiles]
-            max_terms = [sketch_oracle.oracle_smoothness_max_term(lv, tau) for lv in level_sets]
-            for i, q in enumerate(Q_GRID):
-                checks += 1
-                mean = sketch_oracle.oracle_expected_projection(n, tau, q)
-                th_oracle = sketch_oracle.bias_correction_of(np.diag(mean))
-                if abs(th_all[i] - th_oracle) > 1e-12 * max(1.0, th_oracle):
-                    failures.append(f"theta(n={n},tau={tau},q={q:.2f})")
-                expected = np.eye(n) / th_oracle
-                if np.max(np.abs(mean - expected)) > 1e-12:
-                    failures.append(f"projector-mean(n={n},tau={tau},q={q:.2f})")
-                rho_oracle = sketch_oracle.oracle_sketch_residual(n, tau, q)
-                if abs(rho_all[i] - rho_oracle) > 1e-9 * max(1.0, rho_oracle):
-                    failures.append(f"residual(n={n},tau={tau},q={q:.2f})")
-                for k, (profile, l1, max_term) in enumerate(zip(profiles, l1_all, max_terms)):
-                    l1_oracle = sketch_oracle.assemble_expected_smoothness(
-                        n, tau, q, th_oracle, max_term, profile.L_max
-                    )
-                    if abs(l1[i] - l1_oracle) > 1e-9 * max(1.0, abs(l1_oracle)):
-                        failures.append(f"smoothness(n={n},tau={tau},q={q:.2f},levels={k})")
+            levels = 0.5 + rng.uniforms(levels_per_pair * n).reshape(levels_per_pair, n)
+            # the (K, 1) columns broadcast against q: one closed-form row per level set
+            stack = SimpleNamespace(L_max=levels.max(axis=1)[:, None],
+                                    L_bar=levels.mean(axis=1)[:, None])
+            cfg = complexity.InterpolationConfig(q=qs, tau=tau, n=n)
+            th_all, rho_all, l1_all = theta_fn(cfg), rho_fn(cfg), smoothness_fn(cfg, stack)
+            mean = sketch_oracle.oracle_expected_projection(n, tau, qs)
+            th_oracle = sketch_oracle.bias_correction_of(np.diagonal(mean, 0, -2, -1))
+            rho_oracle = sketch_oracle.oracle_sketch_residual(n, tau, qs)
+            l1_oracle = sketch_oracle.assemble_expected_smoothness(
+                n, tau, qs, th_oracle,
+                sketch_oracle.oracle_smoothness_max_term(levels, tau)[:, None], stack.L_max,
+            )
+            expected = np.eye(n) / th_oracle[:, None, None]
+            # one row per q: theta, projector mean, residual, then each level set
+            bad = np.column_stack([
+                np.abs(th_all - th_oracle) > 1e-12 * np.fmax(1.0, th_oracle),
+                np.max(np.abs(mean - expected), axis=(1, 2)) > 1e-12,
+                np.abs(rho_all - rho_oracle) > 1e-9 * np.fmax(1.0, rho_oracle),
+                (np.abs(l1_all - l1_oracle) > 1e-9 * np.fmax(1.0, np.abs(l1_oracle))).T,
+            ])
+            checks += len(Q_GRID)
+            for i, j in zip(*np.nonzero(bad)):
+                at = f"n={n},tau={tau},q={Q_GRID[i]:.2f}"
+                if j < 3:
+                    failures.append(f"{('theta', 'projector-mean', 'residual')[j]}({at})")
+                else:
+                    failures.append(f"smoothness({at},levels={j - 3})")
     return SuiteResult(
         name="constants-vs-oracles",
         passed=not failures,
@@ -113,11 +126,11 @@ def check_constants_against_oracles(
     )
 
 
-def _envelopes(n, tau, profile, rho_fn):
-    """Both complexity envelope values at every grid q, as arrays."""
+def _envelopes(n, taus, profile, rho_fn):
+    """Both complexity envelopes on the ``(taus, q)`` grid, one row per tau."""
     qs = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     qs[-1] = 1.0
-    cfg = complexity.InterpolationConfig(q=qs, tau=tau, n=n)
+    cfg = complexity.InterpolationConfig(q=qs, tau=taus[:, None], n=n)
     g_smooth = complexity.total_complexity(cfg, profile).smoothness_term
     return qs, g_smooth, complexity.residual_term(cfg, profile, rho_fn(cfg))
 
@@ -135,7 +148,8 @@ def check_envelope_shapes(
     inside it; the branch roots solve their defining equation to 1e-9
     relative; each intersection candidate equates the envelopes to 1e-6
     relative; and q-/q+ obey the closed-form bound chain for tau >= 4.
-    Slacks are relative to the local envelope magnitude.
+    Slacks are relative to the local envelope magnitude.  Each (n, condition
+    scale) evaluates its envelopes once, on the whole ``(taus, q)`` grid.
     """
     rho_fn = rho_fn or _residual
     failures = []
@@ -147,52 +161,53 @@ def check_envelope_shapes(
             | {min(n, max(4, round(n ** (k / (taus_per_n - 1.0)))) ) for k in range(taus_per_n)}
             | {n}
         )
-        taus = [t for t in taus if 4 <= t <= n]
+        taus = np.array([t for t in taus if 4 <= t <= n], dtype=np.int64)
+        roots = np.column_stack(planner.branch_roots(taus, n))  # (taus, 2): q-, q+
+        q_minus, q_plus = roots[:, :1], roots[:, 1:]
+        th = n / (roots * (taus[:, None] - 1) + 1.0)
+        threshold = (n / taus[:, None]) * ((n - 1) / (taus[:, None] - 1))
+        root_bad = np.abs(roots * th * th - threshold) > 1e-9 * threshold
+        low = 1.0 / (n - 1) ** 2
+        cap = (n + 1 - 2 * math.sqrt(n)) / (3 * (n - 1))
+        cap_plus = (n + 1 + 2 * math.sqrt(n)) / (3 * (n - 1))
+        chain = (
+            (low <= q_minus + 1e-9)
+            & (q_minus <= cap + 1e-9)
+            & (cap <= 1.0 / 3.0 + 1e-9)
+            & (1.0 / 3.0 <= cap_plus + 1e-9)
+            & (cap_plus <= q_plus + 1e-9)
+            & (q_plus <= 1.0 + 1e-9)
+        )[:, 0]
         for cond_scale in COND_SCALES:
             l_max = 1.0
             mu = 4.0 * l_max / (cond_scale * (n - 1))
             profile = SmoothnessProfile.uniform(n, l_max, mu)
-            for tau in taus:
+            qs, g_smooth, g_resid = _envelopes(n, taus, profile, rho_fn)
+            scale = np.fmax(1.0, np.max(np.abs(g_resid), axis=1))[:, None]
+            decreasing = np.min(np.diff(g_smooth), axis=1) < -1e-9 * np.fmax(
+                1.0, np.max(np.abs(g_smooth), axis=1))
+            outside = (qs[1:] <= q_minus) | (qs[:-1] >= q_plus)
+            increasing = np.any((np.diff(g_resid) > 1e-9 * scale) & outside, axis=1)
+            # strict interior: the residual has a derivative kink exactly
+            # at the branch roots, so skip one grid step at each end
+            h = qs[1] - qs[0]
+            inner = (qs[1:-1] > q_minus + h) & (qs[1:-1] < q_plus - h)
+            second = g_resid[:, 2:] - 2.0 * g_resid[:, 1:-1] + g_resid[:, :-2]
+            not_concave = np.any((second > 1e-9 * scale) & inner, axis=1)
+            for k, tau in enumerate(taus.tolist()):
                 checks += 1
-                q_minus, q_plus = planner.branch_roots(tau, n)
-                if math.isnan(q_minus):
+                if math.isnan(roots[k, 0]):
                     failures.append(f"missing-roots(n={n},tau={tau})")
                     continue
-                threshold = (n / tau) * ((n - 1) / (tau - 1))
-                for root in (q_minus, q_plus):
-                    th = n / (root * (tau - 1) + 1.0)
-                    if abs(root * th * th - threshold) > 1e-9 * threshold:
+                for root, bad in zip(roots[k], root_bad[k]):
+                    if bad:
                         failures.append(f"root-residual(n={n},tau={tau},q={root:.4f})")
-                low = 1.0 / (n - 1) ** 2
-                cap = (n + 1 - 2 * math.sqrt(n)) / (3 * (n - 1))
-                cap_plus = (n + 1 + 2 * math.sqrt(n)) / (3 * (n - 1))
-                chain = (
-                    low <= q_minus + 1e-9
-                    and q_minus <= cap + 1e-9
-                    and cap <= 1.0 / 3.0 + 1e-9
-                    and 1.0 / 3.0 <= cap_plus + 1e-9
-                    and cap_plus <= q_plus + 1e-9
-                    and q_plus <= 1.0 + 1e-9
-                )
-                if not chain:
-                    failures.append(f"root-bounds(n={n},tau={tau})")
-
-                qs, g_smooth, g_resid = _envelopes(n, tau, profile, rho_fn)
-                scale = max(1.0, float(np.max(np.abs(g_resid))))
-                d_smooth = np.diff(g_smooth)
-                if np.min(d_smooth) < -1e-9 * max(1.0, float(np.max(np.abs(g_smooth)))):
-                    failures.append(f"smoothness-envelope-decreasing(n={n},tau={tau})")
-                outside = (qs[1:] <= q_minus) | (qs[:-1] >= q_plus)
-                d_resid = np.diff(g_resid)
-                if np.any(d_resid[outside] > 1e-9 * scale):
-                    failures.append(f"residual-envelope-increasing(n={n},tau={tau})")
-                # strict interior: the residual has a derivative kink exactly
-                # at the branch roots, so skip one grid step at each end
-                h = qs[1] - qs[0]
-                inner = (qs[1:-1] > q_minus + h) & (qs[1:-1] < q_plus - h)
-                second = g_resid[2:] - 2.0 * g_resid[1:-1] + g_resid[:-2]
-                if np.any(second[inner] > 1e-9 * scale):
-                    failures.append(f"residual-envelope-not-concave(n={n},tau={tau})")
+                for name, bad in (("root-bounds", not chain[k]),
+                                  ("smoothness-envelope-decreasing", decreasing[k]),
+                                  ("residual-envelope-increasing", increasing[k]),
+                                  ("residual-envelope-not-concave", not_concave[k])):
+                    if bad:
+                        failures.append(f"{name}(n={n},tau={tau})")
             # intersection candidates across the whole tau range
             hit_taus = np.arange(2, n + 1, max(1, (n - 2) // 40 or 1))
             _, hit_q = planner.q_intersections(hit_taus, n, l_max, mu)

@@ -168,17 +168,19 @@ def split_rows(data):
 
 
 def row_grad(rows, y, d, loss, x, i):
-    """Gradient of f_i at x."""
+    """Gradient of f_i at x.  Row dots are ``v.dot``, as in ``gradient_fn``:
+    on a one-entry row it keeps the sign of a zero product, which ``v @ x``
+    (BLAS ddot, adding to +0.0) drops."""
     idx, v = rows[i]
     lam = loss.lam
     full = v.size == d
     if loss.kind == "ridge":
         if full:
-            r = v @ x - y[i]
+            r = v.dot(x) - y[i]
             return v * r + lam * x
-        c = v @ x[idx] - y[i]
+        c = v.dot(x[idx]) - y[i]
     else:
-        z = y[i] * (v @ x if full else v @ x[idx])
+        z = y[i] * v.dot(x if full else x[idx])
         if z >= 0.0:
             ez = math.exp(-z)
             s = ez / (1.0 + ez)
@@ -228,7 +230,7 @@ def row_objective(data, loss, x):
     y = data.labels
     total = 0.0
     for i, (idx, v) in enumerate(split_rows(data)):
-        z = v @ x[idx]
+        z = v.dot(x[idx])
         if loss.kind == "ridge":
             r = z - y[i]
             total += r * r

@@ -253,14 +253,18 @@ def test_table_fill_keeps_the_signed_zeros_of_gradient_fn_on_one_entry_rows(dens
 
 @pytest.mark.parametrize("dense", [True, False])
 @pytest.mark.parametrize("kind", ["ridge", "logistic"])
-def test_one_column_kernels_match_row_loops(kind, dense):
+@pytest.mark.parametrize("x0", [0.7, -0.0])
+def test_one_column_kernels_match_row_loops(kind, dense, x0):
     # d = 1: every row sum has rows of one entry, 64 of them in one block,
-    # enough for a pairwise sum to show; the hypothesis grid has n <= 12
+    # enough for a pairwise sum to show; the hypothesis grid has n <= 12.
+    # x = -0 and a zero label on every fourth row carry the sign of a zero
+    # row dot into the ridge gradients
     rng = np.random.default_rng(21)
     n = 64
     a = adversarial_block(rng, (n, 1))
     if kind == "ridge":
         labels = adversarial_block(rng, n)
+        labels[::4] = 0.0
     else:
         labels = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
     if dense:
@@ -271,7 +275,7 @@ def test_one_column_kernels_match_row_loops(kind, dense):
         data = Dataset(indptr, np.zeros(keep.sum(), dtype=np.int64), a[keep, 0], labels, 1)
     assert data.is_dense == dense
     loss = LossSpec(kind, 1e-3)
-    x = np.array([0.7])
+    x = np.array([x0])
     assert same_bits(problem.full_grad(data, loss, x), row_full_grad(data, loss, x))
     table = init_table(data, loss, x)
     j_mat, col_sum = row_init_table_at_x(data, loss, x)

@@ -229,6 +229,48 @@ class TestSymmetricEigen:
         with pytest.raises(InvalidInputError):
             symmetric_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @staticmethod
+    def _stack(rng, shape, n):
+        m = rng.standard_normal((*shape, n, n))
+        return m + np.swapaxes(m, -1, -2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "asymmetric"])
+    def test_stack_with_one_bad_matrix_rejected(self, bad):
+        m = self._stack(np.random.default_rng(4), (3, 5), 4)
+        symmetric_eigen(m)
+        if bad == "asymmetric":
+            m[2, 3, 0, 1] += 1e-6
+            match = "symmetric"
+        else:
+            m[2, 3, 1, 1] = bad
+            match = "finite"
+        with pytest.raises(InvalidInputError, match=match):
+            symmetric_eigen(m)
+
+    def test_stack_shapes(self):
+        with pytest.raises(InvalidInputError, match="square"):
+            symmetric_eigen(np.zeros((3, 2, 4)))
+        with pytest.raises(InvalidInputError, match="square"):
+            symmetric_eigen(np.zeros(3))
+        with pytest.raises(InvalidInputError, match="square"):  # solve_spd takes one matrix
+            solve_spd(np.stack([np.eye(2)] * 3), np.ones(3))
+        w, v = symmetric_eigen(np.zeros((0, 3, 3)))
+        assert w.shape == (0, 3) and v.shape == (0, 3, 3)
+
+    def test_stacked_eigh_equals_per_matrix_calls_bitwise(self):
+        # the canary behind the oracles' one stacked eigensolve per (n, tau)
+        rng = np.random.default_rng(5)
+        for n in range(1, 13):
+            m = self._stack(rng, (7,), n)
+            m[3] = 0.25 * np.ones((n, n)) - np.eye(n)  # two distinct eigenvalues, as the oracles'
+            w, v = symmetric_eigen(m)
+            for k in range(m.shape[0]):
+                w_k, v_k = np.linalg.eigh(m[k])
+                assert w[k].tobytes() == w_k.tobytes() and v[k].tobytes() == v_k.tobytes(), (
+                    f"numpy {np.__version__}: a stacked eigh no longer equals one call "
+                    f"per matrix bit for bit (n={n}, matrix {k})"
+                )
+
 
 def _spd_with_condition(rng, dim, cond):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))

@@ -152,14 +152,89 @@ class TestMatchesAtomLoops:
                     assert got.tobytes() == loop_residual_eigenvalues(n, tau, q).tobytes()
 
     def test_smoothness_max_term(self):
-        # tau >= 8 reaches numpy's pairwise summation inside the subset means
+        # tau >= 8 reaches numpy's pairwise summation inside the subset means,
+        # for one level set and for a (K, n) stack of them alike
         rng = np.random.default_rng(11)
         for n in range(1, oracle.ENUMERATION_CAP + 1):
             for tau in range(1, n + 1):
-                for _ in range(3):
-                    levels = 10.0 ** rng.uniform(-3.0, 5.0, n)
-                    got = oracle.oracle_smoothness_max_term(levels, tau)
-                    assert got == loop_smoothness_max_term(levels, tau), (n, tau)
+                levels = 10.0 ** rng.uniform(-3.0, 5.0, (3, n))
+                want = [loop_smoothness_max_term(lv, tau) for lv in levels]
+                assert [oracle.oracle_smoothness_max_term(lv, tau) for lv in levels] == want
+                assert oracle.oracle_smoothness_max_term(levels, tau).tolist() == want, (n, tau)
+
+
+class TestArrayQ:
+    """An array q gives one result per entry, bit for bit the scalar calls',
+    from one enumeration per (n, tau)."""
+
+    QS = np.array([*Q_GRID, 1 / 3, 0.123456789, 0.0]).reshape(4, 6)
+
+    def test_atom_rows_follow_enumerate_sampling(self):
+        for n in range(1, 9):
+            for tau in range(1, n + 1):
+                singles, subsets = oracle.atom_rows(n, tau)
+                rows = [tuple(r) for r in (*singles.tolist(), *subsets.tolist())]
+                assert rows == [a.indices for a in oracle.enumerate_sampling(n, tau, 0.5)]
+                assert not singles.flags.writeable and not subsets.flags.writeable
+                assert oracle.atom_rows(n, tau)[1] is subsets  # built once
+
+    def test_every_oracle_matches_its_scalar_calls(self):
+        levels = np.random.default_rng(12).uniform(0.5, 2.0, size=(3, 8))
+        for n in range(1, 9):
+            for tau in range(1, n + 1):
+                mean = oracle.oracle_expected_projection(n, tau, self.QS)
+                eig = oracle.oracle_residual_eigenvalues(n, tau, self.QS)
+                rho = oracle.oracle_sketch_residual(n, tau, self.QS)
+                c = oracle.oracle_bias_correction(n, tau, self.QS)
+                l1 = oracle.oracle_expected_smoothness(n, tau, self.QS, levels[0, :n])
+                assert mean.shape == self.QS.shape + (n, n) and eig.shape == self.QS.shape + (n,)
+                assert rho.shape == c.shape == l1.shape == self.QS.shape
+                for at in np.ndindex(self.QS.shape):
+                    q = float(self.QS[at])
+                    assert mean[at].tobytes() == oracle.oracle_expected_projection(n, tau, q).tobytes()
+                    assert eig[at].tobytes() == oracle.oracle_residual_eigenvalues(n, tau, q).tobytes()
+                    assert rho[at] == oracle.oracle_sketch_residual(n, tau, q)
+                    assert c[at] == oracle.oracle_bias_correction(n, tau, q)
+                    assert l1[at] == oracle.oracle_expected_smoothness(n, tau, q, levels[0, :n])
+                stacked = oracle.oracle_smoothness_max_term(levels[:, :n], tau)
+                assert stacked.tolist() == [
+                    oracle.oracle_smoothness_max_term(lv, tau) for lv in levels[:, :n]
+                ]
+
+    def test_scalar_q_keeps_its_types(self):
+        assert isinstance(oracle.oracle_sketch_residual(4, 2, 0.5), float)
+        assert isinstance(oracle.oracle_smoothness_max_term(np.ones(4), 2), float)
+        assert isinstance(oracle.oracle_bias_correction(4, 2, 0.5), np.float64)
+        assert oracle.oracle_expected_projection(4, 2, 0.5).shape == (4, 4)
+        assert oracle.oracle_residual_eigenvalues(4, 2, 0.5).shape == (4,)
+
+    @pytest.mark.parametrize("name", [
+        "oracle_expected_projection", "oracle_residual_eigenvalues",
+        "oracle_sketch_residual", "oracle_bias_correction",
+    ])
+    def test_out_of_range_entry_named(self, name):
+        fn = getattr(oracle, name)
+        with pytest.raises(InvalidInputError, match=r"got q\[2\] = 1\.5$"):
+            fn(4, 2, np.array([0.0, 0.5, 1.5, -0.2]))
+        with pytest.raises(InvalidInputError, match=r"got q\[1, 0\] = nan$"):
+            fn(4, 2, np.array([[0.1, 0.2], [np.nan, 2.0]]))
+        with pytest.raises(InvalidInputError, match=r"got 1\.5$"):
+            fn(4, 2, 1.5)
+
+    def test_cap_checked_before_any_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated past the cap")
+
+        monkeypatch.setattr(oracle, "atom_rows", refuse)
+        monkeypatch.setattr(oracle.itertools, "combinations", refuse)
+        n = oracle.ENUMERATION_CAP + 1
+        for fn in (oracle.oracle_expected_projection, oracle.oracle_residual_eigenvalues,
+                   oracle.oracle_sketch_residual, oracle.oracle_bias_correction):
+            with pytest.raises(EnumerationLimitError):
+                fn(n, 2, np.array([0.5, 2.0]))
+        for tau in (1, 2):
+            with pytest.raises(EnumerationLimitError):
+                oracle.oracle_smoothness_max_term(np.ones((3, n)), tau)
 
 
 class TestExpectedDirection:

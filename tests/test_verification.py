@@ -1,11 +1,30 @@
+import functools
 import hashlib
 from collections import Counter
 
+import numpy as np
+
+from reference_methods import (
+    loop_expected_projection,
+    loop_residual_eigenvalues,
+    loop_smoothness_max_term,
+)
 from sagd import sketch_oracle
-from sagd.complexity import sketch_residual
+from sagd.complexity import (
+    InterpolationConfig,
+    expected_smoothness,
+    residual_term,
+    sketch_residual,
+    theta,
+    total_complexity,
+)
+from sagd.numerics import SeededRng
+from sagd.problem import SmoothnessProfile
 from sagd.verification import (
+    ORACLE_SEED,
     Q_GRID,
     SuiteResult,
+    _envelopes,
     check_constants_against_oracles,
     check_envelope_shapes,
     run_all,
@@ -67,8 +86,6 @@ class TestFailurePins:
         return result.checks, len(result.failures), digest
 
     def test_perturbed_constants_runs(self):
-        from sagd.complexity import expected_smoothness, theta
-
         runs = [
             check_constants_against_oracles(
                 n_max=4, rho_fn=lambda cfg: sketch_residual(cfg)[0] * (1 + 1e-6) + 1e-6
@@ -107,50 +124,88 @@ def _record(monkeypatch, name, log):
 
 
 class TestConstantsSuiteEnumeratesOnce:
-    N_MAX = 4
+    """One enumeration per (n, tau) over the whole q grid, and every oracle
+    array the suite compares equals the one-atom-at-a-time loops and the
+    scalar public oracles bit for bit."""
+
+    N_MAX = 6
     LEVELS = 20
+    ORACLES = ("enumerate_sampling", "oracle_expected_projection", "oracle_residual_eigenvalues",
+               "oracle_smoothness_max_term", "assemble_expected_smoothness")
 
     def _run(self, monkeypatch):
-        logs = {name: [] for name in (
-            "enumerate_sampling", "oracle_smoothness_max_term", "assemble_expected_smoothness"
-        )}
+        builds = []
+        build = sketch_oracle.atom_rows.__wrapped__
+
+        def recorded_build(n, tau):
+            builds.append((n, tau))
+            return build(n, tau)
+
+        monkeypatch.setattr(sketch_oracle, "atom_rows", functools.cache(recorded_build))
+        logs = {name: [] for name in self.ORACLES}
         for name, log in logs.items():
             _record(monkeypatch, name, log)
-        result = check_constants_against_oracles(n_max=self.N_MAX, levels_per_pair=self.LEVELS)
+        closed = []
+
+        def smoothness(cfg, stack):
+            out = expected_smoothness(cfg, stack)
+            closed.append((cfg, out))
+            return out
+
+        result = check_constants_against_oracles(
+            n_max=self.N_MAX, levels_per_pair=self.LEVELS, smoothness_fn=smoothness
+        )
         monkeypatch.undo()
         assert result.passed
-        return logs
+        pairs = [(n, tau) for n in range(2, self.N_MAX + 1) for tau in range(1, n + 1)]
+        return pairs, builds, logs, closed
 
-    def test_call_counts(self, monkeypatch):
-        logs = self._run(monkeypatch)
-        enumerations = Counter(args for args, _ in logs["enumerate_sampling"])
-        triples = {(n, tau, q) for n in range(2, self.N_MAX + 1)
-                   for tau in range(1, n + 1) for q in Q_GRID}
-        assert set(enumerations) == triples
-        assert max(enumerations.values()) <= 2
-        max_terms = Counter(
-            (lv.size, tau, lv.tobytes()) for (lv, tau), _ in logs["oracle_smoothness_max_term"]
-        )
-        pairs = sum(n for n in range(2, self.N_MAX + 1))
-        assert len(max_terms) == pairs * self.LEVELS
-        assert set(max_terms.values()) == {1}
+    def test_each_pair_enumerated_once(self, monkeypatch):
+        pairs, builds, logs, closed = self._run(monkeypatch)
+        assert Counter(builds) == Counter(pairs)
+        assert logs["enumerate_sampling"] == []
+        qs = np.asarray(Q_GRID, float)
+        for name in ("oracle_expected_projection", "oracle_residual_eigenvalues"):
+            assert [args[:2] for args, _ in logs[name]] == pairs
+            assert all(args[2].tobytes() == qs.tobytes() for args, _ in logs[name])
+        assert [tau for (_, tau), _ in logs["oracle_smoothness_max_term"]] == [t for _, t in pairs]
+        # the stack of a pair is the level sets drawn one at a time, in order
+        rng = SeededRng(ORACLE_SEED)
+        for (n, _), ((levels, _), _) in zip(pairs, logs["oracle_smoothness_max_term"]):
+            drawn = np.array([0.5 + rng.uniforms(n) for _ in range(self.LEVELS)])
+            assert levels.tobytes() == drawn.tobytes()
+            assert len({lv.tobytes() for lv in levels}) == self.LEVELS
+        assert len(logs["assemble_expected_smoothness"]) == len(closed) == len(pairs)
 
-    def test_oracle_values_match_public_functions_bitwise(self, monkeypatch):
-        logs = self._run(monkeypatch)
-        level_sets = {}
-        for (levels, tau), _ in logs["oracle_smoothness_max_term"]:
-            level_sets.setdefault((levels.size, tau), []).append(levels)
-        seen = Counter()
-        for (n, tau, q, c, max_term, l_max), l1 in logs["assemble_expected_smoothness"]:
-            levels = level_sets[n, tau][seen[n, tau] % self.LEVELS]
-            seen[n, tau] += 1
-            assert c == sketch_oracle.oracle_bias_correction(n, tau, q)
-            assert max_term == sketch_oracle.oracle_smoothness_max_term(levels, tau)
-            assert l_max == float(levels.max())
-            assert l1 == sketch_oracle.oracle_expected_smoothness(n, tau, q, levels)
-        assert sum(seen.values()) == len(Q_GRID) * self.LEVELS * sum(
-            n for n in range(2, self.N_MAX + 1)
-        )
+    def test_oracle_arrays_match_loops_and_scalar_oracles_bitwise(self, monkeypatch):
+        pairs, _, logs, closed = self._run(monkeypatch)
+        projections = logs["oracle_expected_projection"]
+        eigenvalues = logs["oracle_residual_eigenvalues"]
+        max_terms = logs["oracle_smoothness_max_term"]
+        assembled = logs["assemble_expected_smoothness"]
+        for k, (n, tau) in enumerate(pairs):
+            levels, tops = max_terms[k][0][0], max_terms[k][1]
+            for j, lv in enumerate(levels):
+                assert tops[j] == loop_smoothness_max_term(lv, tau)
+                assert tops[j] == sketch_oracle.oracle_smoothness_max_term(lv, tau)
+            (_, _, _, c, top_col, l_max), l1 = assembled[k]
+            assert top_col[:, 0].tobytes() == tops.tobytes()
+            assert l_max[:, 0].tolist() == [float(lv.max()) for lv in levels]
+            cfg, l1_closed = closed[k]
+            for j, lv in enumerate(levels):
+                profile = SmoothnessProfile(lv, float(lv.max()), float(lv.mean()), 1e-3,
+                                            "lambda-lower-bound")
+                assert l1_closed[j].tobytes() == expected_smoothness(cfg, profile).tobytes()
+            for i, q in enumerate(Q_GRID):
+                mean = projections[k][1][i]
+                assert mean.tobytes() == loop_expected_projection(n, tau, q).tobytes()
+                assert mean.tobytes() == sketch_oracle.oracle_expected_projection(n, tau, q).tobytes()
+                w = eigenvalues[k][1][i]
+                assert w.tobytes() == loop_residual_eigenvalues(n, tau, q).tobytes()
+                assert w.tobytes() == sketch_oracle.oracle_residual_eigenvalues(n, tau, q).tobytes()
+                assert c[i] == sketch_oracle.oracle_bias_correction(n, tau, q)
+                for j, lv in enumerate(levels):
+                    assert l1[j, i] == sketch_oracle.oracle_expected_smoothness(n, tau, q, lv)
 
 
 class TestEnvelopeSuite:
@@ -158,6 +213,17 @@ class TestEnvelopeSuite:
         result = check_envelope_shapes(n_values=(10, 50), taus_per_n=6)
         assert result.passed, result.failures[:5]
         assert result.checks > 0
+
+    def test_grid_rows_equal_per_tau_envelopes_bitwise(self):
+        n, taus = 100, np.array([4, 5, 8, 31, 100])
+        profile = SmoothnessProfile.uniform(n, 1.0, 4.0 / (0.5 * (n - 1)))
+        qs, g_smooth, g_resid = _envelopes(n, taus, profile, lambda cfg: sketch_residual(cfg)[0])
+        assert g_smooth.shape == g_resid.shape == (taus.size, qs.size)
+        for k, tau in enumerate(taus.tolist()):
+            cfg = InterpolationConfig(q=qs, tau=tau, n=n)
+            rho = sketch_residual(cfg)[0]
+            assert g_smooth[k].tobytes() == total_complexity(cfg, profile).smoothness_term.tobytes()
+            assert g_resid[k].tobytes() == residual_term(cfg, profile, rho).tobytes()
 
     def test_perturbed_residual_breaks_shapes(self):
         result = check_envelope_shapes(n_values=(10,), taus_per_n=4, rho_fn=_warped_residual)
