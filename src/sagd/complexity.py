@@ -123,6 +123,12 @@ def sketch_residual(cfg):
     return _scalar(rho), _scalar(branch)
 
 
+def smoothness_term(l1, mu, cost):
+    """Complexity envelope driven by an expected smoothness ``l1``:
+    (4 l1 / mu) times the cost per step ``cost`` = q (tau - 1) + 1."""
+    return (4.0 * l1 / mu) * cost
+
+
 def residual_term(cfg, profile, rho):
     """Complexity envelope driven by a sketch residual ``rho``:
     (theta + 4 rho L_max / (mu n)) (q (tau - 1) + 1)."""
@@ -144,7 +150,7 @@ def total_complexity(cfg, profile):
     th = theta(cfg)
     l1 = expected_smoothness(cfg, profile)
     rho, branch = sketch_residual(cfg)
-    g_smooth = (4.0 * l1 / mu) * cost
+    g_smooth = smoothness_term(l1, mu, cost)
     g_resid = residual_term(cfg, profile, rho)
     alpha = np.minimum(1.0 / (4.0 * l1), n / (4.0 * l_max * rho + mu * th * n))
     return MethodConstants(

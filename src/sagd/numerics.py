@@ -25,24 +25,19 @@ _STEPS = 64
 _CHUNK = _LANES * _STEPS
 # Refills of fewer words than this come from the scalar loop: below it a
 # lane chunk's cost (the spread and 64 vector steps) and the once-per-process
-# matrix build are not repaid.
+# table build are not repaid.
 _SCALAR_WORDS = 4096
 _FIRST_FILL = 64  # the read buffer starts this small and doubles up to _CHUNK
 
 
-def _step_lanes(s, out, t):
-    """One xoshiro256** step of every lane of ``s`` (4 x lanes, uint64, in
-    place); the output words go to ``out``, ``t`` is scratch."""
-    s0, s1, s2, s3 = s
-    np.multiply(s1, 5, out=t)
-    np.left_shift(t, 7, out=out)
-    np.right_shift(t, 57, out=t)
-    out |= t
-    out *= 9
+def _step_lanes(s0, s1, s2, s3, s1_next, t):
+    """One xoshiro256** state update of every lane (uint64 arrays, one entry
+    per lane): s0, s2 and s3 in place, the new s1 into ``s1_next`` (which may
+    be ``s1``); ``t`` is scratch.  The output function is left to the caller."""
     np.left_shift(s1, 17, out=t)
     s2 ^= s0
     s3 ^= s1
-    s1 ^= s2
+    np.bitwise_xor(s1, s2, out=s1_next)
     s0 ^= s3
     s2 ^= t
     np.left_shift(s3, 45, out=t)
@@ -53,20 +48,22 @@ def _step_lanes(s, out, t):
 _NIBBLE_BASE = (np.arange(64) * 16)[:, None]
 
 
-def _apply(rows, states):
-    """Apply a GF(2) matrix to states (k x 4, uint64).
-
-    The matrix is given by its 256 packed rows: row i is its image of the
-    unit state i, so the image of a state is the XOR of the rows its set
-    bits select.  The rows are combined four bits at a time through a
-    16-entry table per nibble, and states a block of 64 at a time, which
-    bounds the gathered temporary at 128 kB.
-    """
+def _nibble_table(rows):
+    """The lookup table of :func:`_apply` for a GF(2) matrix given by its 256
+    packed rows (row i is its image of the unit state i): entry 16 j + m is
+    the XOR of the rows that the bits of m select in nibble j of a state."""
     per_bit = rows.reshape(64, 4, 4)
     table = np.zeros((64, 16, 4), dtype=np.uint64)
     for k in range(4):
         table[:, 1 << k:2 << k] = table[:, :1 << k] ^ per_bit[:, k, None, :]
-    table = table.reshape(1024, 4)
+    return table.reshape(1024, 4)
+
+
+def _apply(table, states):
+    """Apply a GF(2) matrix, given by its :func:`_nibble_table`, to states
+    (k x 4, uint64): the XOR of one table entry per nibble of each state,
+    states a block of 64 at a time, which bounds the gathered temporary at
+    128 kB."""
     octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T
     nibbles = np.empty((64, len(states)), dtype=np.intp)
     np.bitwise_and(octets, 15, out=nibbles[0::2])
@@ -79,19 +76,21 @@ def _apply(rows, states):
 
 
 @functools.cache
-def _spread_matrices():
-    """Rows of T^(_STEPS * 2^k) for k = 0 .. log2(_LANES) - 1, with T the
-    one-step state transition: the doublings that set the lanes of a chunk
-    _STEPS words apart.  Built once per process by squaring T."""
+def _spread_tables():
+    """Nibble tables of T^(_STEPS * 2^k) for k = 0 .. log2(_LANES) - 1, with T
+    the one-step state transition: the doublings that set the lanes of a
+    chunk _STEPS words apart.  Built once per process by squaring T."""
     bit = np.arange(256)
     lanes = np.zeros((4, 256), dtype=np.uint64)  # lane i: the state with only bit i set
     lanes[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
-    _step_lanes(lanes, np.empty(256, dtype=np.uint64), np.empty(256, dtype=np.uint64))
-    powers = [np.ascontiguousarray(lanes.T)]  # T
+    _step_lanes(*lanes, lanes[1], np.empty(256, dtype=np.uint64))
+    rows = np.ascontiguousarray(lanes.T)  # T
+    tables = [_nibble_table(rows)]
     skip = _STEPS.bit_length() - 1
-    while len(powers) < skip + _LANES.bit_length() - 1:
-        powers.append(_apply(powers[-1], powers[-1]))
-    return powers[skip:]
+    while len(tables) < skip + _LANES.bit_length() - 1:
+        rows = _apply(tables[-1], rows)  # square the last power
+        tables.append(_nibble_table(rows))
+    return tables[skip:]
 
 
 class SeededRng:
@@ -245,14 +244,24 @@ class SeededRng:
         """The next _CHUNK words, from _LANES lanes _STEPS words apart stepped
         together; the last lane's state is the state after them."""
         starts = np.array([[self._s0, self._s1, self._s2, self._s3]], dtype=np.uint64)
-        for power in _spread_matrices():  # lanes k .. 2k - 1 start k * _STEPS words later
-            starts = np.concatenate((starts, _apply(power, starts)))
-        s = np.ascontiguousarray(starts.T)
-        block = np.empty((_LANES, _STEPS), dtype=np.uint64)
+        for table in _spread_tables():  # lanes k .. 2k - 1 start k * _STEPS words later
+            starts = np.concatenate((starts, _apply(table, starts)))
+        s0, s1, s2, s3 = np.ascontiguousarray(starts.T)
+        # row b of s1s holds every lane's s1 before step b, the only state
+        # word the output reads, so the output is one pass over the block
+        s1s = np.empty((_STEPS + 1, _LANES), dtype=np.uint64)
+        s1s[0] = s1
         t = np.empty(_LANES, dtype=np.uint64)
         for b in range(_STEPS):
-            _step_lanes(s, block[:, b], t)
-        self._s0, self._s1, self._s2, self._s3 = s[:, -1].tolist()
+            _step_lanes(s0, s1s[b], s2, s3, s1s[b + 1], t)
+        self._s0, self._s1, self._s2, self._s3 = (
+            s0[-1].item(), s1s[-1, -1].item(), s2[-1].item(), s3[-1].item())
+        block = np.empty((_LANES, _STEPS), dtype=np.uint64)  # lane g's words in row g
+        np.multiply(s1s[:_STEPS].T, 5, out=block)  # rotl(s1 * 5, 7) * 9
+        high = np.left_shift(block, 7)
+        block >>= 57
+        block |= high
+        block *= 9
         return block.ravel()
 
 

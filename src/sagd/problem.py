@@ -21,6 +21,7 @@ flat scatter (sparse).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,14 @@ class Dataset:
     def is_dense(self):
         """Every row holds all d feature slots."""
         return self.values.size == self.n * self.d
+
+    @cached_property
+    def gram(self):
+        """A^T A (:func:`_gram_matrix`), built on first use and kept: the
+        arrays it derives from are never written.  Read-only."""
+        h = _gram_matrix(self)
+        h.flags.writeable = False
+        return h
 
     def dense_matrix(self):
         """The (n, d) data matrix; a read-only view of ``values`` for dense data."""
@@ -203,10 +212,11 @@ def gradient_fn(data, loss):
     """Bind a fast per-sample gradient ``g(x, i)`` for repeated use.
 
     The returned callable allocates one fresh length-d array per call and
-    never mutates its inputs.  Binding takes O(n) row views once.
+    never mutates its inputs.  Binding takes O(n) row views once; full rows
+    never read their indices, so dense data takes no index views.
     """
     vals = data.split(data.values)
-    idxs = data.split(data.indices)
+    idxs = None if data.is_dense else data.split(data.indices)
     y = data.labels
     lam = loss.lam
     d = data.d
@@ -447,7 +457,7 @@ def smoothness_profile(data, loss):
     if loss.kind == "ridge":
         levels = sq_norms + lam
         if data.d <= _EXACT_MU_DIM_LIMIT:
-            w, _ = symmetric_eigen(_gram_matrix(data))
+            w, _ = symmetric_eigen(data.gram)
             mu, source = float(w[0]) / data.n + lam, MU_EXACT_EIGEN
     else:
         check_logistic_labels(data)
@@ -466,7 +476,8 @@ def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000, profile=None):
     few Newton refinement passes if the first solve leaves the gradient
     above tol.  Logistic runs full-gradient descent with stepsize 1/L_bar.
     Both bind the full gradient once (:func:`gradient_sum_fn`, with
-    :func:`full_grad`'s bits), so no iteration rebuilds row views.
+    :func:`full_grad`'s bits), so no iteration rebuilds row views, and
+    ridge reuses the Gram matrix the profile built (``Dataset.gram``).
     ``profile`` is the data's :func:`smoothness_profile` if the caller has
     it; computing one refuses data that is not strongly convex.
     """
@@ -477,7 +488,7 @@ def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000, profile=None):
     n, d = data.n, data.d
     gsum = gradient_sum_fn(data, loss)
     if loss.kind == "ridge":
-        h = _gram_matrix(data) / n
+        h = data.gram / n
         h[np.diag_indices(d)] += loss.lam
         x = solve_spd(h, _ridge_rhs(data) / n)
         for refinements in range(4):

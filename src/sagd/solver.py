@@ -137,7 +137,8 @@ def init_table(data, loss, x):
 def sagd_step(state, cfg, rng, grad, batch_grad):
     """Advance the iterate by one step, updating the table in place.
 
-    ``grad`` and ``batch_grad`` are ``gradient_fn`` and ``batch_gradient_fn``, bound once.
+    ``grad`` and ``batch_grad`` are ``gradient_fn`` and ``batch_gradient_fn``, bound once;
+    ``grad`` may be None when q = 1 and ``batch_grad`` is not.
     With q exactly 0 or 1 no branch coin is consumed, so those settings
     share their random stream with the pure methods they reduce to.
     Minibatch gradients are evaluated as one vectorized batch on dense
@@ -237,8 +238,9 @@ def run(data, loss, cfg, x_star=None):
             raise InvalidInputError("track_lyapunov needs x_star")
         grad_star = init_table(data, loss, x_star).J
 
-    grad = gradient_fn(data, loss)
     batch_grad = batch_gradient_fn(data, loss)
+    # a q = 1 step with a batch kernel never takes a per-sample gradient
+    grad = gradient_fn(data, loss) if cfg.q < 1.0 or batch_grad is None else None
     gsum = gradient_sum_fn(data, loss) if x_star is None else None
     extra = 0
 

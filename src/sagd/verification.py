@@ -131,7 +131,8 @@ def _envelopes(n, taus, profile, rho_fn):
     qs = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     qs[-1] = 1.0
     cfg = complexity.InterpolationConfig(q=qs, tau=taus[:, None], n=n)
-    g_smooth = complexity.total_complexity(cfg, profile).smoothness_term
+    l1 = complexity.expected_smoothness(cfg, profile)
+    g_smooth = complexity.smoothness_term(l1, profile.mu, cfg.cost_per_iter)
     return qs, g_smooth, complexity.residual_term(cfg, profile, rho_fn(cfg))
 
 

@@ -39,21 +39,46 @@ def count_profiles(monkeypatch):
 
 
 def count_work(monkeypatch):
-    """Count every loaded dataset ("load"), profile (1) and reference
-    solution ("reference") that the CLI computes."""
+    """Count every loaded dataset ("load"), profile (1), Gram matrix
+    ("gram") and reference solution ("reference") that the CLI computes."""
     calls = count_profiles(monkeypatch)
 
-    def counted(name, label, fn):
+    def counted(owner, name, label):
+        fn = getattr(owner, name)
+
         def wrapper(*args, **kwargs):
             calls.append(label)
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     for name in ("parse_libsvm", "synth_gaussian"):
-        counted(name, "load", getattr(cli, name))
-    counted("exact_solution", "reference", lambda *a, **k: None)
+        counted(cli, name, "load")
+    counted(cli, "exact_solution", "reference")
+    counted(problem, "_gram_matrix", "gram")
     return calls
+
+
+def masked_csv_digest(path):
+    """sha256 of a results CSV with its wall_seconds column blanked."""
+    lines = path.read_text().splitlines()
+    wall = lines[0].split(",").index("wall_seconds")
+    rows = [line.split(",") for line in lines]
+    for row in rows[1:]:
+        row[wall] = ""
+    return hashlib.sha256("\n".join(",".join(row) for row in rows).encode()).hexdigest()
+
+
+def write_sparse_libsvm(path):
+    """120 rows over 4 features with one or two slots of each row empty: the
+    rows of ``synth_gaussian(120, 4, seed=1)`` without the entries j with
+    (i + j) % 3 == 0."""
+    data = synth_gaussian(120, 4, seed=1)
+    a = data.dense_matrix()
+    with open(path, "w", encoding="ascii") as fh:
+        for i, (row, y) in enumerate(zip(a.tolist(), data.labels.tolist())):
+            feats = " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if (i + j) % 3)
+            fh.write(f"{y!r} {feats}\n")
 
 
 def dataset_flags(tmp_path, source):
@@ -275,6 +300,52 @@ class TestRun:
         )
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_gram_matrix_built_once_per_command(self, capsys, monkeypatch, command):
+        # the profile's eigensolve and the ridge reference share one A^T A
+        calls = count_work(monkeypatch)
+        taus = ("--taus", "1-3") if command == "sweep" else ()
+        code, _, _ = run_cli(
+            capsys, command, "--synth", "120,4,gaussian", "--normalize", "--q", "0.5",
+            *taus, "--seed", "1,2", "--tol", "1e-6", "--json",
+        )
+        assert code == 0
+        assert calls == ["load", 1, "gram", "reference"]
+
+    @pytest.mark.parametrize(
+        "source,q,binds,digest",
+        [
+            ("synth", "1", False,
+             "05997b2ad57ecdc4f7d6be951d2b6860f8d272f46cbc8c9b7badd28975a21397"),
+            ("synth", "0.5", True,
+             "9dd2215558990bd3ab5f55fdb2b1868a7147af4a06e660580da6b574c928ab07"),
+            ("sparse", "1", True,
+             "d09f30029dd219dddfbd07857d7335307e6c2f3a976b4a882b9283d6defde1dd"),
+        ],
+    )
+    def test_per_sample_kernel_bound_only_when_a_step_uses_it(
+        self, capsys, tmp_path, monkeypatch, source, q, binds, digest
+    ):
+        # q = 1 on dense rows takes every step through the batch kernel; a
+        # coin flip or sparse rows need gradient_fn.  The digests (wall time
+        # masked) were taken from a solver that bound it on every run.
+        bound = []
+        gradient_fn = solver.gradient_fn
+        monkeypatch.setattr(solver, "gradient_fn", lambda *a: bound.append(1) or gradient_fn(*a))
+        if source == "sparse":
+            write_sparse_libsvm(tmp_path / "d.svm")
+            flags = ("--data", str(tmp_path / "d.svm"))
+        else:
+            flags = ("--synth", "120,4,gaussian")
+        out_csv = tmp_path / "res.csv"
+        code, _, _ = run_cli(
+            capsys, "run", *flags, "--normalize", "--q", q, "--tau", "8", "--seed", "3,4",
+            "--tol", "1e-6", "--max-passes", "30", "--out", str(out_csv),
+        )
+        assert code == 0
+        assert bound == ([1, 1] if binds else [])
+        assert masked_csv_digest(out_csv) == digest
 
     @pytest.mark.parametrize(
         "flag,args",

@@ -114,6 +114,16 @@ class TestLaneStream:
         assert _bits(rng.normals(220_000)) == _bits([ref.normal() for _ in range(220_000)])
         assert rng.next_u64() == ref.next_u64()
 
+    @pytest.mark.parametrize("count", [4095, 4096, 16383, 16385, 3 * 16384 + 7])
+    def test_bulk_words_between_single_words_match_scalar_reference(self, count):
+        # counts that end a refill one word short of, on, and past the lane
+        # switch and a chunk, so later reads start mid-chunk
+        rng, ref = SeededRng(17), ScalarRng(17)
+        for _ in range(3):
+            assert rng.next_u64() == ref.next_u64()
+            assert rng.words(count).tolist() == [ref.next_u64() for _ in range(count)]
+        assert [rng.next_u64() for _ in range(5)] == [ref.next_u64() for _ in range(5)]
+
     def test_from_state_restarts_the_buffer(self):
         rng = SeededRng(4)
         rng.words(5000)
