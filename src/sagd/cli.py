@@ -162,6 +162,8 @@ def _number(args, flag, kind):
 
 
 def _load_dataset(args, seed=0):
+    if args.d_override is not None and not args.data:
+        raise SagdError("--d-override needs --data")
     if args.data:
         data = parse_libsvm(args.data, d=args.d_override)
         dataset_id = os.path.basename(args.data)
@@ -222,10 +224,17 @@ def cmd_plan(args):
     if any(v is not None for v in explicit):
         if any(v is None for v in explicit):
             raise SagdError("explicit plans need --n, --l-max and --mu together")
+        dataset_flags = {"--data": args.data, "--synth": args.synth, "--lambda": args.lam,
+                         "--normalize": args.normalize or None, "--d-override": args.d_override}
+        given = [flag for flag, value in dataset_flags.items() if value is not None]
+        if given:
+            raise SagdError(f"explicit plans take no dataset flags, got {', '.join(given)}")
         l_bar = args.l_bar if args.l_bar is not None else args.l_max
         profile = SmoothnessProfile.from_bounds(args.n, args.l_max, l_bar, args.mu)
         n = args.n
         source = "explicit"
+    elif args.l_bar is not None:
+        raise SagdError("--l-bar needs --n, --l-max and --mu")
     else:
         data, loss, dataset_id = _load_dataset(args)
         profile = smoothness_profile(data, loss)

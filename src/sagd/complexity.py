@@ -9,7 +9,7 @@ brute force; the two routes are compared in the verification suites.
 Every function broadcasts over numpy ``q``, ``tau`` and ``n`` and evaluates
 elementwise, in the same operation order as a scalar call, so an array call
 equals the scalar calls bit for bit.  Scalar arguments give Python floats
-and strs back.
+back.
 """
 
 from dataclasses import dataclass
@@ -17,10 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-
-BRANCH_LOW = "low"
-BRANCH_HIGH = "high"
-BRANCH_BOUNDARY = "boundary"
 
 REGIME_WELL = "well"
 REGIME_BAD = "bad"
@@ -70,7 +66,6 @@ class MethodConstants:
     cost_per_iter: float         # expected gradient evaluations per step
     expected_smoothness: float   # second-moment bound for the gradient estimator
     sketch_residual: float       # excess variance of the corrected sampling
-    residual_branch: str         # "low" | "high" | "boundary"
     stepsize: float
     smoothness_term: float       # complexity branch driven by expected smoothness
     residual_term: float         # complexity branch driven by the sketch residual
@@ -98,13 +93,14 @@ def expected_smoothness(cfg, profile):
 
 
 def sketch_residual(cfg):
-    """Excess variance of the bias-corrected sampling, with its branch.
+    """Excess variance rho of the bias-corrected sampling.
 
     The residual is the largest eigenvalue of a two-eigenvalue circulant
     matrix; which eigenvalue wins flips where q theta^2 crosses
-    (n / tau)((n - 1) / (tau - 1)).  For tau = 1 the threshold is infinite
-    and the low branch always applies.  Within a 1e-12 relative band of the
-    crossing both expressions agree and the branch reports "boundary".
+    (n / tau)((n - 1) / (tau - 1)).  Below the crossing the low expression
+    applies, above it the high one.  For tau = 1 the threshold is infinite
+    and the low expression always applies; within a 1e-12 relative band of
+    the crossing, where both agree, the low one is taken.  n = 1 gives 0.
     """
     n, tau, q = _fields(cfg)
     with np.errstate(divide="ignore", invalid="ignore"):  # n = 1, tau = 1 are masked below
@@ -114,13 +110,8 @@ def sketch_residual(cfg):
         t = q * th * th
         threshold = (n / tau) * ((n - 1) / (tau - 1))
         band = np.abs(t - threshold) <= 1e-12 * np.maximum(1.0, threshold)
-    single = n == 1
-    crossing = ~single & (tau != 1)
-    boundary = single | (crossing & band)
-    above = crossing & ~band & ~(t < threshold)
-    rho = np.where(single, 0.0, np.where(above, high, low))
-    branch = np.where(boundary, BRANCH_BOUNDARY, np.where(above, BRANCH_HIGH, BRANCH_LOW))
-    return _scalar(rho), _scalar(branch)
+    above = (tau != 1) & ~band & ~(t < threshold)
+    return _scalar(np.where(n == 1, 0.0, np.where(above, high, low)))
 
 
 def smoothness_term(l1, mu, cost):
@@ -129,10 +120,11 @@ def smoothness_term(l1, mu, cost):
     return (4.0 * l1 / mu) * cost
 
 
-def residual_term(cfg, profile, rho):
+def residual_term(th, rho, l_max, mu, n, cost):
     """Complexity envelope driven by a sketch residual ``rho``:
-    (theta + 4 rho L_max / (mu n)) (q (tau - 1) + 1)."""
-    return (theta(cfg) + 4.0 * rho * profile.L_max / (profile.mu * cfg.n)) * cfg.cost_per_iter
+    (theta + 4 rho L_max / (mu n)) times the cost per step ``cost``, given
+    the bias correction ``th`` = theta."""
+    return (th + 4.0 * rho * l_max / (mu * n)) * cost
 
 
 def stepsize(cfg, profile):
@@ -149,16 +141,15 @@ def total_complexity(cfg, profile):
     cost = cfg.cost_per_iter
     th = theta(cfg)
     l1 = expected_smoothness(cfg, profile)
-    rho, branch = sketch_residual(cfg)
+    rho = sketch_residual(cfg)
     g_smooth = smoothness_term(l1, mu, cost)
-    g_resid = residual_term(cfg, profile, rho)
+    g_resid = residual_term(th, rho, l_max, mu, n, cost)
     alpha = np.minimum(1.0 / (4.0 * l1), n / (4.0 * l_max * rho + mu * th * n))
     return MethodConstants(
         theta=th,
         cost_per_iter=cost,
         expected_smoothness=l1,
         sketch_residual=rho,
-        residual_branch=branch,
         stepsize=_scalar(alpha),
         smoothness_term=g_smooth,
         residual_term=g_resid,

@@ -107,8 +107,8 @@ class SeededRng:
         s3 = rotl(s3, 45)
 
     Doubles take the top 53 bits of an output word.  Bounded integers use
-    rejection sampling and are exactly uniform.  Normals come from a
-    Box-Muller pair with the sine half cached.
+    rejection sampling and are exactly uniform.  Normals come from
+    Box-Muller pairs; an odd count drops the sine half of its last pair.
 
     Every draw reads one buffer; words leave the generator only by
     refilling it, with at least the draw's shortfall and otherwise double
@@ -125,7 +125,7 @@ class SeededRng:
     independent instances.
     """
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_buf", "_pos", "_spare_normal")
+    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_buf", "_pos")
 
     def __init__(self, seed):
         if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
@@ -145,7 +145,6 @@ class SeededRng:
         self._s0, self._s1, self._s2, self._s3 = state
         self._buf = np.empty(0, dtype=np.uint64)
         self._pos = 0
-        self._spare_normal = None
 
     @classmethod
     def _from_state(cls, state):
@@ -195,16 +194,10 @@ class SeededRng:
 
     def normals(self, count):
         """``count`` standard normal draws (Box-Muller), as an array; an odd
-        count leaves the sine half of the last pair cached for the next call."""
-        k = 1 if count and self._spare_normal is not None else 0
-        z = np.empty(k + 2 * ((count - k + 1) // 2))
-        if k:
-            z[0] = self._spare_normal
-            self._spare_normal = None
-        for a in range(k, len(z), _CHUNK):  # _CHUNK is even: no pair straddles two draws
+        count drops the sine half of the last pair."""
+        z = np.empty(count + count % 2)
+        for a in range(0, len(z), _CHUNK):  # _CHUNK is even: no pair straddles two draws
             _box_muller(self.words(min(_CHUNK, len(z) - a)), z[a:a + _CHUNK])
-        if len(z) > count:
-            self._spare_normal = float(z[count])
         return z[:count]
 
     def _peek(self, count):

@@ -6,8 +6,9 @@ closed form: the bias correction, the projector mean, the sketch residual,
 and the max term inside the expected smoothness constant.  They exist to
 test the closed forms, so they deliberately avoid every shortcut the closed
 forms rely on (the residual eigenvalue comes from a dense eigensolve, not
-from the circulant structure).  Every atom is added in ``enumerate_sampling``
-order, by one in-order ``np.add.at`` per group: an atom loop's bits exactly.
+from the circulant structure).  Every atom is added in ``atom_rows`` order
+(the order ``enumerate_sampling`` lists them in), by one in-order
+``np.add.at`` per group: an atom loop's bits exactly.
 
 The sampling-law oracles take a float ``q`` or a numpy array of them and
 give one result per entry (shape ``q.shape + ...``), each bit for bit the
@@ -60,25 +61,22 @@ def _check_q(q):
 
 
 def enumerate_sampling(n, tau, q):
-    """All atoms of the sampling law: n singletons with mass (1-q)/n each
-    and binomial(n, tau) subsets with mass q/binomial(n, tau) each."""
-    _check_sizes(n, tau)
+    """All atoms of the sampling law, in :func:`atom_rows` order: n
+    singletons with mass (1-q)/n each and binomial(n, tau) subsets with
+    mass q/binomial(n, tau) each."""
+    rows = atom_rows(n, tau)  # checks the sizes before math.comb
     _check_q(q)
-    atoms = [SamplingAtom((1.0 - q) / n, (j,)) for j in range(n)]
-    subset_mass = q / math.comb(n, tau)
-    atoms.extend(
-        SamplingAtom(subset_mass, combo)
-        for combo in itertools.combinations(range(n), tau)
-    )
-    return atoms
+    masses = ((1.0 - q) / n, q / math.comb(n, tau))
+    return [SamplingAtom(p, tuple(idx)) for p, r in zip(masses, rows) for idx in r.tolist()]
 
 
 @functools.cache
 def atom_rows(n, tau):
-    """The index sets of ``enumerate_sampling(n, tau, q)``, in its order, as
-    two read-only index arrays: the n singletons ``(n, 1)``, then the
-    subsets ``(binomial(n, tau), tau)``.  Built once per (n, tau) and kept:
-    the enumeration cap bounds all of them together to about 0.4 MB."""
+    """The index sets of the sampling law's atoms, as two read-only index
+    arrays: the n singletons ``(n, 1)``, then the subsets
+    ``(binomial(n, tau), tau)`` in ``itertools.combinations`` order.  Built
+    once per (n, tau) and kept: the enumeration cap bounds all of them
+    together to about 0.4 MB."""
     _check_sizes(n, tau)
     rows = (np.arange(n).reshape(n, 1), np.array(list(itertools.combinations(range(n), tau))))
     for r in rows:
@@ -89,7 +87,7 @@ def atom_rows(n, tau):
 def _scatter_atoms(n, tau, q, outer):
     """Sum_atoms p * (Pi, or Pi e e^T Pi if ``outer``) for every q at once,
     shape ``q.shape + (n, n)``: one in-order ``np.add.at`` per group, so
-    each entry takes its atoms in ``enumerate_sampling`` order."""
+    each entry takes its atoms in ``atom_rows`` order."""
     _check_sizes(n, tau)  # before any enumeration
     qa = _check_q(q)
     qf = qa.reshape(-1)

@@ -44,10 +44,6 @@ class SuiteResult:
         return line
 
 
-def _residual(cfg):
-    return complexity.sketch_residual(cfg)[0]
-
-
 def check_constants_against_oracles(
     n_max=8,
     levels_per_pair=20,
@@ -79,7 +75,7 @@ def check_constants_against_oracles(
         raise EnumerationLimitError(
             f"enumeration is capped at n <= {sketch_oracle.ENUMERATION_CAP}, got n = {n_max}"
         )
-    rho_fn = rho_fn or _residual
+    rho_fn = rho_fn or complexity.sketch_residual
     smoothness_fn = smoothness_fn or complexity.expected_smoothness
     theta_fn = theta_fn or complexity.theta
     rng = SeededRng(ORACLE_SEED)
@@ -132,8 +128,10 @@ def _envelopes(n, taus, profile, rho_fn):
     qs[-1] = 1.0
     cfg = complexity.InterpolationConfig(q=qs, tau=taus[:, None], n=n)
     l1 = complexity.expected_smoothness(cfg, profile)
-    g_smooth = complexity.smoothness_term(l1, profile.mu, cfg.cost_per_iter)
-    return qs, g_smooth, complexity.residual_term(cfg, profile, rho_fn(cfg))
+    cost = cfg.cost_per_iter
+    g_smooth = complexity.smoothness_term(l1, profile.mu, cost)
+    return qs, g_smooth, complexity.residual_term(
+        complexity.theta(cfg), rho_fn(cfg), profile.L_max, profile.mu, n, cost)
 
 
 def check_envelope_shapes(
@@ -152,7 +150,7 @@ def check_envelope_shapes(
     Slacks are relative to the local envelope magnitude.  Each (n, condition
     scale) evaluates its envelopes once, on the whole ``(taus, q)`` grid.
     """
-    rho_fn = rho_fn or _residual
+    rho_fn = rho_fn or complexity.sketch_residual
     failures = []
     checks = 0
     start = time.perf_counter()

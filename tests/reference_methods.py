@@ -17,7 +17,8 @@ and ``sample_subset`` must reproduce them bit for bit.
 
 The ``loop_*`` functions are the enumeration oracles one sampling atom or
 one subset at a time, as they were written before the oracles scattered
-whole enumerations through ``np.add.at``.  The ``sketch_oracle`` functions
+whole enumerations through ``np.add.at``; they enumerate the atoms with
+their own ``itertools.combinations``.  The ``sketch_oracle`` functions
 must reproduce them bit for bit.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from sagd.numerics import SeededRng, sample_subset, symmetric_eigen
 from sagd.problem import batch_gradient_fn, gradient_fn
-from sagd.sketch_oracle import bias_correction_of, enumerate_sampling
+from sagd.sketch_oracle import bias_correction_of
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,6 +82,13 @@ class ScalarRng:
         a = 2.0 * math.pi * u2
         self.spare = r * math.sin(a)
         return r * math.cos(a)
+
+    def normals(self, count):
+        """``count`` draws of ``normal()``; an odd count drops the sine half
+        of the last pair, which ``normal()`` would keep for its next call."""
+        out = [self.normal() for _ in range(count)]
+        self.spare = None
+        return out
 
 
 def arange_sample_subset(rng, n, tau):
@@ -277,12 +285,21 @@ def row_smoothness_levels(data, loss):
     return sq_norms / 8.0 + loss.lam, loss.lam
 
 
+def loop_atoms(n, tau, q):
+    """(mass, index tuple) of every sampling atom: the n singletons, then
+    the tau-subsets in ``itertools.combinations`` order."""
+    atoms = [((1.0 - q) / n, (j,)) for j in range(n)]
+    subset_mass = q / math.comb(n, tau)
+    atoms.extend((subset_mass, combo) for combo in itertools.combinations(range(n), tau))
+    return atoms
+
+
 def loop_expected_projection(n, tau, q):
     """Sum_atoms p * Pi, one atom at a time."""
     out = np.zeros((n, n))
-    for atom in enumerate_sampling(n, tau, q):
-        idx = list(atom.indices)
-        out[idx, idx] += atom.probability
+    for p, indices in loop_atoms(n, tau, q):
+        idx = list(indices)
+        out[idx, idx] += p
     return out
 
 
@@ -290,10 +307,10 @@ def loop_residual_eigenvalues(n, tau, q):
     """Eigenvalues of c^2 E[(Pi e)(Pi e)^T] - e e^T, the second moment
     summed one atom's outer product at a time."""
     m = np.zeros((n, n))
-    for atom in enumerate_sampling(n, tau, q):
+    for p, indices in loop_atoms(n, tau, q):
         e_s = np.zeros(n)
-        e_s[list(atom.indices)] = 1.0
-        m += atom.probability * np.outer(e_s, e_s)
+        e_s[list(indices)] = 1.0
+        m += p * np.outer(e_s, e_s)
     c = bias_correction_of(np.diag(m))
     m *= c * c
     m -= np.ones((n, n))

@@ -216,6 +216,37 @@ class TestPlan:
         assert "l-max" in err
 
     @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (("--synth", "50,3,gaussian"), "--synth"),
+            (("--data", "missing.svm"), "--data"),
+            (("--normalize",), "--normalize"),
+            (("--lambda", "0.0"), "--lambda"),
+            (("--d-override", "5"), "--d-override"),
+            (("--synth", "50,3,gaussian", "--normalize", "--lambda", "1e-3"),
+             "--synth, --lambda, --normalize"),
+        ],
+    )
+    def test_explicit_plan_rejects_dataset_flags(self, capsys, monkeypatch, flags, named):
+        # these only shape a loaded dataset, and an explicit plan loads none
+        calls = count_work(monkeypatch)
+        monkeypatch.setattr(cli, "optimal_plan", lambda *args: calls.append("plan"))
+        explicit = ("--n", "10", "--l-max", "1", "--mu", "0.1")
+        code, out, err = run_cli(capsys, "plan", *flags, *explicit)
+        assert code == 2 and out == ""
+        assert err == f"error: explicit plans take no dataset flags, got {named}\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("flags", [(), ("--synth", "50,3,gaussian")])
+    def test_l_bar_without_explicit_profile_rejected(self, capsys, monkeypatch, flags):
+        # a dataset plan takes L_bar from the data
+        calls = count_work(monkeypatch)
+        code, out, err = run_cli(capsys, "plan", *flags, "--l-bar", "0.5")
+        assert code == 2 and out == ""
+        assert err == "error: --l-bar needs --n, --l-max and --mu\n"
+        assert calls == []
+
+    @pytest.mark.parametrize(
         "flags",
         [("--l-max", "nan"), ("--l-max", "inf"), ("--l-max", "1.0", "--l-bar", "nan")],
     )
@@ -632,7 +663,7 @@ class TestVerify:
         from sagd.complexity import sketch_residual
 
         result = check_constants_against_oracles(
-            n_max=4, rho_fn=lambda cfg: sketch_residual(cfg)[0] + 1e-3
+            n_max=4, rho_fn=lambda cfg: sketch_residual(cfg) + 1e-3
         )
         assert not result.passed
         assert any(f.startswith("residual(") for f in result.failures)
@@ -645,6 +676,17 @@ class TestParsing:
     def test_bad_synth_spec(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--synth", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["plan", "run", "sweep"])
+    @pytest.mark.parametrize("source", [(), ("--synth", "30,3,gaussian")])
+    def test_d_override_needs_data(self, capsys, monkeypatch, command, source):
+        # --d-override only shapes a parsed LIBSVM file
+        calls = count_work(monkeypatch)
+        taus = ("--taus", "1,2") if command == "sweep" else ()
+        code, out, err = run_cli(capsys, command, *source, "--d-override", "5", *taus)
+        assert code == 2 and out == ""
+        assert err == "error: --d-override needs --data\n"
+        assert calls == []
 
     def test_out_dir_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SAGD_OUT_DIR", str(tmp_path))

@@ -78,23 +78,26 @@ class TestExpectedSmoothness:
         assert cx.expected_smoothness(cfg, prof) == 1.3
 
 
+def _residual_expressions(n, tau, q):
+    """The low and high expressions of the residual, in the calculus's
+    operation order, as plain Python float arithmetic."""
+    th = n / (q * (tau - 1) + 1.0)
+    low = th * th * ((1.0 - q) / n + q * (tau / n) * ((n - tau) / (n - 1)))
+    return low, low + n * (th * th * q * (tau / n) * ((tau - 1) / (n - 1)) - 1.0)
+
+
 class TestSketchResidual:
     def test_single_sample_baseline(self):
-        rho, branch = cx.sketch_residual(cx.InterpolationConfig(q=0.0, tau=1, n=10))
-        assert rho == 10.0 and branch == "low"
+        assert cx.sketch_residual(cx.InterpolationConfig(q=0.0, tau=1, n=10)) == 10.0
         assert abs(oracle.oracle_sketch_residual(10, 1, 0.0) - 10.0) <= 1e-9
 
-    def test_full_gradient_is_zero_boundary(self):
-        rho, branch = cx.sketch_residual(cx.InterpolationConfig(q=1.0, tau=6, n=6))
-        assert rho == 0.0 and branch == "boundary"
+    def test_full_gradient_is_zero(self):
+        assert cx.sketch_residual(cx.InterpolationConfig(q=1.0, tau=6, n=6)) == 0.0
 
-    def test_known_boundary_value(self):
+    def test_known_crossing_value(self):
         n = 9
-        rho, branch = cx.sketch_residual(
-            cx.InterpolationConfig(q=1.0 / (n - 1) ** 2, tau=n, n=n)
-        )
+        rho = cx.sketch_residual(cx.InterpolationConfig(q=1.0 / (n - 1) ** 2, tau=n, n=n))
         assert abs(rho - (n - 2)) <= 1e-12 * n
-        assert branch == "boundary"
 
     def test_branch_continuity(self):
         # both expressions agree at the crossing of q theta^2 with the threshold
@@ -103,24 +106,40 @@ class TestSketchResidual:
         for n, tau in [(6, 4), (10, 5), (30, 8)]:
             q_minus, q_plus = branch_roots(tau, n)
             for root in (q_minus, q_plus):
-                cfg = cx.InterpolationConfig(q=root, tau=tau, n=n)
-                th = cx.theta(cfg)
-                low = th * th * ((1 - root) / n + root * (tau / n) * ((n - tau) / (n - 1)))
-                high = low + n * (th * th * root * (tau / n) * ((tau - 1) / (n - 1)) - 1.0)
+                low, high = _residual_expressions(n, tau, root)
                 assert abs(low - high) <= 1e-9 * max(1.0, abs(low))
+
+    @pytest.mark.parametrize("n, tau", [(6, 4), (10, 5), (30, 8), (100, 31), (1000, 1000)])
+    def test_low_expression_within_band_high_just_outside(self, n, tau):
+        # q theta^2 rises through the threshold at q-: the band around the
+        # crossing takes the low expression, a step of 1e-9 in q either side
+        # of it leaves the band onto the low and the high expression
+        from sagd.planner import branch_roots
+
+        q_minus, _ = branch_roots(tau, n)
+        threshold = (n / tau) * ((n - 1) / (tau - 1))
+        th = n / (q_minus * (tau - 1) + 1.0)
+        assert abs(q_minus * th * th - threshold) <= 1e-12 * max(1.0, threshold)
+        qs = np.array([q_minus, q_minus * (1 - 1e-9), q_minus * (1 + 1e-9)])
+        rho = cx.sketch_residual(cx.InterpolationConfig(q=qs, tau=tau, n=n))
+        (low, _), (below, _), (low_above, high_above) = (
+            _residual_expressions(n, tau, q) for q in qs.tolist())
+        assert rho.tolist() == [low, below, high_above]
+        assert high_above != low_above
+        for q, r in zip(qs.tolist(), rho.tolist()):
+            assert cx.sketch_residual(cx.InterpolationConfig(q=q, tau=tau, n=n)) == r
 
     def test_nonnegative_everywhere(self):
         for n in range(2, 9):
             for tau in range(1, n + 1):
                 for qi in range(21):
                     cfg = cx.InterpolationConfig(q=qi / 20, tau=tau, n=n)
-                    rho, _ = cx.sketch_residual(cfg)
-                    assert rho >= -1e-12
+                    assert cx.sketch_residual(cfg) >= -1e-12
 
-    def test_tau_one_always_low_branch(self):
+    def test_tau_one_is_the_low_expression(self):
         for q in (0.0, 0.3, 1.0):
-            _, branch = cx.sketch_residual(cx.InterpolationConfig(q=q, tau=1, n=5))
-            assert branch == "low"
+            low, _ = _residual_expressions(5, 1, q)
+            assert cx.sketch_residual(cx.InterpolationConfig(q=q, tau=1, n=5)) == low
 
 
 class TestStepsize:
@@ -186,29 +205,25 @@ class TestTotalComplexity:
 
 def _reference_constants(n, tau, q, prof):
     """The calculus as plain Python float arithmetic, one (q, tau) at a
-    time: (expected smoothness, residual, branch, stepsize, omega)."""
+    time: (expected smoothness, residual, stepsize, omega)."""
     cost = q * (tau - 1) + 1.0
     th = n / cost
     if n == 1:
-        l1, rho, branch = prof.L_max, 0.0, "boundary"
+        l1, rho = prof.L_max, 0.0
     else:
         lead = (q * (tau * (n - tau) / (n - 1) - 1.0) + 1.0) * prof.L_max
         mix = n * q * tau * (tau - 1) / (n - 1) * prof.L_bar
         l1 = (lead + mix) / (cost * cost)
         rho = th * th * ((1.0 - q) / n + q * (tau / n) * ((n - tau) / (n - 1)))
-        branch = "low"
         if tau > 1:
             t = q * th * th
             threshold = (n / tau) * ((n - 1) / (tau - 1))
-            if abs(t - threshold) <= 1e-12 * max(1.0, threshold):
-                branch = "boundary"
-            elif t > threshold:
+            if t > threshold and abs(t - threshold) > 1e-12 * max(1.0, threshold):
                 rho = rho + n * (th * th * q * (tau / n) * ((tau - 1) / (n - 1)) - 1.0)
-                branch = "high"
     g_smooth = (4.0 * l1 / prof.mu) * cost
     g_resid = (th + 4.0 * rho * prof.L_max / (prof.mu * n)) * cost
     alpha = min(1.0 / (4.0 * l1), n / (4.0 * prof.L_max * rho + prof.mu * th * n))
-    return l1, rho, branch, alpha, max(g_smooth, g_resid)
+    return l1, rho, alpha, max(g_smooth, g_resid)
 
 
 @st.composite
@@ -237,17 +252,15 @@ class TestArrayCalculus:
             for field in dataclasses.fields(one):
                 assert getattr(arr, field.name)[i] == getattr(one, field.name), field.name
             assert alphas[i] == cx.stepsize(one_cfg, prof) == one.stepsize
-            assert type(one.omega_coef) is float and type(one.residual_branch) is str
-            ref = (one.expected_smoothness, one.sketch_residual, one.residual_branch,
-                   one.stepsize, one.omega_coef)
+            assert type(one.omega_coef) is float and type(one.sketch_residual) is float
+            ref = (one.expected_smoothness, one.sketch_residual, one.stepsize, one.omega_coef)
             assert ref == _reference_constants(n, tau, q, prof)
 
     def test_scalar_calls_return_python_types(self):
         cfg = cx.InterpolationConfig(q=0.3, tau=4, n=9)
         prof = _uniform(9)
         assert type(cx.expected_smoothness(cfg, prof)) is float
-        rho, branch = cx.sketch_residual(cfg)
-        assert type(rho) is float and type(branch) is str
+        assert type(cx.sketch_residual(cfg)) is float
         assert type(cx.stepsize(cfg, prof)) is float
 
     def test_array_config_validation(self):

@@ -30,6 +30,20 @@ class TestSeededRng:
         assert [a.uniform() for _ in range(50)] == [b.uniform() for _ in range(50)]
         assert a.normals(51).tolist() == b.normals(51).tolist()
 
+    @pytest.mark.parametrize("count", [1, 7, 16385])
+    def test_odd_normals_count_drops_the_sine_half(self, count):
+        a, b = SeededRng(9), SeededRng(9)
+        pairs = b.normals(count + 1)
+        assert a.normals(count).tobytes() == pairs[:count].tobytes()
+        assert a.next_u64() == b.next_u64()  # the dropped half's words are spent
+
+    @pytest.mark.parametrize("k, m", [(0, 3), (1, 1), (2, 5), (8192, 3), (8191, 16384)])
+    def test_normals_split_at_a_pair_equals_one_draw(self, k, m):
+        a, b = SeededRng(10), SeededRng(10)
+        split = np.concatenate((a.normals(2 * k), a.normals(m)))
+        assert split.tobytes() == b.normals(2 * k + m).tobytes()
+        assert a.next_u64() == b.next_u64()
+
     def test_different_seeds_differ(self):
         a, b = SeededRng(1), SeededRng(2)
         assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
@@ -87,7 +101,7 @@ class TestLaneStream:
             elif kind == "uniform":
                 assert _bits([rng.uniform()]) == _bits([ref.uniform()])
             elif kind == "normal":
-                assert _bits(rng.normals(1)) == _bits([ref.normal()])
+                assert _bits(rng.normals(1)) == _bits(ref.normals(1))
             elif kind == "randint_below":  # 2**63 + 1 rejects about half the words
                 assert rng.randint_below(bound) == ref.randint_below(bound)
             elif kind == "words":
@@ -101,17 +115,18 @@ class TestLaneStream:
                 n = tau + min(bound, 300)
                 expect = arange_sample_subset(ref, n, tau).tolist()
                 assert sample_subset(rng, n, tau).tolist() == expect
-            else:  # a spare cached before or left after the bulk draw is read in order
-                assert _bits(rng.normals(count)) == _bits([ref.normal() for _ in range(count)])
+            else:
+                assert _bits(rng.normals(count)) == _bits(ref.normals(count))
         # the stream continues from the next unread word
         assert [rng.next_u64() for _ in range(3)] == [ref.next_u64() for _ in range(3)]
-        assert _bits([*rng.normals(1), *rng.normals(1)]) == _bits([ref.normal(), ref.normal()])
+        two = [*ref.normals(1), *ref.normals(1)]
+        assert _bits([*rng.normals(1), *rng.normals(1)]) == _bits(two)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, MAX_SEED])
     def test_synth_bulk_draw_matches_scalar_reference(self, seed):
         # one synth_gaussian(20000, 10) draw: 220 000 normals over 14 chunks
         rng, ref = SeededRng(seed), ScalarRng(seed)
-        assert _bits(rng.normals(220_000)) == _bits([ref.normal() for _ in range(220_000)])
+        assert _bits(rng.normals(220_000)) == _bits(ref.normals(220_000))
         assert rng.next_u64() == ref.next_u64()
 
     @pytest.mark.parametrize("count", [4095, 4096, 16383, 16385, 3 * 16384 + 7])

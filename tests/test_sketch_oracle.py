@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from sagd.problem import Dataset, LossSpec, full_grad
 from sagd.verification import Q_GRID
 
 from reference_methods import (
+    loop_atoms,
     loop_expected_projection,
     loop_residual_eigenvalues,
     loop_smoothness_max_term,
@@ -46,6 +48,21 @@ class TestEnumerateSampling:
     def test_cap_enforced(self):
         with pytest.raises(EnumerationLimitError):
             oracle.enumerate_sampling(13, 2, 0.5)
+
+    @pytest.mark.parametrize("n, tau, q", [(4, 5, 0.5), (4, 0, 0.5), (4, 2, -0.1),
+                                           (4, 2, 1.5), (4, 2, float("nan"))])
+    def test_invalid_input_rejected(self, n, tau, q):
+        # tau > n is caught before math.comb(n, tau) = 0 divides the mass
+        with pytest.raises(InvalidInputError):
+            oracle.enumerate_sampling(n, tau, q)
+
+    def test_atoms_in_combinations_order(self):
+        q = 0.3
+        for n in range(1, 9):
+            for tau in range(1, n + 1):
+                got = oracle.enumerate_sampling(n, tau, q)
+                assert [(a.probability, a.indices) for a in got] == loop_atoms(n, tau, q)
+                assert all(type(i) is int for a in got for i in a.indices)
 
 
 class TestExpectedProjection:
@@ -169,12 +186,12 @@ class TestArrayQ:
 
     QS = np.array([*Q_GRID, 1 / 3, 0.123456789, 0.0]).reshape(4, 6)
 
-    def test_atom_rows_follow_enumerate_sampling(self):
+    def test_atom_rows_match_combinations(self):
         for n in range(1, 9):
             for tau in range(1, n + 1):
                 singles, subsets = oracle.atom_rows(n, tau)
-                rows = [tuple(r) for r in (*singles.tolist(), *subsets.tolist())]
-                assert rows == [a.indices for a in oracle.enumerate_sampling(n, tau, 0.5)]
+                assert singles.tolist() == [[j] for j in range(n)]
+                assert subsets.tolist() == [list(c) for c in itertools.combinations(range(n), tau)]
                 assert not singles.flags.writeable and not subsets.flags.writeable
                 assert oracle.atom_rows(n, tau)[1] is subsets  # built once
 

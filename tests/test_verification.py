@@ -40,7 +40,7 @@ class TestConstantsSuite:
 
     def test_perturbed_residual_listed_with_tuples(self):
         result = check_constants_against_oracles(
-            n_max=4, rho_fn=lambda cfg: sketch_residual(cfg)[0] * (1 + 1e-6) + 1e-6
+            n_max=4, rho_fn=lambda cfg: sketch_residual(cfg) * (1 + 1e-6) + 1e-6
         )
         assert not result.passed
         assert any(f.startswith("residual(n=") for f in result.failures)
@@ -71,8 +71,7 @@ class TestConstantsSuite:
 
 def _warped_residual(cfg):
     # a residual warped toward +q^3 curvature violates monotonicity/concavity
-    rho, _ = sketch_residual(cfg)
-    return rho + 50.0 * cfg.q**3 * (1 - cfg.q) ** 0.5
+    return sketch_residual(cfg) + 50.0 * cfg.q**3 * (1 - cfg.q) ** 0.5
 
 
 class TestFailurePins:
@@ -88,7 +87,7 @@ class TestFailurePins:
     def test_perturbed_constants_runs(self):
         runs = [
             check_constants_against_oracles(
-                n_max=4, rho_fn=lambda cfg: sketch_residual(cfg)[0] * (1 + 1e-6) + 1e-6
+                n_max=4, rho_fn=lambda cfg: sketch_residual(cfg) * (1 + 1e-6) + 1e-6
             ),
             check_constants_against_oracles(
                 n_max=3, levels_per_pair=3,
@@ -217,13 +216,15 @@ class TestEnvelopeSuite:
     def test_grid_rows_equal_per_tau_envelopes_bitwise(self):
         n, taus = 100, np.array([4, 5, 8, 31, 100])
         profile = SmoothnessProfile.uniform(n, 1.0, 4.0 / (0.5 * (n - 1)))
-        qs, g_smooth, g_resid = _envelopes(n, taus, profile, lambda cfg: sketch_residual(cfg)[0])
+        qs, g_smooth, g_resid = _envelopes(n, taus, profile, sketch_residual)
         assert g_smooth.shape == g_resid.shape == (taus.size, qs.size)
         for k, tau in enumerate(taus.tolist()):
             cfg = InterpolationConfig(q=qs, tau=tau, n=n)
-            rho = sketch_residual(cfg)[0]
+            rho = sketch_residual(cfg)
             assert g_smooth[k].tobytes() == total_complexity(cfg, profile).smoothness_term.tobytes()
-            assert g_resid[k].tobytes() == residual_term(cfg, profile, rho).tobytes()
+            want = residual_term(theta(cfg), rho, profile.L_max, profile.mu, n, cfg.cost_per_iter)
+            assert g_resid[k].tobytes() == want.tobytes()
+            assert g_resid[k].tobytes() == total_complexity(cfg, profile).residual_term.tobytes()
 
     def test_perturbed_residual_breaks_shapes(self):
         result = check_envelope_shapes(n_values=(10,), taus_per_n=4, rho_fn=_warped_residual)
