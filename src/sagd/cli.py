@@ -122,9 +122,13 @@ def _parse_seeds(text):
         raise SagdError(f"bad seed list {text!r}") from None
     if not seeds:
         raise SagdError(f"empty seed list {text!r}")
+    seen = set()
     for seed in seeds:
         if not 0 <= seed < 2**64:
             raise SagdError(f"seed {seed} is not a 64-bit unsigned integer")
+        if seed in seen:  # a repeat would run one trajectory twice and count it twice
+            raise SagdError(f"seed {seed} is repeated in {text!r}")
+        seen.add(seed)
     return seeds
 
 
@@ -231,15 +235,13 @@ def cmd_plan(args):
             raise SagdError(f"explicit plans take no dataset flags, got {', '.join(given)}")
         l_bar = args.l_bar if args.l_bar is not None else args.l_max
         profile = SmoothnessProfile.from_bounds(args.n, args.l_max, l_bar, args.mu)
-        n = args.n
         source = "explicit"
     elif args.l_bar is not None:
         raise SagdError("--l-bar needs --n, --l-max and --mu")
     else:
-        data, loss, dataset_id = _load_dataset(args)
+        data, loss, source = _load_dataset(args)
         profile = smoothness_profile(data, loss)
-        n = data.n
-        source = dataset_id
+    n = profile.n
     plan = optimal_plan(profile, n)
     closed = full_batch_interpolation(profile, n) if n >= 3 else None
     slate = plan.all_candidates
@@ -253,15 +255,16 @@ def cmd_plan(args):
         rest = {  # every key sorts after "candidates"
             "source": source,
             "n": n,
-            "l_max": plan.l_max,
-            "l_bar": plan.l_bar,
-            "mu": plan.mu,
+            "l_max": profile.L_max,
+            "l_bar": profile.L_bar,
+            "mu": profile.mu,
             "saga_omega": plan.saga_omega,
             "full_batch": None if closed is None else dataclasses.asdict(closed),
         }
         print("], " + json.dumps(rest, sort_keys=True)[1:])
         return EXIT_OK
-    print(f"profile: n={n} L_max={plan.l_max:.6g} L_bar={plan.l_bar:.6g} mu={plan.mu:.6g}")
+    print(f"profile: n={n} L_max={profile.L_max:.6g} L_bar={profile.L_bar:.6g} "
+          f"mu={profile.mu:.6g}")
     print(f"single-sample baseline omega: {plan.saga_omega:.6g}")
     if closed is not None:
         print(
@@ -288,12 +291,13 @@ class _Pipeline:
 
     Construction runs, in order: the budget check (``budget`` is a
     SolverConfig, with run's explicit alpha or None, that each solve
-    completes with q, tau, alpha and seed), the command's number flags, the
-    ``seeds``, the dataset, the explicit q and taus checked against its n,
-    its ``profile``, the planner's ``best`` candidate (None unless a sweep
-    or both of run's --q and --tau are auto), ``q`` and ``taus`` (run's one
-    tau; one auto value is planned with the other held fixed), and the
-    reference solution ``x_star``.
+    completes with q, tau, alpha and seed), the resolved ``out`` and
+    ``plot`` paths checked to lie in existing directories, the command's
+    number flags, the ``seeds``, the dataset, the explicit q and taus
+    checked against its n, its profile, the planner's ``best`` candidate
+    (None unless a sweep or both of run's --q and --tau are auto), ``q``,
+    ``taus`` (run's one tau; one auto value is planned with the other held
+    fixed) and their ``alphas`` (floats), and the reference ``x_star``.
     """
 
     def __init__(self, args):
@@ -305,6 +309,10 @@ class _Pipeline:
         )
         if not sweep and args.plot and not args.out:
             raise SagdError("--plot needs --out")
+        self.out, self.plot = _resolve_out(args.out), _resolve_out(None if sweep else args.plot)
+        for folder in [os.path.dirname(path) or "." for path in (self.out, self.plot) if path]:
+            if not os.path.isdir(folder):
+                raise SagdError(f"output directory {folder!r} does not exist")
         q = None if args.q == "auto" else _number(args, "q", float)
         tau = None if sweep or args.tau == "auto" else _number(args, "tau", int)
         ranges = _parse_taus(args.taus) if sweep else None
@@ -314,7 +322,7 @@ class _Pipeline:
         InterpolationConfig(0.0 if q is None else q, 1 if tau is None else tau, data.n)
         if sweep:
             self.taus = _expand_taus(ranges, data.n)
-        self.profile = profile = smoothness_profile(data, loss)
+        profile = smoothness_profile(data, loss)
         self.best = line = None
         if sweep or (q is None and tau is None):  # sweep reports the planner's tau*
             plan = optimal_plan(profile, data.n)
@@ -333,8 +341,13 @@ class _Pipeline:
             self.taus = [tau]
         if line and not sweep:  # with --json, stdout holds the JSON document alone
             print(line, file=sys.stderr if args.json else sys.stdout)
+        if alpha is None:
+            icfg = InterpolationConfig(q=q, tau=np.array(self.taus), n=data.n)
+            self.alphas = stepsize(icfg, profile).tolist()
+        else:
+            self.alphas = [alpha]
         xstar_tol = min(1e-12, args.tol * 1e-2) if loss.kind == "logistic" else 1e-12
-        self.x_star = exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=self.profile)
+        self.x_star = exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=profile)
 
     def solve(self, q, tau, alpha):
         """One solver run per seed at (q, tau, alpha) under the budget."""
@@ -345,22 +358,18 @@ class _Pipeline:
 
 def cmd_run(args):
     pipe = _Pipeline(args)
-    q, (tau,), n = pipe.q, pipe.taus, pipe.data.n
-    alpha = pipe.budget.alpha
-    if alpha is None:
-        alpha = stepsize(InterpolationConfig(q=q, tau=tau, n=n), pipe.profile)
+    q, (tau,), (alpha,), n = pipe.q, pipe.taus, pipe.alphas, pipe.data.n
     results = pipe.solve(q, tau, alpha)
 
-    if args.out:
-        out = _resolve_out(args.out)
+    if pipe.out:
         manifest = RunManifest.new(
             pipe.dataset_id, pipe.loss.kind, pipe.loss.lam, q, tau, alpha, pipe.seeds,
             f"sagd-{__version__}",
         )
         series = [TrajectorySeries("sagd", q, tau, r.seed, n, r.points) for r in results]
-        write_results_csv(series, out, manifest=manifest)
-        if args.plot:
-            emit_svg_plot(out, args.x_axis, _resolve_out(args.plot))
+        write_results_csv(series, pipe.out, manifest=manifest)
+        if pipe.plot:
+            emit_svg_plot(pipe.out, args.x_axis, pipe.plot)
 
     summaries = [{"seed": r.seed, "converged": r.converged, "diverged": r.diverged,
                   "passes": r.passes_to_tol(args.tol, n),
@@ -384,11 +393,9 @@ def cmd_run(args):
 def cmd_sweep(args):
     pipe = _Pipeline(args)
     q, n = pipe.q, pipe.data.n
-    alphas = stepsize(InterpolationConfig(q=q, tau=np.array(pipe.taus), n=n), pipe.profile)
-
     rows = []
     all_converged = True
-    for tau, alpha in zip(pipe.taus, alphas.tolist()):
+    for tau, alpha in zip(pipe.taus, pipe.alphas):
         results = pipe.solve(q, tau, alpha)
         all_converged &= all(r.converged for r in results)
         passes = [r.passes_to_tol(args.tol, n) for r in results]
@@ -397,9 +404,8 @@ def cmd_sweep(args):
                      "diverged": [r.seed for r in results if r.diverged]})
 
     best_row = min(rows, key=lambda r: r["median_passes"])
-    if args.out:
-        out = _resolve_out(args.out)
-        with open(out, "w", encoding="ascii") as fh:
+    if pipe.out:
+        with open(pipe.out, "w", encoding="ascii") as fh:
             fh.write("tau,median_passes\n")
             for row in rows:
                 fh.write(f"{row['tau']},{row['median_passes']:.17g}\n")

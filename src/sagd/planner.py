@@ -44,20 +44,18 @@ class PlanCandidate:
 
 @dataclass
 class Plan:
-    """Planner output: chosen candidate, the whole slate, and the profile.
+    """Planner output: the chosen candidate, the whole slate, and the
+    single-sample baseline's omega.
 
     ``all_candidates`` is a numpy record array with :class:`PlanCandidate`'s
     fields, one row per candidate; ``best`` is that winning row as a
-    PlanCandidate of Python scalars.
+    PlanCandidate of Python scalars.  The profile and n the plan was made
+    from stay with the caller.
     """
 
     best: PlanCandidate
     all_candidates: np.recarray
     saga_omega: float
-    n: int
-    l_max: float
-    l_bar: float
-    mu: float
 
 
 def _check_taus(tau, n, lo):
@@ -175,14 +173,12 @@ def optimal_plan(profile, n):
     """
     if n < 2:
         raise InvalidInputError("planning needs n >= 2")
-    l_max = profile.L_max
-    mu = profile.mu
-    uniform = SmoothnessProfile.uniform(n, l_max, mu, profile.mu_source)
+    uniform = SmoothnessProfile.uniform(n, profile.L_max, profile.mu, profile.mu_source)
 
     # per tau = 2..n: the lower branch root, then the envelope intersection
     taus = np.arange(2, n + 1)
     q_minus, _ = branch_roots(taus, n)
-    hit_kind, hit_q = q_intersections(taus, n, l_max, mu)
+    hit_kind, hit_q = q_intersections(taus, n, profile.L_max, profile.mu)
     pair_q = np.column_stack((q_minus, hit_q)).ravel()
     pair_kind = np.column_stack((np.full(taus.size, KIND_Q_MINUS), hit_kind)).ravel()
     keep = (0.0 <= pair_q) & (pair_q <= 1.0)
@@ -190,7 +186,7 @@ def optimal_plan(profile, n):
     # q = 1 family: the rounded closed-form tau plus the exhaustive scan's
     # argmin (they can differ by one when rounding picks the worse neighbor)
     t_scan, _ = plan_tau(profile, n, 1.0)
-    t_round = optimal_minibatch_tau(n, mu, l_max)
+    t_round = optimal_minibatch_tau(n, profile.mu, profile.L_max)
     ones = [t_round] if t_scan == t_round else [t_round, t_scan]
 
     tau = np.concatenate(([1], ones, np.repeat(taus, 2)[keep]))
@@ -206,8 +202,4 @@ def optimal_plan(profile, n):
         best=PlanCandidate(*slate[np.lexsort((q, -tau, omega))[0]].item()),
         all_candidates=slate,
         saga_omega=omega[0].item(),
-        n=n,
-        l_max=l_max,
-        l_bar=profile.L_bar,
-        mu=mu,
     )

@@ -8,6 +8,7 @@ With q = 0 the iteration is exactly the classical single-sample method;
 with q = 1 and tau = n it is exactly full gradient descent.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -42,8 +43,9 @@ class GradientTable:
     def n(self):
         return self.J.shape[1]
 
-    def write_column(self, j, g):
-        self.col_sum += g - self.J[:, j]
+    def write_column(self, j, g, diff):
+        """Overwrite column ``j`` with ``g``; ``diff`` must equal ``g`` minus the old column."""
+        self.col_sum += diff
         self.J[:, j] = g
         self.updates_since_refresh += 1
         if self.updates_since_refresh >= self.J.shape[1]:
@@ -116,7 +118,6 @@ class RunResult:
     converged: bool
     x: np.ndarray
     seed: int
-    extra_grad_evals: int = 0  # convergence-check full gradients, kept out of grad_evals
     diverged: bool = False  # stopped at a checkpoint whose error or iterate is not finite
 
     def passes_to_tol(self, tol, n):
@@ -166,19 +167,20 @@ def sagd_step(state, cfg, rng, grad, batch_grad):
             state.x = x - state.alpha * (scale * diff + inv_n * table.col_sum)
             table.write_columns(idx, grads_rows, diff)
         else:
-            grads = [grad(x, j) for j in idx.tolist()]
-            diff = grads[0] - table.J[:, idx[0]]
-            for pos in range(1, len(grads)):
-                diff += grads[pos] - table.J[:, idx[pos]]
+            cols = idx.tolist()
+            grads = [grad(x, j) for j in cols]
+            diffs = [g - table.J[:, j] for j, g in zip(cols, grads)]
+            diff = functools.reduce(np.add, diffs)  # summed in index order
             state.x = x - state.alpha * (scale * diff + inv_n * table.col_sum)
-            for j, g in zip(idx.tolist(), grads):
-                table.write_column(j, g)
+            for j, g, d in zip(cols, grads, diffs):
+                table.write_column(j, g, d)
         state.grad_evals += cfg.tau
     else:
         j = rng.randint_below(n)
         g = grad(x, j)
-        state.x = x - state.alpha * (scale * (g - table.J[:, j]) + inv_n * table.col_sum)
-        table.write_column(j, g)
+        diff = g - table.J[:, j]
+        state.x = x - state.alpha * (scale * diff + inv_n * table.col_sum)
+        table.write_column(j, g, diff)
         state.grad_evals += 1
     state.iters += 1
     return state
@@ -194,19 +196,20 @@ def lyapunov(state, x_star, grad_table_star, l_max):
     return float(dx @ dx) + coef * float(np.sum(dj * dj))
 
 
-def run(data, loss, cfg, x_star=None):
+def run(data, loss, cfg, x_star):
     """Run the iteration from x = 0 until the error reaches ``cfg.tol``, the
     pass budget is exhausted, or the run diverges: it stops at the first
     checkpoint whose error or iterate is not finite, with ``diverged`` set.
 
-    Error is ||x - x*|| when ``x_star`` is given, otherwise the full
-    gradient norm (those evaluations are tracked separately and never enter
-    grad_evals).  Checkpoints land every
+    Error is ||x - x*|| against the reference solution ``x_star``, a vector
+    of shape (d,).  Checkpoints land every
     round(check_every_passes * n / (q (tau - 1) + 1)) iterations (a spacing
     that overflows to inf is refused), so runs that differ only by seed are
     sampled at identical iteration counts.
     Wall time is measured around the iteration loop only.
     """
+    if np.shape(x_star) != (data.d,):
+        raise InvalidInputError(f"x_star must have shape ({data.d},), got {np.shape(x_star)}")
     n = data.n
     if loss.kind == "logistic":
         check_logistic_labels(data)
@@ -232,24 +235,11 @@ def run(data, loss, cfg, x_star=None):
         grad_evals=n,  # the table fill
     )
 
-    grad_star = None
-    if cfg.track_lyapunov:
-        if x_star is None:
-            raise InvalidInputError("track_lyapunov needs x_star")
-        grad_star = init_table(data, loss, x_star).J
+    grad_star = init_table(data, loss, x_star).J if cfg.track_lyapunov else None
 
     batch_grad = batch_gradient_fn(data, loss)
     # a q = 1 step with a batch kernel never takes a per-sample gradient
     grad = gradient_fn(data, loss) if cfg.q < 1.0 or batch_grad is None else None
-    gsum = gradient_sum_fn(data, loss) if x_star is None else None
-    extra = 0
-
-    def measure():
-        nonlocal extra
-        if x_star is not None:
-            return float(np.linalg.norm(state.x - x_star))
-        extra += n
-        return float(np.linalg.norm(gsum(state.x) / n))  # full_grad's bits
 
     def psi():
         if grad_star is None:
@@ -257,7 +247,7 @@ def run(data, loss, cfg, x_star=None):
         return lyapunov(state, x_star, grad_star, profile.L_max)
 
     budget = cfg.max_effective_passes * n
-    err = measure()
+    err = float(np.linalg.norm(state.x - x_star))
     points = [TrajectoryPoint(0, state.grad_evals, 0.0, err, psi())]
     start = time.perf_counter()
     while True:
@@ -269,13 +259,12 @@ def run(data, loss, cfg, x_star=None):
             sagd_step(state, cfg, rng, grad, batch_grad)
             if state.grad_evals >= budget:
                 break
-        err = measure()
+        err = float(np.linalg.norm(state.x - x_star))
         points.append(
             TrajectoryPoint(
                 state.iters, state.grad_evals, time.perf_counter() - start, err, psi()
             )
         )
     return RunResult(
-        points=points, converged=converged, x=state.x, seed=cfg.seed, extra_grad_evals=extra,
-        diverged=diverged,
+        points=points, converged=converged, x=state.x, seed=cfg.seed, diverged=diverged
     )

@@ -353,6 +353,8 @@ class TestRun:
              "9dd2215558990bd3ab5f55fdb2b1868a7147af4a06e660580da6b574c928ab07"),
             ("sparse", "1", True,
              "d09f30029dd219dddfbd07857d7335307e6c2f3a976b4a882b9283d6defde1dd"),
+            ("sparse", "0.5", True,
+             "59ac5422c2f2fb0ffd718c26101726bd0bb9944bc2566e0875ae36a4868b5a32"),
         ],
     )
     def test_per_sample_kernel_bound_only_when_a_step_uses_it(
@@ -360,7 +362,10 @@ class TestRun:
     ):
         # q = 1 on dense rows takes every step through the batch kernel; a
         # coin flip or sparse rows need gradient_fn.  The digests (wall time
-        # masked) were taken from a solver that bound it on every run.
+        # masked) were taken from a solver that bound it on every run; the
+        # sparse q = 0.5 one, whose runs take both branches with per-sample
+        # minibatch gradients, from a table that recomputed each column's
+        # difference on write.
         bound = []
         gradient_fn = solver.gradient_fn
         monkeypatch.setattr(solver, "gradient_fn", lambda *a: bound.append(1) or gradient_fn(*a))
@@ -520,6 +525,46 @@ class TestRun:
         assert code == 2
         assert err == f"error: seed {bad} is not a 64-bit unsigned integer\n"
         assert "plan:" not in out and calls == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("seeds,repeat", [("1,1", "1"), ("3,2,5,2,3", "2")])
+    def test_repeated_seed_rejected_before_any_work(
+        self, capsys, monkeypatch, command, seeds, repeat
+    ):
+        # one trajectory run twice would count twice in sweep's and the plot's medians
+        calls = count_work(monkeypatch)
+        taus = ("--taus", "1,2") if command == "sweep" else ()
+        code, out, err = run_cli(
+            capsys, command, "--synth", "30,3,gaussian", *taus, "--q", "0.5", "--seed", seeds,
+        )
+        assert code == 2
+        assert err == f"error: seed {repeat} is repeated in {seeds!r}\n"
+        assert "plan:" not in out and calls == []
+
+    @pytest.mark.parametrize("source", ["synth", "data"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--out", "{missing}/x.csv"),
+            ("run", "--out", "{tmp}/x.csv", "--plot", "{missing}/p.svg"),
+            ("sweep", "--taus", "1,2", "--out", "{missing}/x.csv"),
+        ],
+    )
+    def test_missing_output_directory_checked_before_any_work(
+        self, capsys, tmp_path, monkeypatch, source, argv
+    ):
+        # an unwritable --out or --plot fails before the data, the reference or any solve
+        flags = dataset_flags(tmp_path, source)
+        calls = count_work(monkeypatch)
+        solve = cli.run_solver
+        monkeypatch.setattr(cli, "run_solver", lambda *a, **k: calls.append("solve") or solve(*a, **k))
+        missing = tmp_path / "missing" / "d"
+        command, *rest = (a.format(missing=missing, tmp=tmp_path) for a in argv)
+        code, out, err = run_cli(capsys, command, *flags, "--q", "0.5", *rest)
+        assert code == 2
+        assert err == f"error: output directory {str(missing)!r} does not exist\n"
+        assert "plan:" not in out and calls == []
+        assert not (tmp_path / "x.csv").exists()
 
     def test_zero_alpha_rejected(self, capsys):
         code, _, err = run_cli(

@@ -243,11 +243,10 @@ class TestRun:
         assert result.points[-1].grad_evals <= 2.0 * 50 + 50
         assert result.passes_to_tol(1e-14, 50) is None
 
-    @pytest.mark.parametrize("with_x_star", [True, False])
-    def test_divergent_run_stops_at_first_non_finite_checkpoint(self, with_x_star):
+    def test_divergent_run_stops_at_first_non_finite_checkpoint(self):
         data = _dataset(500, 10, 19, normalize=True)
         loss = LossSpec("ridge", 0.1)
-        x_star = exact_solution(data, loss) if with_x_star else None
+        x_star = exact_solution(data, loss)
         cfg = SolverConfig(q=0.0, tau=1, alpha=50.0, seed=1, max_effective_passes=50.0)
         with np.errstate(over="ignore", invalid="ignore"):
             result = run(data, loss, cfg, x_star=x_star)
@@ -259,17 +258,17 @@ class TestRun:
 
     def test_converging_run_not_flagged_diverged(self):
         data = _dataset(40, 3, 18)
-        result = run(data, LossSpec("ridge", 0.1), SolverConfig(q=0.0, tau=1, seed=2, tol=1e-6))
+        loss = LossSpec("ridge", 0.1)
+        cfg = SolverConfig(q=0.0, tau=1, seed=2, tol=1e-6)
+        result = run(data, loss, cfg, x_star=exact_solution(data, loss))
         assert result.converged and not result.diverged
 
-    def test_gradient_norm_checks_accounted_separately(self):
+    @pytest.mark.parametrize("x_star", [None, np.zeros(4), np.zeros((3, 1)), np.zeros(2)])
+    def test_missing_or_misshaped_reference_rejected(self, x_star):
         data = _dataset(40, 3, 18)
-        loss = LossSpec("ridge", 0.1)
-        cfg = SolverConfig(q=0.0, tau=1, seed=2, tol=1e-6, max_effective_passes=50)
-        result = run(data, loss, cfg)  # no x_star: checks use the full gradient
-        assert result.converged
-        assert result.extra_grad_evals > 0
-        assert result.extra_grad_evals % 40 == 0
+        cfg = SolverConfig(q=0.0, tau=1, seed=2, tol=1e-6)
+        with pytest.raises(InvalidInputError, match=r"x_star must have shape \(3,\)"):
+            run(data, LossSpec("ridge", 0.1), cfg, x_star=x_star)
 
     def test_contraction_envelope_median(self):
         # median over seeds of the tracked distance measure stays under
@@ -307,7 +306,7 @@ class TestRun:
     def test_tau_exceeding_n_rejected(self):
         data = _dataset(5, 2, 20)
         with pytest.raises(InvalidInputError):
-            run(data, LossSpec("ridge", 0.1), SolverConfig(q=0.5, tau=6, alpha=0.1))
+            run(data, LossSpec("ridge", 0.1), SolverConfig(q=0.5, tau=6, alpha=0.1), np.zeros(2))
 
     def test_logistic_pipeline_with_planned_parameters(self):
         rng = np.random.default_rng(5)
@@ -331,4 +330,4 @@ class TestRun:
         data = _dataset(6, 2, 21)  # real-valued labels, not +-1
         cfg = SolverConfig(q=0.0, tau=1, alpha=0.05, tol=1e-4, max_effective_passes=2)
         with pytest.raises(InvalidInputError):
-            run(data, LossSpec("logistic", 0.1), cfg)
+            run(data, LossSpec("logistic", 0.1), cfg, np.zeros(2))
