@@ -557,7 +557,9 @@ class TestRun:
         flags = dataset_flags(tmp_path, source)
         calls = count_work(monkeypatch)
         solve = cli.run_solver
-        monkeypatch.setattr(cli, "run_solver", lambda *a, **k: calls.append("solve") or solve(*a, **k))
+        monkeypatch.setattr(
+            cli, "run_solver", lambda *a, **k: calls.append("solve") or solve(*a, **k)
+        )
         missing = tmp_path / "missing" / "d"
         command, *rest = (a.format(missing=missing, tmp=tmp_path) for a in argv)
         code, out, err = run_cli(capsys, command, *flags, "--q", "0.5", *rest)
