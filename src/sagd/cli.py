@@ -10,6 +10,7 @@ is O(tau) per minibatch step.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import statistics
@@ -38,6 +39,7 @@ from .problem import (
     normalize_rows,
     smoothness_profile,
 )
+from . import solver
 from .solver import SolverConfig, run as run_solver
 from .verification import run_all
 
@@ -297,7 +299,8 @@ class _Pipeline:
     checked against its n, its profile, the planner's ``best`` candidate
     (None unless a sweep or both of run's --q and --tau are auto), ``q``,
     ``taus`` (run's one tau; one auto value is planned with the other held
-    fixed) and their ``alphas`` (floats), and the reference ``x_star``.
+    fixed) and their ``alphas`` (floats), the reference ``x_star``, and the
+    gradient table at x0 = 0: each solve takes a copy, the last the table.
     """
 
     def __init__(self, args):
@@ -348,12 +351,17 @@ class _Pipeline:
             self.alphas = [alpha]
         xstar_tol = min(1e-12, args.tol * 1e-2) if loss.kind == "logistic" else 1e-12
         self.x_star = exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=profile)
+        table = solver.init_table(data, loss, np.zeros(data.d))
+        copies = (dataclasses.replace(table, J=table.J.copy(), col_sum=table.col_sum.copy())
+                  for _ in range(len(self.seeds) * len(self.taus) - 1))
+        self._tables = itertools.chain(copies, [table])  # each solve writes into its own
 
     def solve(self, q, tau, alpha):
         """One solver run per seed at (q, tau, alpha) under the budget."""
         configs = (dataclasses.replace(self.budget, q=q, tau=tau, alpha=alpha, seed=seed)
                    for seed in self.seeds)
-        return [run_solver(self.data, self.loss, cfg, x_star=self.x_star) for cfg in configs]
+        return [run_solver(self.data, self.loss, cfg, x_star=self.x_star, table=next(self._tables))
+                for cfg in configs]
 
 
 def cmd_run(args):

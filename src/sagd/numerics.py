@@ -218,11 +218,10 @@ class SeededRng:
 
     def _scalar_words(self, count):
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        out = []
-        append = out.append
+        s1s = []  # the output reads s1 alone, so it is one pass over these
+        append = s1s.append
         for _ in range(count):
-            w = (s1 * 5) & _MASK64
-            append((((w << 7) | (w >> 57)) * 9) & _MASK64)
+            append(s1)
             t = (s1 << 17) & _MASK64
             s2 ^= s0
             s3 ^= s1
@@ -231,7 +230,7 @@ class SeededRng:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return np.array(out, dtype=np.uint64)
+        return _output(np.array(s1s, dtype=np.uint64))
 
     def _lane_chunk(self):
         """The next _CHUNK words, from _LANES lanes _STEPS words apart stepped
@@ -249,13 +248,17 @@ class SeededRng:
             _step_lanes(s0, s1s[b], s2, s3, s1s[b + 1], t)
         self._s0, self._s1, self._s2, self._s3 = (
             s0[-1].item(), s1s[-1, -1].item(), s2[-1].item(), s3[-1].item())
-        block = np.empty((_LANES, _STEPS), dtype=np.uint64)  # lane g's words in row g
-        np.multiply(s1s[:_STEPS].T, 5, out=block)  # rotl(s1 * 5, 7) * 9
-        high = np.left_shift(block, 7)
-        block >>= 57
-        block |= high
-        block *= 9
-        return block.ravel()
+        return _output(s1s[:_STEPS].T).ravel()  # lane g's words in row g
+
+
+def _output(s1):
+    """rotl(s1 * 5, 7) * 9 of every word of a uint64 array, mod 2**64 as in the scalar update."""
+    w = np.multiply(s1, 5, order="C")
+    high = w << 7
+    w >>= 57
+    w |= high
+    w *= 9
+    return w
 
 
 def _box_muller(w, out):

@@ -196,32 +196,39 @@ def lyapunov(state, x_star, grad_table_star, l_max):
     return float(dx @ dx) + coef * float(np.sum(dj * dj))
 
 
-def run(data, loss, cfg, x_star):
+def run(data, loss, cfg, x_star, table=None):
     """Run the iteration from x = 0 until the error reaches ``cfg.tol``, the
     pass budget is exhausted, or the run diverges: it stops at the first
     checkpoint whose error or iterate is not finite, with ``diverged`` set.
 
     Error is ||x - x*|| against the reference solution ``x_star``, a vector
-    of shape (d,).  Checkpoints land every
-    round(check_every_passes * n / (q (tau - 1) + 1)) iterations (a spacing
-    that overflows to inf is refused), so runs that differ only by seed are
-    sampled at identical iteration counts.
+    of shape (d,).  A given ``table`` must be ``init_table(data, loss, 0)``;
+    the run takes it over and writes into it (else it fills its own).
+    Checkpoints land every round(check_every_passes * n / (q (tau - 1) + 1))
+    iterations (a spacing that overflows to inf is refused), so runs that
+    differ only by seed are sampled at identical iteration counts.
     Wall time is measured around the iteration loop only.
     """
     if np.shape(x_star) != (data.d,):
         raise InvalidInputError(f"x_star must have shape ({data.d},), got {np.shape(x_star)}")
     n = data.n
+    shapes = None if table is None else (np.shape(table.J), np.shape(table.col_sum))
+    if shapes not in (None, ((data.d, n), (data.d,))):
+        raise InvalidInputError(f"table shapes {shapes} are not (({data.d}, {n}), ({data.d},))")
     if loss.kind == "logistic":
         check_logistic_labels(data)
-    icfg = InterpolationConfig(q=cfg.q, tau=cfg.tau, n=n)
-    spacing = cfg.check_every_passes * n / icfg.cost_per_iter
+    if cfg.tau > n:  # SolverConfig checks q and tau >= 1
+        raise InvalidInputError(f"need 1 <= tau <= n, got tau={cfg.tau}, n={n}")
+    cost_per_iter = cfg.q * (cfg.tau - 1) + 1.0  # InterpolationConfig.cost_per_iter
+    spacing = cfg.check_every_passes * n / cost_per_iter
     if not math.isfinite(spacing):
         raise InvalidInputError(f"checkpoint spacing of {spacing} iterations is not finite")
     check_every = max(1, round(spacing))
-    profile = None
-    if cfg.alpha is None or cfg.track_lyapunov:
+    profile, alpha = None, cfg.alpha
+    if alpha is None or cfg.track_lyapunov:
         profile = smoothness_profile(data, loss)
-    alpha = cfg.alpha if cfg.alpha is not None else theoretical_stepsize(icfg, profile)
+    if alpha is None:
+        alpha = theoretical_stepsize(InterpolationConfig(cfg.q, cfg.tau, n), profile)
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise InvalidInputError(f"resolved stepsize {alpha} is not positive")
 
@@ -229,8 +236,8 @@ def run(data, loss, cfg, x_star):
     x0 = np.zeros(data.d)
     state = SolverState(
         x=x0,
-        table=init_table(data, loss, x0),
-        theta=n / icfg.cost_per_iter,
+        table=init_table(data, loss, x0) if table is None else table,
+        theta=n / cost_per_iter,
         alpha=alpha,
         grad_evals=n,  # the table fill
     )

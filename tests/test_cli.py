@@ -40,7 +40,8 @@ def count_profiles(monkeypatch):
 
 def count_work(monkeypatch):
     """Count every loaded dataset ("load"), profile (1), Gram matrix
-    ("gram") and reference solution ("reference") that the CLI computes."""
+    ("gram"), reference solution ("reference") and gradient-table fill
+    ("table") that the CLI computes."""
     calls = count_profiles(monkeypatch)
 
     def counted(owner, name, label):
@@ -56,7 +57,27 @@ def count_work(monkeypatch):
         counted(cli, name, "load")
     counted(cli, "exact_solution", "reference")
     counted(problem, "_gram_matrix", "gram")
+    counted(solver, "init_table", "table")
     return calls
+
+
+def keep_solves(monkeypatch):
+    """Record the (table, result) of every solve the CLI runs."""
+    solves = []
+    run_solver = cli.run_solver
+
+    def kept(data, loss, cfg, **kwargs):
+        result = run_solver(data, loss, cfg, **kwargs)
+        solves.append((kwargs.get("table"), result))
+        return result
+
+    monkeypatch.setattr(cli, "run_solver", kept)
+    return solves
+
+
+def trajectory(result):
+    """A solve's final iterate (as bytes) and its checkpoints, without wall times."""
+    return result.x.tobytes(), [(p.iter, p.grad_evals, p.error) for p in result.points]
 
 
 def masked_csv_digest(path):
@@ -342,7 +363,59 @@ class TestRun:
             *taus, "--seed", "1,2", "--tol", "1e-6", "--json",
         )
         assert code == 0
-        assert calls == ["load", 1, "gram", "reference"]
+        assert calls == ["load", 1, "gram", "reference", "table"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("run", "--tau", "2"), ("run", "--tau", "2", "--seed", "1,2,3"),
+         ("sweep", "--taus", "1-4"), ("sweep", "--taus", "1-4", "--seed", "1,2")],
+    )
+    def test_table_filled_once_and_copied_per_solve(self, capsys, monkeypatch, argv):
+        # the pipeline fills the table at x0 once, after the reference; every
+        # solve but the last takes a copy, and the last the table itself
+        calls = count_work(monkeypatch)
+        filled, init_table = [], solver.init_table  # count_work's counter
+
+        def fill(*args):
+            filled.append(init_table(*args))
+            return filled[-1]
+
+        monkeypatch.setattr(solver, "init_table", fill)
+        solves = keep_solves(monkeypatch)
+        code, _, _ = run_cli(capsys, argv[0], "--synth", "120,4,gaussian", "--normalize",
+                             "--q", "0.5", *argv[1:], "--tol", "1e-6", "--json")
+        assert code == 0
+        assert calls == ["load", 1, "gram", "reference", "table"]
+        (table,) = filled
+        tables = [t for t, _ in solves]
+        assert tables[-1] is table
+        for i, t in enumerate(tables[:-1]):
+            assert not any(np.shares_memory(t.J, u.J) or np.shares_memory(t.col_sum, u.col_sum)
+                           for u in tables[i + 1:])
+
+    @pytest.mark.parametrize(
+        "argv,single",
+        [(("run", "--tau", "3", "--seed", "1,2,3"),
+          [("run", "--tau", "3", "--seed", s) for s in ("1", "2", "3")]),
+         (("sweep", "--taus", "2,5", "--seed", "4"),
+          [("run", "--tau", t, "--seed", "4") for t in ("2", "5")])],
+    )
+    def test_solves_sharing_a_table_equal_separate_runs(
+        self, capsys, tmp_path, monkeypatch, argv, single
+    ):
+        # a solve that wrote into the pipeline's table before a later solve
+        # copied it would move that later solve's trajectory; a file, since
+        # --synth draws its data from the first seed
+        write_libsvm(synth_gaussian(120, 4, seed=1), tmp_path / "d.svm")
+        flags = ("--data", str(tmp_path / "d.svm"), "--normalize", "--q", "0.5", "--tol", "1e-8")
+        solves = keep_solves(monkeypatch)
+        assert run_cli(capsys, *argv, *flags, "--json")[0] == 0
+        together = [trajectory(r) for _, r in solves]
+        solves.clear()
+        for alone in single:
+            assert run_cli(capsys, *alone, *flags, "--json")[0] == 0
+        assert [trajectory(r) for _, r in solves] == together
+        assert len(together) == len(single)
 
     @pytest.mark.parametrize(
         "source,q,binds,digest",

@@ -139,6 +139,17 @@ class TestLaneStream:
             assert rng.words(count).tolist() == [ref.next_u64() for _ in range(count)]
         assert [rng.next_u64() for _ in range(5)] == [ref.next_u64() for _ in range(5)]
 
+    @pytest.mark.parametrize("seed", [0, 5, MAX_SEED])
+    @pytest.mark.parametrize("count", [1, 63, 64, 4095])
+    def test_scalar_refill_matches_scalar_reference(self, seed, count):
+        # the scalar loop's words, whose output function runs once over the
+        # recorded s1 array, then a lane chunk from the state it leaves
+        rng, ref = SeededRng(seed), ScalarRng(seed)
+        got = rng._scalar_words(count)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [ref.next_u64() for _ in range(count)]
+        assert rng._lane_chunk().tolist() == [ref.next_u64() for _ in range(16384)]
+
     def test_from_state_restarts_the_buffer(self):
         rng = SeededRng(4)
         rng.words(5000)

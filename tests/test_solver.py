@@ -170,6 +170,20 @@ class TestBookkeeping:
         assert [p.error for p in r1.points] == [p.error for p in r2.points]
         assert [p.grad_evals for p in r1.points] == [p.grad_evals for p in r2.points]
 
+    def test_given_table_taken_over_and_equal_to_own_fill(self):
+        data = _dataset(30, 4, 12)
+        loss = LossSpec("ridge", 0.1)
+        cfg = SolverConfig(q=0.5, tau=4, seed=77, tol=1e-8, max_effective_passes=30)
+        x_star = exact_solution(data, loss)
+        own = run(data, loss, cfg, x_star=x_star)
+        table = init_table(data, loss, np.zeros(4))
+        fill = table.J.copy()
+        given = run(data, loss, cfg, x_star=x_star, table=table)
+        assert own.x.tobytes() == given.x.tobytes()
+        trace = [[(p.iter, p.grad_evals, p.error) for p in r.points] for r in (own, given)]
+        assert trace[0] == trace[1] and trace[1][0][1] == data.n  # the fill is counted
+        assert not np.array_equal(table.J, fill)  # the run wrote into the table
+
 
 class TestLyapunov:
     def test_zero_at_fixed_point(self):
@@ -305,8 +319,19 @@ class TestRun:
 
     def test_tau_exceeding_n_rejected(self):
         data = _dataset(5, 2, 20)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^need 1 <= tau <= n, got tau=6, n=5$"):
             run(data, LossSpec("ridge", 0.1), SolverConfig(q=0.5, tau=6, alpha=0.1), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "j_shape,sum_shape", [((2, 4), (2,)), ((5, 2), (2,)), ((2, 5), (5,)), ((2, 5), (2, 1))]
+    )
+    def test_misshaped_table_rejected(self, j_shape, sum_shape):
+        data = _dataset(5, 2, 20)
+        table = GradientTable(J=np.zeros(j_shape), col_sum=np.zeros(sum_shape))
+        cfg = SolverConfig(q=0.5, tau=2, alpha=0.1)
+        with pytest.raises(InvalidInputError) as err:
+            run(data, LossSpec("ridge", 0.1), cfg, np.zeros(2), table=table)
+        assert str(err.value) == f"table shapes {(j_shape, sum_shape)} are not ((2, 5), (2,))"
 
     def test_logistic_pipeline_with_planned_parameters(self):
         rng = np.random.default_rng(5)
