@@ -69,6 +69,10 @@ def _add_dataset_args(p):
                    help="force the feature dimension when parsing LIBSVM data")
 
 
+_SEED_HELP = ("comma-separated 64-bit seeds; --synth data is drawn from the first listed seed "
+              "(so '2,1' and '2' solve one dataset, '1,2' another; plan --synth uses seed 0)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sagd",
@@ -89,7 +93,7 @@ def build_parser():
     p_run.add_argument("--q", default="auto", help="interpolation probability or 'auto'")
     p_run.add_argument("--tau", default="auto", help="minibatch size or 'auto'")
     p_run.add_argument("--alpha", default="auto", help="stepsize or 'auto'")
-    p_run.add_argument("--seed", default="0", help="comma-separated 64-bit seeds")
+    p_run.add_argument("--seed", default="0", help=_SEED_HELP)
     p_run.add_argument("--tol", type=float, default=1e-10)
     p_run.add_argument("--max-passes", type=float, default=200.0)
     p_run.add_argument("--check-every", type=float, default=0.25,
@@ -104,7 +108,7 @@ def build_parser():
     p_sweep.add_argument("--q", default="auto")
     p_sweep.add_argument("--taus", required=True,
                          help="comma list and/or ranges, e.g. 1,2,4-12")
-    p_sweep.add_argument("--seed", default="0")
+    p_sweep.add_argument("--seed", default="0", help=_SEED_HELP)
     p_sweep.add_argument("--tol", type=float, default=1e-10)
     p_sweep.add_argument("--max-passes", type=float, default=500.0)
     p_sweep.add_argument("--check-every", type=float, default=0.25)
@@ -199,8 +203,12 @@ def _load_dataset(args, seed=0):
 
 _CANDIDATE_KEYS = ("tau", "kind", "q", "omega_coef", "alpha", "covered")  # PlanCandidate's fields
 _ROW_KEY_ORDER = sorted(range(len(_CANDIDATE_KEYS)), key=_CANDIDATE_KEYS.__getitem__)
-_ROW_TEMPLATE = "{%s}" % ", ".join(f"{json.dumps(_CANDIDATE_KEYS[i])}: %s" for i in _ROW_KEY_ORDER)
+# a JSON row's text around its values: '{"alpha": ', ', "covered": ', ..., ', "tau": ', '}'
+_JSON_PIECES = ("{%s}" % ", ".join(f"{json.dumps(_CANDIDATE_KEYS[i])}: %s"
+                                   for i in _ROW_KEY_ORDER)).split("%s")
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_TABLE_FIELDS = ("tau", "q_kind", "q", "omega_coef", "alpha")  # the sorted table's columns
+_TABLE_SPECS = (">6", ">14", ">12.6g", ">14.6g", ">12.6g")
 _PLAN_BLOCK_ROWS = 4096  # plan formats and writes this many candidate rows at a time
 
 
@@ -218,11 +226,44 @@ def _json_texts(column):
     return list(map(encoded.__getitem__, values))
 
 
-def _json_rows(columns):
-    """One JSON object per candidate from the slate's columns, given in ``_CANDIDATE_KEYS``
-    order: each byte-equal to ``json.dumps`` of the row's dict with ``sort_keys=True``."""
-    texts = [_json_texts(columns[i]) for i in _ROW_KEY_ORDER]
-    return [_ROW_TEMPLATE % row for row in zip(*texts)]
+def _block(texts, pieces, joiner):
+    """``joiner.join`` of the rows ``pieces[0] + texts[0][r] + pieces[1] + ...
+    + texts[-1][r] + pieces[-1]`` over the entries r (at least one) of the
+    column texts, as one join: every column's texts are slice-assigned into
+    one flat list of the pieces, so no Python code runs per row."""
+    width = 2 * len(texts)
+    row = [None] * width  # value slots; each row opens with the last one's closing piece
+    row[::2] = [pieces[-1] + joiner + pieces[0], *pieces[1:-1]]
+    flat = row * len(texts[0])
+    for k, column in enumerate(texts):
+        flat[2 * k + 1::width] = column
+    flat[0] = pieces[0]
+    flat.append(pieces[-1])
+    return "".join(flat)
+
+
+def _json_block(columns):
+    """The JSON objects of the candidates in the slate's ``columns``, given in
+    ``_CANDIDATE_KEYS`` order, joined by ", ": byte-equal to joining
+    ``json.dumps`` of each row's dict with ``sort_keys=True``."""
+    return _block([_json_texts(columns[i]) for i in _ROW_KEY_ORDER], _JSON_PIECES, ", ")
+
+
+def _table_block(columns):
+    """The sorted table's lines for the candidates in ``columns``, given in
+    ``_TABLE_FIELDS`` order, joined by newlines."""
+    texts = [list(map(format, column.tolist(), itertools.repeat(spec)))  # as f-strings do
+             for column, spec in zip(columns, _TABLE_SPECS)]
+    return _block(texts, ("", " ", " ", " ", " ", ""), "\n")
+
+
+def _print_blocks(encode, columns, joiner, order=None):
+    """Print ``encode`` of the rows of the slate ``columns`` (in slate order,
+    or those of ``order``) ``_PLAN_BLOCK_ROWS`` rows at a time: one text with
+    ``joiner`` between every two rows and no newline at the end."""
+    for s in range(0, len(columns[0]), _PLAN_BLOCK_ROWS):
+        rows = slice(s, s + _PLAN_BLOCK_ROWS) if order is None else order[s:s + _PLAN_BLOCK_ROWS]
+        print(joiner if s else "", encode([c[rows] for c in columns]), sep="", end="")
 
 
 def cmd_plan(args):
@@ -248,12 +289,9 @@ def cmd_plan(args):
     closed = full_batch_interpolation(profile, n) if n >= 3 else None
     slate = plan.all_candidates
     if args.json:
-        (best,) = _json_rows([np.atleast_1d(v) for v in dataclasses.astuple(plan.best)])
+        best = _json_block([np.atleast_1d(v) for v in dataclasses.astuple(plan.best)])
         print(f'{{"best": {best}, "candidates": [', end="")
-        columns = [slate[name] for name in slate.dtype.names]
-        for s in range(0, len(slate), _PLAN_BLOCK_ROWS):
-            rows = _json_rows([c[s:s + _PLAN_BLOCK_ROWS] for c in columns])
-            print((", " if s else "") + ", ".join(rows), end="")
+        _print_blocks(_json_block, [slate[name] for name in slate.dtype.names], ", ")
         rest = {  # every key sorts after "candidates"
             "source": source,
             "n": n,
@@ -275,13 +313,8 @@ def cmd_plan(args):
         )
     print(f"{'tau':>6} {'kind':>14} {'q':>12} {'omega':>14} {'alpha':>12}")
     order = np.lexsort((slate.tau, slate.omega_coef))  # stable: ties keep slate order
-    columns = [slate[name] for name in ("tau", "q_kind", "q", "omega_coef", "alpha")]
-    for s in range(0, len(order), _PLAN_BLOCK_ROWS):
-        rows = order[s:s + _PLAN_BLOCK_ROWS]
-        print("\n".join(
-            f"{tau:>6} {kind:>14} {q:>12.6g} {omega:>14.6g} {alpha:>12.6g}"
-            for tau, kind, q, omega, alpha in zip(*(c[rows].tolist() for c in columns))
-        ))
+    _print_blocks(_table_block, [slate[name] for name in _TABLE_FIELDS], "\n", order)
+    print()
     best = plan.best
     print(f"chosen: q*={best.q:.6g} tau*={best.tau} omega={best.omega_coef:.6g}")
     return EXIT_OK

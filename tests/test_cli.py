@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagd import cli, planner, problem, solver
 from sagd.complexity import InterpolationConfig, stepsize, total_complexity
@@ -157,8 +159,35 @@ def hand_slate():
         (40, planner.KIND_Q_I1, -inf, nan, inf, True),
         (12345, planner.KIND_Q_I2, inf, -inf, nan, False),
     ]
+    return slate_of(rows), rows
+
+
+def slate_of(rows):
+    """The planner's record array of candidate ``rows`` (PlanCandidate field order)."""
     names = [f.name for f in dataclasses.fields(PlanCandidate)]
-    return np.rec.fromarrays(list(zip(*rows)), names=names), rows
+    return np.rec.fromarrays(list(zip(*rows)), names=names)
+
+
+def expected_blocks(rows):
+    """A slate's JSON block, the ``json.dumps`` of its row dicts joined by ", ",
+    and its table block, the f-string lines of the rows joined by newlines."""
+    keys = [f.name for f in dataclasses.fields(PlanCandidate)]
+    keys[keys.index("q_kind")] = "kind"
+    json_block = ", ".join(json.dumps(dict(zip(keys, row)), sort_keys=True) for row in rows)
+    text_block = "\n".join(f"{tau:>6} {kind:>14} {q:>12.6g} {omega:>14.6g} {alpha:>12.6g}"
+                           for tau, kind, q, omega, alpha, _ in rows)
+    return json_block, text_block
+
+
+PLAN_KINDS = (planner.KIND_SAGA_BASELINE, planner.KIND_ONE, planner.KIND_Q_MINUS,
+              planner.KIND_Q_I1, planner.KIND_Q_I2)
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e-05, 1e16, float("nan"), float("inf"), float("-inf"))
+plan_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+candidate_rows = st.lists(
+    st.tuples(st.integers(1, 10**7), st.sampled_from(PLAN_KINDS), plan_floats, plan_floats,
+              plan_floats, st.booleans()),
+    min_size=1, max_size=50,
+)
 
 
 class TestPlan:
@@ -190,11 +219,40 @@ class TestPlan:
 
     def test_row_encoder_matches_json_dumps(self):
         slate, rows = hand_slate()
-        want = [json.dumps(dict(zip(cli._CANDIDATE_KEYS, row)), sort_keys=True) for row in rows]
-        assert cli._json_rows([slate[name] for name in slate.dtype.names]) == want
-        for row, text in zip(rows, want):  # one PlanCandidate, as cmd_plan encodes "best"
+        want, want_text = expected_blocks(rows)
+        assert cli._json_block([slate[name] for name in slate.dtype.names]) == want
+        assert cli._table_block([slate[name] for name in cli._TABLE_FIELDS]) == want_text
+        for row in rows:  # one PlanCandidate, as cmd_plan encodes "best"
             best = dataclasses.astuple(PlanCandidate(*row))
-            assert cli._json_rows([np.atleast_1d(v) for v in best]) == [text]
+            assert cli._json_block([np.atleast_1d(v) for v in best]) == expected_blocks([row])[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(candidate_rows)
+    def test_blocks_match_row_encoders(self, rows):
+        # every kind, both covered values, and floats from -0.0 and the
+        # subnormals to +-inf and NaN, in blocks of 1 to 50 rows
+        slate = slate_of(rows)
+        json_block, text_block = expected_blocks(rows)
+        assert cli._json_block([slate[name] for name in slate.dtype.names]) == json_block
+        assert cli._table_block([slate[name] for name in cli._TABLE_FIELDS]) == text_block
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_block_seams_in_plan_output(self, capsys, fmt):
+        # n = 5000 writes its slate as three blocks of at most 4096 rows
+        json_out = ("--json",) if fmt == "json" else ()
+        code, out, _ = run_cli(capsys, "plan", "--n", "5000", "--l-max", "1.3",
+                               "--l-bar", "0.91", "--mu", "0.5", *json_out)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)
+            assert len(payload["candidates"]) > 2 * cli._PLAN_BLOCK_ROWS
+            assert out == json.dumps(payload, sort_keys=True) + "\n"
+        else:  # one line per candidate between the header and the chosen line
+            lines = out.splitlines()
+            table = lines[[line.split()[0] for line in lines].index("tau") + 1:-1]
+            assert len(table) > 2 * cli._PLAN_BLOCK_ROWS
+            assert all(len(line.split()) == 5 for line in table)
+            assert lines[-1].startswith("chosen:")
 
     def test_explicit_profile_table(self, capsys):
         code, out, _ = run_cli(
@@ -416,6 +474,18 @@ class TestRun:
             assert run_cli(capsys, *alone, *flags, "--json")[0] == 0
         assert [trajectory(r) for _, r in solves] == together
         assert len(together) == len(single)
+
+    def test_synth_data_drawn_from_first_seed(self, capsys, monkeypatch):
+        # seed 2 solves one dataset under --seed 2,1 and --seed 2, and seed
+        # 1's dataset under --seed 1,2
+        flags = ("--synth", "120,4,gaussian", "--normalize", "--q", "0.5", "--tau", "3",
+                 "--tol", "1e-8", "--json")
+        solves = keep_solves(monkeypatch)
+        for seeds in ("2,1", "2", "1,2"):
+            assert run_cli(capsys, "run", *flags, "--seed", seeds)[0] == 0
+        listed_first, alone, listed_second = [trajectory(r) for _, r in solves if r.seed == 2]
+        assert listed_first == alone
+        assert listed_second != alone
 
     @pytest.mark.parametrize(
         "source,q,binds,digest",
