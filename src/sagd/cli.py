@@ -10,6 +10,7 @@ is O(tau) per minibatch step.
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -119,6 +120,12 @@ def build_parser():
     p_verify.add_argument("--n-max", type=int, default=8)
     p_verify.add_argument("--json", action="store_true")
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser, built on the first command and kept for the process."""
+    return build_parser()
 
 
 def _parse_seeds(text):
@@ -325,8 +332,8 @@ class _Pipeline:
     and the per-seed solve.
 
     Construction runs, in order: the budget check (``budget`` is a
-    SolverConfig, with run's explicit alpha or None, that each solve
-    completes with q, tau, alpha and seed), the resolved ``out`` and
+    SolverConfig that each solve completes with q, tau, alpha and seed;
+    run's explicit --alpha is checked with it), the resolved ``out`` and
     ``plot`` paths checked to lie in existing directories, the command's
     number flags, the ``seeds``, the dataset, the explicit q and taus
     checked against its n, its profile, the planner's ``best`` candidate
@@ -339,9 +346,9 @@ class _Pipeline:
     def __init__(self, args):
         sweep = args.command == "sweep"
         alpha = None if sweep or args.alpha == "auto" else _number(args, "alpha", float)
-        self.budget = SolverConfig(
-            q=0.0, tau=1, alpha=alpha, tol=args.tol, max_effective_passes=args.max_passes,
-            check_every_passes=args.check_every,
+        self.budget = SolverConfig(  # 1.0 stands in for an auto alpha, resolved later
+            q=0.0, tau=1, alpha=1.0 if alpha is None else alpha, tol=args.tol,
+            max_effective_passes=args.max_passes, check_every_passes=args.check_every,
         )
         if not sweep and args.plot and not args.out:
             raise SagdError("--plot needs --out")
@@ -476,9 +483,8 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     handlers = {"plan": cmd_plan, "run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify}

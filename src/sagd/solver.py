@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import InterpolationConfig, stepsize as theoretical_stepsize
 from .exceptions import InvalidInputError
 from .numerics import SeededRng, sample_subset
 from .problem import (  # noqa: F401  full_grad: perfbench/tracer.py spans it by this name
@@ -67,9 +66,12 @@ class GradientTable:
 
 @dataclass
 class SolverConfig:
+    """One solve's parameters.  ``alpha`` is the stepsize; the theoretical
+    one is ``complexity.stepsize(InterpolationConfig(q, tau, n), profile)``."""
+
     q: float
     tau: int
-    alpha: float = None  # None resolves to the theoretical stepsize
+    alpha: float
     seed: int = 0
     tol: float = 1e-10
     max_effective_passes: float = 100.0
@@ -83,12 +85,17 @@ class SolverConfig:
             raise InvalidInputError("tau must be >= 1")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")
-        if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0.0):
+        if self.alpha is None or not (np.isfinite(self.alpha) and self.alpha > 0.0):
             raise InvalidInputError(f"alpha must be finite and positive, got {self.alpha}")
         if not (np.isfinite(self.max_effective_passes) and self.max_effective_passes > 0.0):
             raise InvalidInputError("max_effective_passes must be finite and positive")
         if not (np.isfinite(self.check_every_passes) and self.check_every_passes > 0.0):
             raise InvalidInputError("check_every_passes must be finite and positive")
+
+    @property
+    def cost_per_iter(self):
+        """Expected gradient evaluations per step, q (tau - 1) + 1."""
+        return self.q * (self.tau - 1) + 1.0
 
 
 @dataclass
@@ -102,12 +109,10 @@ class TrajectoryPoint:
 
 @dataclass
 class SolverState:
-    """Mutable iteration state; owned by a single run."""
+    """What a step mutates; owned by a single run."""
 
     x: np.ndarray
     table: GradientTable
-    theta: float
-    alpha: float
     iters: int = 0
     grad_evals: int = 0
 
@@ -157,21 +162,21 @@ def sagd_step(state, cfg, rng, grad, batch_grad):
         take_batch = rng.uniform() < q
     x = state.x
     # theta / n written as 1 / (q (tau-1) + 1): exact 1 at q = 0, 1/tau at q = 1
-    scale = 1.0 / (q * (cfg.tau - 1) + 1.0)
+    scale = 1.0 / cfg.cost_per_iter
     inv_n = 1.0 / n
     if take_batch:
         idx = sample_subset(rng, n, cfg.tau)
         if batch_grad is not None:
             grads_rows = batch_grad(x, idx)
             diff = grads_rows.sum(axis=0) - table.J[:, idx].sum(axis=1)
-            state.x = x - state.alpha * (scale * diff + inv_n * table.col_sum)
+            state.x = x - cfg.alpha * (scale * diff + inv_n * table.col_sum)
             table.write_columns(idx, grads_rows, diff)
         else:
             cols = idx.tolist()
             grads = [grad(x, j) for j in cols]
             diffs = [g - table.J[:, j] for j, g in zip(cols, grads)]
             diff = functools.reduce(np.add, diffs)  # summed in index order
-            state.x = x - state.alpha * (scale * diff + inv_n * table.col_sum)
+            state.x = x - cfg.alpha * (scale * diff + inv_n * table.col_sum)
             for j, g, d in zip(cols, grads, diffs):
                 table.write_column(j, g, d)
         state.grad_evals += cfg.tau
@@ -179,31 +184,34 @@ def sagd_step(state, cfg, rng, grad, batch_grad):
         j = rng.randint_below(n)
         g = grad(x, j)
         diff = g - table.J[:, j]
-        state.x = x - state.alpha * (scale * diff + inv_n * table.col_sum)
+        state.x = x - cfg.alpha * (scale * diff + inv_n * table.col_sum)
         table.write_column(j, g, diff)
         state.grad_evals += 1
     state.iters += 1
     return state
 
 
-def lyapunov(state, x_star, grad_table_star, l_max):
+def lyapunov(state, cfg, x_star, grad_table_star, l_max):
     """Distance measure that the iteration contracts geometrically:
     ||x - x*||^2 plus theta alpha / (2 n L_max) times the squared Frobenius
-    distance of the table from the per-sample gradients at x*."""
+    distance of the table from the per-sample gradients at x*, with
+    theta = n / (q (tau - 1) + 1) and alpha from ``cfg``."""
     dx = state.x - x_star
     dj = state.table.J - grad_table_star
-    coef = state.theta * state.alpha / (2.0 * state.table.n * l_max)
+    n = state.table.n
+    coef = n / cfg.cost_per_iter * cfg.alpha / (2.0 * n * l_max)
     return float(dx @ dx) + coef * float(np.sum(dj * dj))
 
 
-def run(data, loss, cfg, x_star, table=None):
+def run(data, loss, cfg, x_star, table):
     """Run the iteration from x = 0 until the error reaches ``cfg.tol``, the
     pass budget is exhausted, or the run diverges: it stops at the first
     checkpoint whose error or iterate is not finite, with ``diverged`` set.
 
-    Error is ||x - x*|| against the reference solution ``x_star``, a vector
-    of shape (d,).  A given ``table`` must be ``init_table(data, loss, 0)``;
-    the run takes it over and writes into it (else it fills its own).
+    The caller derives the inputs: the stepsize ``cfg.alpha``, the reference
+    solution ``x_star`` (a vector of shape (d,)) that the error ||x - x*|| is
+    measured against, and ``table``, which must be ``init_table(data, loss, 0)``;
+    the run takes the table over, writes into it and counts its n evaluations.
     Checkpoints land every round(check_every_passes * n / (q (tau - 1) + 1))
     iterations (a spacing that overflows to inf is refused), so runs that
     differ only by seed are sampled at identical iteration counts.
@@ -212,46 +220,30 @@ def run(data, loss, cfg, x_star, table=None):
     if np.shape(x_star) != (data.d,):
         raise InvalidInputError(f"x_star must have shape ({data.d},), got {np.shape(x_star)}")
     n = data.n
-    shapes = None if table is None else (np.shape(table.J), np.shape(table.col_sum))
-    if shapes not in (None, ((data.d, n), (data.d,))):
+    shapes = (np.shape(table.J), np.shape(table.col_sum))
+    if shapes != ((data.d, n), (data.d,)):
         raise InvalidInputError(f"table shapes {shapes} are not (({data.d}, {n}), ({data.d},))")
     if loss.kind == "logistic":
         check_logistic_labels(data)
     if cfg.tau > n:  # SolverConfig checks q and tau >= 1
         raise InvalidInputError(f"need 1 <= tau <= n, got tau={cfg.tau}, n={n}")
-    cost_per_iter = cfg.q * (cfg.tau - 1) + 1.0  # InterpolationConfig.cost_per_iter
-    spacing = cfg.check_every_passes * n / cost_per_iter
+    spacing = cfg.check_every_passes * n / cfg.cost_per_iter
     if not math.isfinite(spacing):
         raise InvalidInputError(f"checkpoint spacing of {spacing} iterations is not finite")
     check_every = max(1, round(spacing))
-    profile, alpha = None, cfg.alpha
-    if alpha is None or cfg.track_lyapunov:
-        profile = smoothness_profile(data, loss)
-    if alpha is None:
-        alpha = theoretical_stepsize(InterpolationConfig(cfg.q, cfg.tau, n), profile)
-    if not (np.isfinite(alpha) and alpha > 0.0):
-        raise InvalidInputError(f"resolved stepsize {alpha} is not positive")
 
     rng = SeededRng(cfg.seed)
-    x0 = np.zeros(data.d)
-    state = SolverState(
-        x=x0,
-        table=init_table(data, loss, x0) if table is None else table,
-        theta=n / cost_per_iter,
-        alpha=alpha,
-        grad_evals=n,  # the table fill
-    )
-
-    grad_star = init_table(data, loss, x_star).J if cfg.track_lyapunov else None
+    state = SolverState(x=np.zeros(data.d), table=table, grad_evals=n)  # n: the table fill
+    if cfg.track_lyapunov:
+        l_max = smoothness_profile(data, loss).L_max
+        grad_star = init_table(data, loss, x_star).J
 
     batch_grad = batch_gradient_fn(data, loss)
     # a q = 1 step with a batch kernel never takes a per-sample gradient
     grad = gradient_fn(data, loss) if cfg.q < 1.0 or batch_grad is None else None
 
     def psi():
-        if grad_star is None:
-            return None
-        return lyapunov(state, x_star, grad_star, profile.L_max)
+        return lyapunov(state, cfg, x_star, grad_star, l_max) if cfg.track_lyapunov else None
 
     budget = cfg.max_effective_passes * n
     err = float(np.linalg.norm(state.x - x_star))

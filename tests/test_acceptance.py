@@ -31,7 +31,7 @@ from sagd.problem import (
     smoothness_profile,
 )
 from sagd.sketch_oracle import oracle_expected_direction
-from sagd.solver import SolverConfig, run
+from sagd.solver import SolverConfig, init_table, run
 from sagd.verification import check_constants_against_oracles, check_envelope_shapes
 
 
@@ -56,15 +56,18 @@ def desk_instance():
 
 
 def _median_passes(inst, q, tau, seeds, tol=1e-10, track=False):
+    data, loss = inst["data"], inst["loss"]
+    alpha = stepsize(InterpolationConfig(q, tau, data.n), inst["profile"])
     passes, results = [], []
     for seed in seeds:
         cfg = SolverConfig(
-            q=q, tau=tau, seed=seed, tol=tol, max_effective_passes=500,
+            q=q, tau=tau, alpha=alpha, seed=seed, tol=tol, max_effective_passes=500,
             check_every_passes=0.25, track_lyapunov=track,
         )
-        result = run(inst["data"], inst["loss"], cfg, x_star=inst["x_star"])
+        table = init_table(data, loss, np.zeros(data.d))
+        result = run(data, loss, cfg, x_star=inst["x_star"], table=table)
         assert result.converged, f"(q={q}, tau={tau}, seed={seed}) did not converge"
-        passes.append(result.passes_to_tol(tol, inst["data"].n))
+        passes.append(result.passes_to_tol(tol, data.n))
         results.append(result)
     return statistics.median(passes), results
 
@@ -97,25 +100,22 @@ def test_criterion_3_reduction_identities():
     rng = np.random.default_rng(3)
     data = Dataset.from_dense(rng.standard_normal((10, 4)), rng.standard_normal(10))
     loss = LossSpec("ridge", 0.1)
-    from sagd.solver import SolverState, init_table, sagd_step
+    from sagd.solver import SolverState, sagd_step
 
     grad, batch = gradient_fn(data, loss), batch_gradient_fn(data, loss)
 
-    def fresh_state(q, tau, alpha, seed):
-        step_rng = SeededRng(seed)
-        table = init_table(data, loss, np.zeros(4))
-        theta = data.n / (q * (tau - 1) + 1.0)
-        return SolverState(x=np.zeros(4), table=table, theta=theta, alpha=alpha), step_rng
+    def fresh_state(seed):
+        return SolverState(x=np.zeros(4), table=init_table(data, loss, np.zeros(4))), SeededRng(seed)
 
     # full-batch step vs gradient descent step
-    state, step_rng = fresh_state(1.0, 10, 0.05, 1)
+    state, step_rng = fresh_state(1)
     cfg = SolverConfig(q=1.0, tau=10, alpha=0.05, seed=1)
     sagd_step(state, cfg, step_rng, grad, batch)
     gd = -0.05 * full_grad(data, loss, np.zeros(4))
     assert np.linalg.norm(state.x - gd) <= 1e-15 * (1 + np.linalg.norm(gd))
 
     # q = 0 vs reference single-sample method, exact under the shared seed
-    state, step_rng = fresh_state(0.0, 1, 0.04, 2)
+    state, step_rng = fresh_state(2)
     ref = reference_saga(data, loss, np.zeros(4), 0.04, 2, 40)
     cfg = SolverConfig(q=0.0, tau=1, alpha=0.04, seed=2)
     for k in range(40):
@@ -123,7 +123,7 @@ def test_criterion_3_reduction_identities():
         assert np.array_equal(state.x, ref[k + 1]), f"single-sample diverged at {k}"
 
     # q = 1 vs reference minibatch method, exact under the shared seed
-    state, step_rng = fresh_state(1.0, 3, 0.03, 4)
+    state, step_rng = fresh_state(4)
     ref = reference_minibatch_saga(data, loss, np.zeros(4), 0.03, 4, 40, 3)
     cfg = SolverConfig(q=1.0, tau=3, alpha=0.03, seed=4)
     for k in range(40):

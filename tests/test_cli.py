@@ -863,6 +863,25 @@ class TestParsing:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        # a usage error, --help and a valid plan share one parser and print
+        # what each prints on a parser of its own
+        argvs = [("plan", "--n", "x"), ("--help",),
+                 ("plan", "--n", "10", "--l-max", "1", "--mu", "0.1")]
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        shared = [run_cli(capsys, *argv) for argv in argvs]
+        cli._parser.cache_clear()
+        assert [code for code, _, _ in shared] == [2, 0, 0]
+        assert shared == fresh
+        assert len(builds) == 1
+
     def test_bad_synth_spec(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--synth", "10")
         assert code == 2

@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import math
 import statistics
+import struct
 
 import numpy as np
 import pytest
@@ -36,17 +38,41 @@ def _dataset(n, d, seed, normalize=False):
     return normalize_rows(data) if normalize else data
 
 
+def _sparse_logistic(n, d, seed):
+    """Unit-norm CSR rows with missing feature slots (so minibatch gradients
+    are taken one sample at a time) and +-1 labels."""
+    rng = np.random.default_rng(seed)
+    mask = rng.uniform(size=(n, d)) < 0.4
+    mask[np.arange(n), rng.integers(0, d, size=n)] = True  # no empty row
+    a = rng.standard_normal((n, d))
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    labels = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    return normalize_rows(Dataset(indptr, np.nonzero(mask)[1], a[mask], labels, d))
+
+
+def _solve(data, loss, x_star, q, tau, alpha=None, **kw):
+    """``run`` from a fresh table at ``alpha``, by default the theoretical stepsize."""
+    if alpha is None:
+        alpha = stepsize(InterpolationConfig(q, tau, data.n), smoothness_profile(data, loss))
+    cfg = SolverConfig(q=q, tau=tau, alpha=alpha, **kw)
+    return run(data, loss, cfg, x_star, init_table(data, loss, np.zeros(data.d)))
+
+
+def _digest(result):
+    """sha256 over every checkpoint's (iter, grad_evals, error bits) and the final x bits."""
+    h = hashlib.sha256()
+    for p in result.points:
+        h.update(struct.pack("<qqd", p.iter, p.grad_evals, p.error))
+    h.update(result.x.tobytes())
+    return h.hexdigest()
+
+
 def _make_state(data, loss, cfg, x0=None):
     """A fresh state and a no-argument step that advances it, with the
     gradient kernels bound once as ``run`` binds them."""
     rng = SeededRng(cfg.seed)
     x0 = np.zeros(data.d) if x0 is None else x0
-    table = init_table(data, loss, x0)
-    theta = data.n / (cfg.q * (cfg.tau - 1) + 1.0)
-    alpha = cfg.alpha
-    if alpha is None:
-        alpha = stepsize(InterpolationConfig(cfg.q, cfg.tau, data.n), smoothness_profile(data, loss))
-    state = SolverState(x=x0.copy(), table=table, theta=theta, alpha=alpha)
+    state = SolverState(x=x0.copy(), table=init_table(data, loss, x0))
     grad, batch = gradient_fn(data, loss), batch_gradient_fn(data, loss)
     return state, functools.partial(sagd_step, state, cfg, rng, grad, batch)
 
@@ -162,26 +188,37 @@ class TestBookkeeping:
     def test_same_seed_bitwise_identical(self):
         data = _dataset(30, 4, 12)
         loss = LossSpec("ridge", 0.1)
-        cfg = SolverConfig(q=0.5, tau=4, seed=77, tol=1e-8, max_effective_passes=30)
         x_star = exact_solution(data, loss)
-        r1 = run(data, loss, cfg, x_star=x_star)
-        r2 = run(data, loss, cfg, x_star=x_star)
+        kw = dict(q=0.5, tau=4, seed=77, tol=1e-8, max_effective_passes=30)
+        r1, r2 = (_solve(data, loss, x_star, **kw) for _ in range(2))
         assert np.array_equal(r1.x, r2.x)
         assert [p.error for p in r1.points] == [p.error for p in r2.points]
         assert [p.grad_evals for p in r1.points] == [p.grad_evals for p in r2.points]
 
-    def test_given_table_taken_over_and_equal_to_own_fill(self):
+    # taken when run still resolved the theoretical stepsize and filled the table itself
+    @pytest.mark.parametrize("case,digest", [
+        ("ridge", "ee83926b37e42552f97e26eba0d59d9192a7be7b7db5ed712e0b018fd4b18873"),
+        ("sparse-logistic", "7cc918b63e7ce06766a23215042cd3da10f0463c0cf0498ff4a52bedb095d8a8"),
+    ])
+    def test_theoretical_stepsize_runs_pinned(self, case, digest):
+        if case == "ridge":
+            data, loss, tau, seed = _dataset(30, 4, 12), LossSpec("ridge", 0.1), 4, 77
+            x_star = exact_solution(data, loss)
+        else:
+            data, loss, tau, seed = _sparse_logistic(40, 6, 23), LossSpec("logistic", 0.05), 3, 5
+            assert batch_gradient_fn(data, loss) is None
+            x_star = exact_solution(data, loss, tol=1e-12)
+        result = _solve(data, loss, x_star, 0.5, tau, seed=seed, tol=1e-8, max_effective_passes=30)
+        assert _digest(result) == digest
+
+    def test_given_table_taken_over(self):
         data = _dataset(30, 4, 12)
         loss = LossSpec("ridge", 0.1)
-        cfg = SolverConfig(q=0.5, tau=4, seed=77, tol=1e-8, max_effective_passes=30)
-        x_star = exact_solution(data, loss)
-        own = run(data, loss, cfg, x_star=x_star)
+        cfg = SolverConfig(q=0.5, tau=4, alpha=0.05, seed=77, tol=1e-8, max_effective_passes=30)
         table = init_table(data, loss, np.zeros(4))
         fill = table.J.copy()
-        given = run(data, loss, cfg, x_star=x_star, table=table)
-        assert own.x.tobytes() == given.x.tobytes()
-        trace = [[(p.iter, p.grad_evals, p.error) for p in r.points] for r in (own, given)]
-        assert trace[0] == trace[1] and trace[1][0][1] == data.n  # the fill is counted
+        result = run(data, loss, cfg, exact_solution(data, loss), table)
+        assert result.points[0].grad_evals == data.n  # the fill is counted
         assert not np.array_equal(table.J, fill)  # the run wrote into the table
 
 
@@ -192,18 +229,19 @@ class TestLyapunov:
         x_star = exact_solution(data, loss)
         g_star = init_table(data, loss, x_star).J
         table = GradientTable(J=g_star.copy(), col_sum=g_star.sum(axis=1))
-        state = SolverState(x=x_star.copy(), table=table, theta=7.0, alpha=0.1)
-        assert lyapunov(state, x_star, g_star, l_max=1.5) == 0.0
+        state = SolverState(x=x_star.copy(), table=table)
+        cfg = SolverConfig(q=0.0, tau=1, alpha=0.1)  # theta = n = 7
+        assert lyapunov(state, cfg, x_star, g_star, l_max=1.5) == 0.0
 
-    def test_zero_stepsize_reduces_to_distance(self):
+    def test_table_at_optimum_reduces_to_distance(self):
         data = _dataset(5, 2, 14)
         loss = LossSpec("ridge", 0.1)
         x_star = np.zeros(2)
         g_star = init_table(data, loss, x_star).J
-        table = GradientTable(J=np.ones((2, 5)), col_sum=np.full(2, 5.0))
-        x = np.array([3.0, 4.0])
-        state = SolverState(x=x, table=table, theta=5.0, alpha=0.0)
-        assert lyapunov(state, x_star, g_star, l_max=1.0) == 25.0
+        table = GradientTable(J=g_star.copy(), col_sum=g_star.sum(axis=1))
+        state = SolverState(x=np.array([3.0, 4.0]), table=table)
+        cfg = SolverConfig(q=0.0, tau=1, alpha=0.1)
+        assert lyapunov(state, cfg, x_star, g_star, l_max=1.0) == 25.0
 
     def test_full_batch_coefficient_identity(self):
         # theta alpha / (2 n L_max) equals alpha / (2 L_max (q (n-1) + 1))
@@ -219,8 +257,7 @@ class TestRun:
         data = normalize_rows(_dataset(100, 5, 15))
         loss = LossSpec("ridge", 1.0 / 100)
         x_star = exact_solution(data, loss)
-        cfg = SolverConfig(q=0.0, tau=1, seed=5, tol=1e-10, max_effective_passes=400)
-        result = run(data, loss, cfg, x_star=x_star)
+        result = _solve(data, loss, x_star, 0.0, 1, seed=5, tol=1e-10, max_effective_passes=400)
         assert result.converged
         errors = [p.error for p in result.points]
         assert errors[-1] <= 1e-10
@@ -236,12 +273,11 @@ class TestRun:
         loss = LossSpec("ridge", 0.1)
         prof = smoothness_profile(data, loss)
         alpha = stepsize(InterpolationConfig(1.0, 16, 16), prof)
-        cfg = SolverConfig(
-            q=1.0, tau=16, alpha=alpha, seed=0, tol=1e-12, max_effective_passes=2000,
-            check_every_passes=16.0 / 16,
-        )
         x_star = exact_solution(data, loss)
-        result = run(data, loss, cfg, x_star=x_star)
+        result = _solve(
+            data, loss, x_star, 1.0, 16, alpha=alpha, seed=0, tol=1e-12,
+            max_effective_passes=2000, check_every_passes=16.0 / 16,
+        )
         x = np.zeros(3)
         for _ in range(result.points[-1].iter):
             x = x - alpha * full_grad(data, loss, x)
@@ -251,8 +287,7 @@ class TestRun:
         data = _dataset(50, 4, 17)
         loss = LossSpec("ridge", 0.02)
         x_star = exact_solution(data, loss)
-        cfg = SolverConfig(q=0.0, tau=1, seed=1, tol=1e-14, max_effective_passes=2.0)
-        result = run(data, loss, cfg, x_star=x_star)
+        result = _solve(data, loss, x_star, 0.0, 1, seed=1, tol=1e-14, max_effective_passes=2.0)
         assert not result.converged
         assert result.points[-1].grad_evals <= 2.0 * 50 + 50
         assert result.passes_to_tol(1e-14, 50) is None
@@ -261,9 +296,8 @@ class TestRun:
         data = _dataset(500, 10, 19, normalize=True)
         loss = LossSpec("ridge", 0.1)
         x_star = exact_solution(data, loss)
-        cfg = SolverConfig(q=0.0, tau=1, alpha=50.0, seed=1, max_effective_passes=50.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            result = run(data, loss, cfg, x_star=x_star)
+            result = _solve(data, loss, x_star, 0.0, 1, alpha=50.0, seed=1, max_effective_passes=50.0)
         errors = [p.error for p in result.points]
         assert result.diverged and not result.converged
         assert not math.isfinite(errors[-1])
@@ -273,16 +307,14 @@ class TestRun:
     def test_converging_run_not_flagged_diverged(self):
         data = _dataset(40, 3, 18)
         loss = LossSpec("ridge", 0.1)
-        cfg = SolverConfig(q=0.0, tau=1, seed=2, tol=1e-6)
-        result = run(data, loss, cfg, x_star=exact_solution(data, loss))
+        result = _solve(data, loss, exact_solution(data, loss), 0.0, 1, seed=2, tol=1e-6)
         assert result.converged and not result.diverged
 
     @pytest.mark.parametrize("x_star", [None, np.zeros(4), np.zeros((3, 1)), np.zeros(2)])
     def test_missing_or_misshaped_reference_rejected(self, x_star):
         data = _dataset(40, 3, 18)
-        cfg = SolverConfig(q=0.0, tau=1, seed=2, tol=1e-6)
         with pytest.raises(InvalidInputError, match=r"x_star must have shape \(3,\)"):
-            run(data, LossSpec("ridge", 0.1), cfg, x_star=x_star)
+            _solve(data, LossSpec("ridge", 0.1), x_star, 0.0, 1, alpha=0.1, seed=2, tol=1e-6)
 
     def test_contraction_envelope_median(self):
         # median over seeds of the tracked distance measure stays under
@@ -295,11 +327,10 @@ class TestRun:
         alpha = stepsize(icfg, prof)
         series = []
         for seed in range(10):
-            cfg = SolverConfig(
-                q=0.5, tau=4, seed=seed, tol=1e-8, max_effective_passes=200,
-                track_lyapunov=True,
+            result = _solve(
+                data, loss, x_star, 0.5, 4, alpha=alpha, seed=seed, tol=1e-8,
+                max_effective_passes=200, track_lyapunov=True,
             )
-            result = run(data, loss, cfg, x_star=x_star)
             series.append({p.iter: p.lyapunov for p in result.points})
         iters = sorted(set.intersection(*[set(s) for s in series]))
         psi0 = series[0][0]
@@ -307,6 +338,10 @@ class TestRun:
         for k in iters:
             med = statistics.median(s[k] for s in series)
             assert med <= 2.0 * (rate ** k) * psi0 * (1 + 1e-9), f"iter {k}"
+
+    def test_alpha_required(self):
+        with pytest.raises(InvalidInputError, match="alpha must be finite and positive, got None"):
+            SolverConfig(q=0.5, tau=2, alpha=None)
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -320,7 +355,7 @@ class TestRun:
     def test_tau_exceeding_n_rejected(self):
         data = _dataset(5, 2, 20)
         with pytest.raises(InvalidInputError, match=r"^need 1 <= tau <= n, got tau=6, n=5$"):
-            run(data, LossSpec("ridge", 0.1), SolverConfig(q=0.5, tau=6, alpha=0.1), np.zeros(2))
+            _solve(data, LossSpec("ridge", 0.1), np.zeros(2), 0.5, 6, alpha=0.1)
 
     @pytest.mark.parametrize(
         "j_shape,sum_shape", [((2, 4), (2,)), ((5, 2), (2,)), ((2, 5), (5,)), ((2, 5), (2, 1))]
@@ -345,14 +380,15 @@ class TestRun:
         plan = optimal_plan(prof, data.n)
         assert plan.best.omega_coef <= plan.saga_omega
         x_star = exact_solution(data, loss, tol=1e-12)
-        cfg = SolverConfig(
-            q=plan.best.q, tau=plan.best.tau, seed=1, tol=1e-9, max_effective_passes=500
+        result = _solve(
+            data, loss, x_star, plan.best.q, plan.best.tau, seed=1, tol=1e-9,
+            max_effective_passes=500,
         )
-        result = run(data, loss, cfg, x_star=x_star)
         assert result.converged
 
     def test_logistic_labels_validated_even_with_explicit_alpha(self):
         data = _dataset(6, 2, 21)  # real-valued labels, not +-1
         cfg = SolverConfig(q=0.0, tau=1, alpha=0.05, tol=1e-4, max_effective_passes=2)
+        table = GradientTable(J=np.zeros((2, 6)), col_sum=np.zeros(2))
         with pytest.raises(InvalidInputError):
-            run(data, LossSpec("logistic", 0.1), cfg, np.zeros(2))
+            run(data, LossSpec("logistic", 0.1), cfg, np.zeros(2), table)
