@@ -292,8 +292,8 @@ def cmd_plan(args):
         data, loss, source = _load_dataset(args)
         profile = smoothness_profile(data, loss)
     n = profile.n
-    plan = optimal_plan(profile, n)
-    closed = full_batch_interpolation(profile, n) if n >= 3 else None
+    plan = optimal_plan(profile)
+    closed = full_batch_interpolation(profile) if n >= 3 else None
     slate = plan.all_candidates
     if args.json:
         best = _json_block([np.atleast_1d(v) for v in dataclasses.astuple(plan.best)])
@@ -368,16 +368,16 @@ class _Pipeline:
         profile = smoothness_profile(data, loss)
         self.best = line = None
         if sweep or (q is None and tau is None):  # sweep reports the planner's tau*
-            plan = optimal_plan(profile, data.n)
+            plan = optimal_plan(profile)
             self.best = best = plan.best
             q, tau = best.q if q is None else q, best.tau
             line = (f"plan: q*={best.q:.6g} tau*={best.tau} "
                     f"omega={best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})")
         elif q is None:  # an auto value is planned with the explicit one held fixed
-            q, omega = plan_q(profile, data.n, tau)
+            q, omega = plan_q(profile, tau)
             line = f"plan: q*={q:.6g} at tau={tau} omega={omega:.6g}"
         elif tau is None:
-            tau, omega = plan_tau(profile, data.n, q)
+            tau, omega = plan_tau(profile, q)
             line = f"plan: tau*={tau} at q={q:.6g} omega={omega:.6g}"
         self.q = q
         if not sweep:

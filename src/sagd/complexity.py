@@ -2,7 +2,7 @@
 
 Every quantity here is a function of the sampling law alone (probability q
 of taking a tau-minibatch step instead of a single-sample step) and of the
-smoothness profile (L_i, L_max, L_bar, mu).  The enumeration oracles in
+smoothness profile (n, L_max, L_bar, mu).  The enumeration oracles in
 :mod:`sagd.sketch_oracle` recompute the sampling-dependent quantities by
 brute force; the two routes are compared in the verification suites.
 
@@ -168,14 +168,15 @@ class FullBatchInterpolation:
     regime: str
 
 
-def full_batch_interpolation(profile, n):
-    """Closed-form interpolation parameters for tau = n.
+def full_batch_interpolation(profile):
+    """Closed-form interpolation parameters for tau = n, ``profile``'s n.
 
     Two conditioning regimes, split at 4 L_bar / mu = n - 1.  Well
     conditioned picks q = 1/(n-1)^2; badly conditioned picks
     q = mu / (4 n L_bar).  Both choices give a strictly better complexity
     coefficient than the single-sample baseline n + 4 L_max / mu.
     """
+    n = profile.n
     if n <= 2:
         raise InvalidInputError("closed forms need n >= 3")
     mu = profile.mu

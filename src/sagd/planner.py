@@ -10,13 +10,12 @@ every tau, plus the single-sample baseline, and picks the cheapest.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .complexity import InterpolationConfig, _scalar, stepsize, total_complexity
 from .exceptions import InvalidInputError
-from .problem import SmoothnessProfile
 
 KIND_ONE = "ONE"
 KIND_Q_MINUS = "Q_MINUS"
@@ -49,8 +48,8 @@ class Plan:
 
     ``all_candidates`` is a numpy record array with :class:`PlanCandidate`'s
     fields, one row per candidate; ``best`` is that winning row as a
-    PlanCandidate of Python scalars.  The profile and n the plan was made
-    from stay with the caller.
+    PlanCandidate of Python scalars.  The profile the plan was made from
+    stays with the caller.
     """
 
     best: PlanCandidate
@@ -135,45 +134,51 @@ def optimal_minibatch_tau(n, mu, l_max):
     return min(max(int(math.floor(t + 0.5)), 1), n)
 
 
-def plan_q(profile, n, tau):
-    """The best q at a fixed tau on the planner's uniform profile: the argmin
-    of omega over q = 0, 1, the lower branch root and the envelope
-    intersection, those in [0, 1], ties to the smaller q (so tau = 1 gives
-    q = 0).  Returns ``(q, omega_coef)``."""
+def _ranking_profile(profile):
+    """The profile (q, tau) pairs are ranked on: the uniform estimate L_i = L_max."""
+    return replace(profile, L_bar=profile.L_max)
+
+
+def plan_q(profile, tau):
+    """The best q at a fixed tau on the ranking profile: the argmin of omega
+    over q = 0, 1, the lower branch root and the envelope intersection,
+    those in [0, 1], ties to the smaller q (so tau = 1 gives q = 0).
+    Returns ``(q, omega_coef)``."""
+    n = profile.n
     q = [0.0]
     if tau > 1:
         q += [1.0, branch_roots(tau, n)[0], q_intersections(tau, n, profile.L_max, profile.mu)[1]]
     q = np.array([v for v in q if 0.0 <= v <= 1.0])  # drops absent (NaN) candidates
-    uniform = SmoothnessProfile.uniform(n, profile.L_max, profile.mu)
-    omega = total_complexity(InterpolationConfig(q, tau, n), uniform).omega_coef
+    omega = total_complexity(InterpolationConfig(q, tau, n), _ranking_profile(profile)).omega_coef
     best = np.lexsort((q, omega))[0]
     return q[best].item(), omega[best].item()
 
 
-def plan_tau(profile, n, q):
-    """The best tau at a fixed q on the planner's uniform profile: the argmin
-    of omega over tau = 1..n, ties to the larger tau (more parallelizable).
+def plan_tau(profile, q):
+    """The best tau at a fixed q on the ranking profile: the argmin of omega
+    over tau = 1..profile.n, ties to the larger tau (more parallelizable).
     Returns ``(tau, omega_coef)``."""
-    uniform = SmoothnessProfile.uniform(n, profile.L_max, profile.mu)
-    omega = total_complexity(InterpolationConfig(q, np.arange(1, n + 1), n), uniform).omega_coef
+    n = profile.n
+    cfg = InterpolationConfig(q, np.arange(1, n + 1), n)
+    omega = total_complexity(cfg, _ranking_profile(profile)).omega_coef
     tau = int(np.flatnonzero(omega == omega.min())[-1]) + 1
     return tau, omega[tau - 1].item()
 
 
-def optimal_plan(profile, n):
+def optimal_plan(profile):
     """Enumerate the candidate (q, tau) slate and return the cheapest.
 
-    Complexity coefficients are evaluated with the uniform estimate
-    L_i = L_max; the reported stepsize of each candidate uses the true
+    Complexity coefficients are evaluated on the ranking profile
+    (L_i = L_max); the reported stepsize of each candidate uses the true
     profile, so an executed plan is always covered by the convergence
     guarantee.  Ties break toward larger tau (more parallelizable), then
     smaller q.  Candidates come in a fixed order: the single-sample
     baseline, the q = 1 family, then for each tau = 2..n its lower branch
     root and its envelope intersection.
     """
+    n = profile.n
     if n < 2:
         raise InvalidInputError("planning needs n >= 2")
-    uniform = SmoothnessProfile.uniform(n, profile.L_max, profile.mu, profile.mu_source)
 
     # per tau = 2..n: the lower branch root, then the envelope intersection
     taus = np.arange(2, n + 1)
@@ -185,7 +190,7 @@ def optimal_plan(profile, n):
 
     # q = 1 family: the rounded closed-form tau plus the exhaustive scan's
     # argmin (they can differ by one when rounding picks the worse neighbor)
-    t_scan, _ = plan_tau(profile, n, 1.0)
+    t_scan, _ = plan_tau(profile, 1.0)
     t_round = optimal_minibatch_tau(n, profile.mu, profile.L_max)
     ones = [t_round] if t_scan == t_round else [t_round, t_scan]
 
@@ -194,7 +199,7 @@ def optimal_plan(profile, n):
     kind = np.concatenate(([KIND_SAGA_BASELINE], [KIND_ONE] * len(ones), pair_kind[keep]))
     covered = (kind != KIND_Q_MINUS) | (tau >= 4)
     cfg = InterpolationConfig(q=q, tau=tau, n=n)
-    omega = total_complexity(cfg, uniform).omega_coef
+    omega = total_complexity(cfg, _ranking_profile(profile)).omega_coef
     alpha = stepsize(cfg, profile)
     names = [f.name for f in fields(PlanCandidate)]
     slate = np.rec.fromarrays((tau, kind, q, omega, alpha, covered), names=names)

@@ -148,48 +148,41 @@ def check_logistic_labels(data):
 
 @dataclass(frozen=True)
 class SmoothnessProfile:
-    """Per-sample smoothness constants plus the strong convexity constant.
+    """All the closed forms read of a problem: n, the max and the mean of the
+    per-sample smoothness constants (which stay with the data), and mu.
 
     Profiles built from data via :func:`smoothness_profile` always satisfy
     0 < mu <= L_bar <= L_max.  Hand-built profiles used for evaluating
     complexity formulas on parameter grids may place mu above L_bar; only
-    mu > 0 and consistency of L_max / L_bar with L are enforced here.
+    n >= 1, mu > 0, finite constants and L_bar <= L_max are enforced here.
     """
 
-    L: np.ndarray
+    n: int
     L_max: float
     L_bar: float
     mu: float
     mu_source: str
 
     def __post_init__(self):
-        object.__setattr__(self, "L", np.asarray(self.L, dtype=np.float64))
-        if self.L.ndim != 1 or self.L.size < 1:
-            raise InvalidInputError("L must be a nonempty vector")
+        if self.n < 1:
+            raise InvalidInputError("need n >= 1")
         if not (np.isfinite(self.mu) and self.mu > 0.0):
             raise NotStronglyConvexError(f"mu must be positive, got {self.mu}")
-        if not (np.isfinite(self.L_max) and np.isfinite(self.L_bar) and np.isfinite(self.L).all()):
+        if not (np.isfinite(self.L_max) and np.isfinite(self.L_bar)):
             raise InvalidInputError("smoothness constants must be finite")
-        if abs(self.L_max - float(self.L.max())) > 1e-12 * max(1.0, self.L_max):
-            raise InvalidInputError("L_max does not match max(L)")
-        if abs(self.L_bar - float(self.L.mean())) > 1e-12 * max(1.0, self.L_bar):
-            raise InvalidInputError("L_bar does not match mean(L)")
         if self.L_bar > self.L_max * (1.0 + 1e-12):
             raise InvalidInputError("need L_bar <= L_max")
-
-    @property
-    def n(self):
-        return self.L.size
 
     @classmethod
     def uniform(cls, n, l_max, mu, mu_source=MU_LAMBDA_BOUND):
         """All samples share the same smoothness constant."""
-        return cls(np.full(n, float(l_max)), float(l_max), float(l_max), mu, mu_source)
+        return cls(n, float(l_max), float(l_max), mu, mu_source)
 
     @classmethod
     def from_bounds(cls, n, l_max, l_bar, mu, mu_source=MU_LAMBDA_BOUND):
-        """Smallest profile realizing given (L_max, L_bar): one sample at
-        L_max, the rest at the level that makes the mean come out right."""
+        """Profile of the smallest problem realizing (L_max, L_bar): one sample
+        at L_max, the rest at the level that makes the mean come out right.
+        L_bar is those levels' mean, which may differ from l_bar in the last bit."""
         if n < 1 or l_bar > l_max:
             raise InvalidInputError("need n >= 1 and L_bar <= L_max")
         if n == 1 or l_bar == l_max:
@@ -199,7 +192,7 @@ class SmoothnessProfile:
             raise InvalidInputError("L_bar too small to realize with nonneg constants")
         levels = np.full(n, rest)
         levels[0] = l_max
-        return cls(levels, float(l_max), float(levels.mean()), mu, mu_source)
+        return cls(n, float(l_max), float(levels.mean()), mu, mu_source)
 
 
 def _sigmoid_neg(z):
@@ -443,7 +436,8 @@ def _ridge_rhs(data):
 
 
 def smoothness_profile(data, loss):
-    """Per-sample smoothness constants and the strong convexity constant.
+    """The data's :class:`SmoothnessProfile`: L_max and L_bar are the max and
+    the mean of the per-sample smoothness constants L_i.
 
     Ridge: L_i = ||a_i||^2 + lambda and, when d <= _EXACT_MU_DIM_LIMIT,
     mu = lambda_min(A^T A)/n + lambda from an exact eigensolve; above the
@@ -466,7 +460,7 @@ def smoothness_profile(data, loss):
         raise NotStronglyConvexError(
             f"objective is not strongly convex; use lambda > 0 (got mu = {mu:.3e})"
         )
-    return SmoothnessProfile(levels, float(levels.max()), float(levels.mean()), mu, source)
+    return SmoothnessProfile(data.n, float(levels.max()), float(levels.mean()), mu, source)
 
 
 def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000, profile=None):

@@ -10,6 +10,7 @@ with q = 1 and tau = n it is exactly full gradient descent.
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -79,18 +80,14 @@ class SolverConfig:
     track_lyapunov: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
+        if not (isinstance(self.q, numbers.Real) and 0.0 <= self.q <= 1.0):
             raise InvalidInputError(f"q must be in [0, 1], got {self.q}")
-        if self.tau < 1:
-            raise InvalidInputError("tau must be >= 1")
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
-            raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")
-        if self.alpha is None or not (np.isfinite(self.alpha) and self.alpha > 0.0):
-            raise InvalidInputError(f"alpha must be finite and positive, got {self.alpha}")
-        if not (np.isfinite(self.max_effective_passes) and self.max_effective_passes > 0.0):
-            raise InvalidInputError("max_effective_passes must be finite and positive")
-        if not (np.isfinite(self.check_every_passes) and self.check_every_passes > 0.0):
-            raise InvalidInputError("check_every_passes must be finite and positive")
+        if not (isinstance(self.tau, numbers.Integral) and self.tau >= 1):
+            raise InvalidInputError(f"tau must be an integer >= 1, got {self.tau}")
+        for name in ("tol", "alpha", "max_effective_passes", "check_every_passes"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and np.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
 
     @property
     def cost_per_iter(self):

@@ -51,7 +51,7 @@ def desk_instance():
     loss = LossSpec("ridge", 1.0 / data.n)
     profile = smoothness_profile(data, loss)
     x_star = exact_solution(data, loss)
-    plan = optimal_plan(profile, data.n)
+    plan = optimal_plan(profile)
     return {"data": data, "loss": loss, "profile": profile, "x_star": x_star, "plan": plan}
 
 
@@ -138,7 +138,7 @@ def test_criterion_4_full_batch_closed_forms():
             for ratio in (0.5, 1.0):  # L_bar / L_max
                 mu = 4.0 / cond
                 profile = SmoothnessProfile.from_bounds(n, 1.0, ratio, mu)
-                fb = full_batch_interpolation(profile, n)
+                fb = full_batch_interpolation(profile)
                 mc = total_complexity(InterpolationConfig(q=fb.q, tau=n, n=n), profile)
                 rel = abs(mc.omega_coef - fb.omega_coef) / fb.omega_coef
                 assert rel <= 1e-9, (n, cond, ratio, fb.regime, rel)
@@ -219,7 +219,7 @@ def test_criterion_9_nontrivial_interpolation_exists():
     mu = 4.0 / 750.0  # 4 L_bar / mu = 750, between n/2 and 2n
     profile = SmoothnessProfile.uniform(n, 1.0, mu)
     assert n / 2 <= 4 * profile.L_bar / profile.mu <= 2 * n
-    plan = optimal_plan(profile, n)
+    plan = optimal_plan(profile)
     assert plan.best.q != 0.0
     assert plan.best.q_kind != KIND_SAGA_BASELINE
     assert plan.best.omega_coef < plan.saga_omega
@@ -241,7 +241,7 @@ def test_criterion_10_libsvm_plans_optional(name, lo, hi):
                     "or set SAGD_LIBSVM_DIR)")
     data = normalize_rows(parse_libsvm(path))
     loss = LossSpec("ridge", 10.0 / data.n)
-    plan = optimal_plan(smoothness_profile(data, loss), data.n)
+    plan = optimal_plan(smoothness_profile(data, loss))
     assert lo <= plan.best.q <= hi, plan.best
     _report(10, f"{name}: q*={plan.best.q:.3f} in [{lo}, {hi}]")
 

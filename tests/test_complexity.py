@@ -17,7 +17,7 @@ def _uniform(n, l_max=1.0, mu=0.1):
 
 def _profile_from_levels(levels, mu=1e-3):
     levels = np.asarray(levels, float)
-    return SmoothnessProfile(levels, float(levels.max()), float(levels.mean()), mu, "lambda-lower-bound")
+    return SmoothnessProfile(levels.size, float(levels.max()), float(levels.mean()), mu, "lambda-lower-bound")
 
 
 class TestBiasCorrection:
@@ -163,7 +163,7 @@ class TestStepsize:
             assert 4 * prof.L_bar / mu >= n - 1 or n == 10
             q = mu / (4 * n * prof.L_bar)
             alpha = cx.stepsize(cx.InterpolationConfig(q=q, tau=n, n=n), prof)
-            fb = cx.full_batch_interpolation(prof, n)
+            fb = cx.full_batch_interpolation(prof)
             if fb.regime == "bad":
                 assert abs(alpha - fb.alpha) <= 1e-12 * fb.alpha
 
@@ -275,7 +275,7 @@ class TestArrayCalculus:
 class TestFullBatchInterpolation:
     def test_rejects_tiny_n(self):
         with pytest.raises(InvalidInputError):
-            cx.full_batch_interpolation(_uniform(5, 1.0, 0.1), 2)
+            cx.full_batch_interpolation(_uniform(2, 1.0, 0.1))
 
     def test_regime_boundary_gap_matches_derivation(self):
         # the two regimes pick different q at 4 L_bar / mu = n - 1, so their
@@ -283,7 +283,7 @@ class TestFullBatchInterpolation:
         for n in (10, 100, 1000):
             mu = 4.0 / (n - 1)
             prof = _uniform(n, 1.0, mu)
-            well = cx.full_batch_interpolation(prof, n)
+            well = cx.full_batch_interpolation(prof)
             assert well.regime == "well"
             cond = 4.0 / mu
             omega_bad = n + cond * (1 - 1 / (cond + 1 - 1 / n))
@@ -298,7 +298,7 @@ class TestFullBatchInterpolation:
                 for ratio in (0.5, 1.0):
                     mu = 4.0 / cond
                     prof = SmoothnessProfile.from_bounds(n, 1.0, ratio, mu)
-                    fb = cx.full_batch_interpolation(prof, n)
+                    fb = cx.full_batch_interpolation(prof)
                     assert fb.omega_coef <= n + 4.0 / mu + 1e-9
 
     def test_approaches_baseline_for_large_n(self):
@@ -306,7 +306,7 @@ class TestFullBatchInterpolation:
         for n in (10, 100, 1000, 10000):
             mu = 4.0 / (n - 1)
             prof = _uniform(n, 1.0, mu)
-            fb = cx.full_batch_interpolation(prof, n)
+            fb = cx.full_batch_interpolation(prof)
             ratios.append(fb.omega_coef / (n + 4.0 / mu))
         assert all(r <= 1.0 for r in ratios)
         assert ratios[-1] > 0.999
@@ -318,7 +318,7 @@ class TestFullBatchInterpolation:
                 for ratio in (0.5, 1.0):
                     mu = 4.0 / cond
                     prof = SmoothnessProfile.from_bounds(n, 1.0, ratio, mu)
-                    fb = cx.full_batch_interpolation(prof, n)
+                    fb = cx.full_batch_interpolation(prof)
                     mc = cx.total_complexity(cx.InterpolationConfig(q=fb.q, tau=n, n=n), prof)
                     assert abs(mc.omega_coef - fb.omega_coef) <= 1e-9 * fb.omega_coef
                     assert abs(mc.stepsize - fb.alpha) <= 1e-12 * fb.alpha

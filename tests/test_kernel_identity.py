@@ -33,6 +33,19 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_profile_matches(data, loss, levels, mu):
+    """smoothness_profile against the row loop's levels and mu, bit for bit:
+    its mu, L_max and L_bar, and the levels it reduces (||a_i||^2 + lambda for
+    ridge, ||a_i||^2 / 8 + lambda for logistic) from the kernel's row norms.
+    Returns the profile."""
+    sq = problem._row_sq_norms(data)
+    kernel = sq + loss.lam if loss.kind == "ridge" else sq / 8.0 + loss.lam
+    prof = problem.smoothness_profile(data, loss)
+    assert same_bits(kernel, levels) and same_bits(prof.mu, mu)
+    assert same_bits(prof.L_max, levels.max()) and same_bits(prof.L_bar, levels.mean())
+    return prof
+
+
 def row_sum_patches(block_bytes):
     """Patch the block budget of the row sums."""
     return mock.patch.object(problem, "_BLOCK_BYTES", block_bytes)
@@ -108,9 +121,7 @@ def test_array_kernels_match_row_loops(case):
 
     levels, mu = row_smoothness_levels(data, loss)
     if mu > 0.0:
-        prof = problem.smoothness_profile(data, loss)
-        assert same_bits(prof.L, levels) and same_bits(prof.mu, mu)
-        assert prof.L_max == float(levels.max()) and prof.L_bar == float(levels.mean())
+        assert_profile_matches(data, loss, levels, mu)
 
 
 @settings(max_examples=150, deadline=None)
@@ -282,9 +293,7 @@ def test_one_column_kernels_match_row_loops(kind, dense, x0):
     assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
     assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
     assert same_bits(problem._ridge_rhs(data), row_ridge_rhs(data))
-    levels, mu = row_smoothness_levels(data, loss)
-    prof = problem.smoothness_profile(data, loss)
-    assert same_bits(prof.L, levels) and same_bits(prof.mu, mu)
+    assert_profile_matches(data, loss, *row_smoothness_levels(data, loss))
 
 
 def test_wide_sparse_logistic_matches_row_loops():
@@ -339,9 +348,7 @@ def test_long_and_mixed_length_rows_match_row_loops(kind, dense):
             table = init_table(data, loss, x)
             j_mat, col_sum = row_init_table_at_x(data, loss, x)
             assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
-        levels, mu = row_smoothness_levels(data, loss)
-        prof = problem.smoothness_profile(data, loss)
-        assert same_bits(prof.L, levels) and same_bits(prof.mu, mu)
+        prof = assert_profile_matches(data, loss, *row_smoothness_levels(data, loss))
         if kind == "ridge":
             assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
             assert same_bits(problem._ridge_rhs(data), row_ridge_rhs(data))

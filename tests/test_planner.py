@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import astuple, fields
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from sagd import planner as pl
-from sagd.complexity import InterpolationConfig, stepsize, theta, total_complexity
+from sagd.complexity import (
+    InterpolationConfig, full_batch_interpolation, stepsize, theta, total_complexity,
+)
 from sagd.exceptions import InvalidInputError
 from sagd.problem import SmoothnessProfile
 
@@ -192,45 +195,45 @@ class TestOptimalPlan:
     def test_beats_baseline_badly_conditioned(self):
         n = 200
         prof = _uniform(n, 1.0, 4.0 / (5 * n))  # 4 L_max / mu = 5n
-        plan = pl.optimal_plan(prof, n)
+        plan = pl.optimal_plan(prof)
         assert plan.best.q_kind != pl.KIND_SAGA_BASELINE
         assert plan.best.omega_coef <= plan.saga_omega
 
     def test_beats_baseline_well_conditioned(self):
         n = 1000
         prof = _uniform(n, 1.001, 0.05)
-        plan = pl.optimal_plan(prof, n)
+        plan = pl.optimal_plan(prof)
         assert plan.best.omega_coef <= plan.saga_omega
 
     def test_baseline_candidate_present(self):
-        slate = pl.optimal_plan(_uniform(30, 1.0, 0.05), 30).all_candidates
+        slate = pl.optimal_plan(_uniform(30, 1.0, 0.05)).all_candidates
         assert slate.q_kind.tolist().count(pl.KIND_SAGA_BASELINE) == 1
         assert (slate.q_kind[0], slate.q[0], slate.tau[0]) == (pl.KIND_SAGA_BASELINE, 0.0, 1)
 
     def test_candidate_count_bound(self):
         for n in (10, 50, 200):
-            plan = pl.optimal_plan(_uniform(n, 1.0, 0.05), n)
+            plan = pl.optimal_plan(_uniform(n, 1.0, 0.05))
             assert len(plan.all_candidates) <= 2 * (n - 1) + 2
 
     def test_candidates_carry_consistent_omega(self):
         n = 40
         prof = _uniform(n, 1.0, 0.04)
-        slate = pl.optimal_plan(prof, n).all_candidates
+        slate = pl.optimal_plan(prof).all_candidates
         for tau, q, omega in zip(slate.tau.tolist(), slate.q.tolist(), slate.omega_coef.tolist()):
             mc = total_complexity(InterpolationConfig(q=q, tau=tau, n=n), prof)
             assert omega == mc.omega_coef
 
     def test_best_is_minimum(self):
-        plan = pl.optimal_plan(_uniform(60, 1.0, 0.02), 60)
+        plan = pl.optimal_plan(_uniform(60, 1.0, 0.02))
         assert plan.best.omega_coef == plan.all_candidates.omega_coef.min()
 
     def test_qs_are_probabilities(self):
-        plan = pl.optimal_plan(_uniform(80, 1.0, 0.3), 80)
+        plan = pl.optimal_plan(_uniform(80, 1.0, 0.3))
         qs = plan.all_candidates.q
         assert np.all((0.0 <= qs) & (qs <= 1.0))
 
     def test_uncovered_roots_only_for_tiny_tau(self):
-        slate = pl.optimal_plan(_uniform(4, 1.0, 0.2), 4).all_candidates
+        slate = pl.optimal_plan(_uniform(4, 1.0, 0.2)).all_candidates
         uncovered = slate[~slate.covered]
         assert set(uncovered.q_kind.tolist()) <= {pl.KIND_Q_MINUS}
         assert set(uncovered.tau.tolist()) <= {2, 3}
@@ -244,7 +247,7 @@ class TestOptimalPlan:
         # minimizer; no point of a dense (q, tau) grid may beat it
         mu = 4.0 / cond
         prof = _uniform(n, 1.0, mu)
-        plan = pl.optimal_plan(prof, n)
+        plan = pl.optimal_plan(prof)
         grid_min = math.inf
         for tau in range(1, n + 1):
             for qi in range(0, 1001):
@@ -255,10 +258,8 @@ class TestOptimalPlan:
     def test_stepsize_uses_true_profile(self):
         n = 50
         levels = np.linspace(0.5, 2.0, n)
-        prof = SmoothnessProfile(
-            levels, float(levels.max()), float(levels.mean()), 0.05, "lambda-lower-bound"
-        )
-        plan = pl.optimal_plan(prof, n)
+        prof = SmoothnessProfile(n, float(levels.max()), float(levels.mean()), 0.05, "exact-eigen")
+        plan = pl.optimal_plan(prof)
         for row in plan.all_candidates[:5].tolist():
             c = pl.PlanCandidate(*row)
             assert c.alpha == stepsize(InterpolationConfig(q=c.q, tau=c.tau, n=n), prof)
@@ -271,7 +272,7 @@ class TestPlanOneValue:
         # with tau held fixed, no q of a dense grid beats the planned one
         prof = _uniform(n, 1.0, 4.0 / cond)
         for tau in (1, 2, 3, n // 3, n - 1, n):
-            q, omega = pl.plan_q(prof, n, tau)
+            q, omega = pl.plan_q(prof, tau)
             assert omega == total_complexity(InterpolationConfig(q, tau, n), prof).omega_coef
             grid = total_complexity(InterpolationConfig(np.linspace(0.0, 1.0, 1001), tau, n), prof)
             assert omega <= grid.omega_coef.min() * (1 + 1e-9)
@@ -286,14 +287,38 @@ class TestPlanOneValue:
         omega = [total_complexity(InterpolationConfig(q, t, n), prof).omega_coef
                  for t in range(1, n + 1)]
         tau = max(range(1, n + 1), key=lambda t: (-omega[t - 1], t))
-        assert pl.plan_tau(prof, n, q) == (tau, omega[tau - 1])
+        assert pl.plan_tau(prof, q) == (tau, omega[tau - 1])
 
     def test_plans_use_the_uniform_profile(self):
         levels = np.linspace(0.5, 2.0, 20)
-        prof = SmoothnessProfile(levels, 2.0, float(levels.mean()), 0.05, "lambda-lower-bound")
+        prof = SmoothnessProfile(20, 2.0, float(levels.mean()), 0.05, "exact-eigen")
         uniform = _uniform(20, 2.0, 0.05)
-        assert pl.plan_q(prof, 20, 7) == pl.plan_q(uniform, 20, 7)
-        assert pl.plan_tau(prof, 20, 0.4) == pl.plan_tau(uniform, 20, 0.4)
+        assert pl._ranking_profile(prof) == SmoothnessProfile.uniform(20, 2.0, 0.05, "exact-eigen")
+        assert pl.plan_q(prof, 7) == pl.plan_q(uniform, 7)
+        assert pl.plan_tau(prof, 0.4) == pl.plan_tau(uniform, 0.4)
+
+    def test_results_pinned(self):
+        # sha256 of the reprs of plan_q, plan_tau and full_batch_interpolation
+        # over explicit uniform and non-uniform profiles, taken before these
+        # functions read n from the profile
+        digests = {name: hashlib.sha256() for name in ("plan_q", "plan_tau", "full_batch")}
+        for n in (2, 3, 7, 40):
+            for cond in (0.7 * n, 5.0 * n):
+                for ratio in (1.0, 0.7):
+                    mu = 4.0 * 1.3 / max(4.0, cond)
+                    prof = SmoothnessProfile.from_bounds(n, 1.3, ratio * 1.3, mu)
+                    for tau in sorted({1, 2, (n + 1) // 2, n}):
+                        digests["plan_q"].update(repr(pl.plan_q(prof, tau)).encode())
+                    for q in (0.0, 0.3, 1.0):
+                        digests["plan_tau"].update(repr(pl.plan_tau(prof, q)).encode())
+                    if n >= 3:
+                        fb = full_batch_interpolation(prof)
+                        digests["full_batch"].update(repr(fb).encode())
+        assert {name: h.hexdigest() for name, h in digests.items()} == {
+            "plan_q": "510b84f9b56988969464db1ca74bbd4d09a868cef5dc29263a543716bc99a832",
+            "plan_tau": "8c25279ab2ab65b94510211cffaa81aaf29ae73da5016ba6c41bfbf9bd9309fe",
+            "full_batch": "d6ce4b4248b4efc19ea3858585c8b0558b30274ff7cb2d2257f229965ba39a5a",
+        }
 
 
 def _scalar_slate(profile, n):
@@ -334,7 +359,7 @@ class TestVectorizedPlan:
         l_max = 1.3
         cond = max(4.0, scale * n + offset)
         prof = SmoothnessProfile.from_bounds(n, l_max, l_bar_ratio * l_max, 4.0 * l_max / cond)
-        plan = pl.optimal_plan(prof, n)
+        plan = pl.optimal_plan(prof)
         slate = _scalar_slate(prof, n)
         assert plan.all_candidates.dtype.names == tuple(f.name for f in fields(pl.PlanCandidate))
         assert len(plan.all_candidates) == len(slate)

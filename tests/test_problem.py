@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,7 +212,7 @@ class TestSmoothnessProfile:
         data = normalize_rows(_random_dataset(30, 4, 13))
         lam = 1.0 / data.n
         prof = smoothness_profile(data, LossSpec("ridge", lam))
-        assert np.allclose(prof.L, 1.0 + lam, rtol=1e-12)
+        assert np.allclose(problem._row_sq_norms(data) + lam, 1.0 + lam, rtol=1e-12)
         assert math.isclose(prof.L_max, 1.0 + lam, rel_tol=1e-12)
         assert math.isclose(prof.L_bar, 1.0 + lam, rel_tol=1e-12)
 
@@ -244,7 +245,10 @@ class TestSmoothnessProfile:
         prof = smoothness_profile(data, LossSpec("logistic", lam))
         a = data.dense_matrix()
         sq = np.array([r @ r for r in a])
-        assert np.allclose(prof.L, sq / 8 + lam, rtol=1e-12)
+        levels = sq / 8 + lam
+        assert np.allclose(problem._row_sq_norms(data) / 8 + lam, levels, rtol=1e-12)
+        assert math.isclose(prof.L_max, levels.max(), rel_tol=1e-12)
+        assert math.isclose(prof.L_bar, levels.mean(), rel_tol=1e-12)
         assert prof.mu == lam
 
     def test_ordering_invariant_on_data_profiles(self):
@@ -264,6 +268,43 @@ class TestSmoothnessProfile:
         prof = SmoothnessProfile.from_bounds(10, 2.0, 1.25, 0.1)
         assert math.isclose(prof.L_max, 2.0)
         assert math.isclose(prof.L_bar, 1.25, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,l_max,l_bar,mu,bits",
+        [
+            (1, 1.3, 0.91, 0.5, "0x1.4cccccccccccdp+0"),
+            (10, 2.0, 2.0, 0.1, "0x1.0000000000000p+1"),
+            (3, 1.0, 0.4, 0.01, "0x1.999999999999bp-2"),
+            (7, 1.0, 0.7, 0.05, "0x1.6666666666667p-1"),
+            (10, 1.3, 0.91, 0.5, "0x1.d1eb851eb8520p-1"),
+            (100, 1.3, 0.91, 0.5, "0x1.d1eb851eb851fp-1"),
+        ],
+    )
+    def test_from_bounds_l_bar_bits_pinned(self, n, l_max, l_bar, mu, bits):
+        # L_bar is the mean of the realizing levels, not l_bar itself
+        prof = SmoothnessProfile.from_bounds(n, l_max, l_bar, mu)
+        assert (prof.n, prof.L_max, prof.L_bar.hex()) == (n, l_max, bits)
+
+    def test_five_numbers(self):
+        names = [f.name for f in dataclasses.fields(SmoothnessProfile)]
+        assert names == ["n", "L_max", "L_bar", "mu", "mu_source"]
+
+    @pytest.mark.parametrize(
+        "make,error",
+        [
+            (lambda: SmoothnessProfile(0, 1.0, 1.0, 0.1, "x"), InvalidInputError),
+            (lambda: SmoothnessProfile(3, 1.0, 1.0, 0.0, "x"), NotStronglyConvexError),
+            (lambda: SmoothnessProfile(3, 1.0, 1.0, math.nan, "x"), NotStronglyConvexError),
+            (lambda: SmoothnessProfile(3, math.inf, 1.0, 0.1, "x"), InvalidInputError),
+            (lambda: SmoothnessProfile(3, 1.0, 1.1, 0.1, "x"), InvalidInputError),
+            (lambda: SmoothnessProfile.from_bounds(0, 1.0, 1.0, 0.1), InvalidInputError),
+            (lambda: SmoothnessProfile.from_bounds(10, 2.0, 0.1, 0.1), InvalidInputError),
+        ],
+        ids=["n0", "mu0", "mu-nan", "l-max-inf", "l-bar-above", "bounds-n0", "too-small"],
+    )
+    def test_invalid_profiles_rejected(self, make, error):
+        with pytest.raises(error):
+            make()
 
 
 class TestExactSolution:

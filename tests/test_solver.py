@@ -343,6 +343,33 @@ class TestRun:
         with pytest.raises(InvalidInputError, match="alpha must be finite and positive, got None"):
             SolverConfig(q=0.5, tau=2, alpha=None)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("q", None, "q must be in [0, 1], got None"),
+            ("q", "0.5", "q must be in [0, 1], got 0.5"),
+            ("tau", 2.5, "tau must be an integer >= 1, got 2.5"),
+            ("tau", 2.0, "tau must be an integer >= 1, got 2.0"),
+            ("tau", None, "tau must be an integer >= 1, got None"),
+            ("tol", None, "tol must be finite and positive, got None"),
+            ("max_effective_passes", None, "max_effective_passes must be finite and positive"),
+            ("check_every_passes", None, "check_every_passes must be finite and positive"),
+        ],
+    )
+    def test_wrong_type_rejected_as_invalid_input(self, field, value, message):
+        # before, these raised a bare TypeError, or (a float tau) passed and
+        # failed in the first minibatch step
+        with pytest.raises(InvalidInputError) as info:
+            SolverConfig(**{"q": 0.5, "tau": 2, "alpha": 0.1, field: value})
+        assert str(info.value).startswith(message)
+
+    def test_numpy_integer_tau_accepted(self):
+        data = _dataset(8, 3, 21)
+        loss = LossSpec("ridge", 0.1)
+        x_star = exact_solution(data, loss)
+        runs = [_solve(data, loss, x_star, 0.5, tau, alpha=0.05, seed=3) for tau in (3, np.int64(3))]
+        assert _digest(runs[0]) == _digest(runs[1])
+
     def test_zero_alpha_rejected(self):
         with pytest.raises(InvalidInputError):
             SolverConfig(q=0.0, tau=1, alpha=0.0)
@@ -377,7 +404,7 @@ class TestRun:
         prof = smoothness_profile(data, loss)
         from sagd.planner import optimal_plan
 
-        plan = optimal_plan(prof, data.n)
+        plan = optimal_plan(prof)
         assert plan.best.omega_coef <= plan.saga_omega
         x_star = exact_solution(data, loss, tol=1e-12)
         result = _solve(

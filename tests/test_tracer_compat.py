@@ -39,8 +39,8 @@ def test_traced_child_runs_every_command(tmp_path):
         assert layers[name] > 0, name
     # the tracer counts candidates with len(); it must count the slate's rows
     data, loss, _ = cli._load_dataset(cli.build_parser().parse_args(CALLS[2]), seed=1)
-    plans = [optimal_plan(SmoothnessProfile.from_bounds(50, 1.0, 1.0, 0.05), 50),
-             optimal_plan(smoothness_profile(data, loss), data.n)]
+    plans = [optimal_plan(SmoothnessProfile.from_bounds(50, 1.0, 1.0, 0.05)),
+             optimal_plan(smoothness_profile(data, loss))]
     rows = [plan.all_candidates.tau.size for plan in plans]
     assert result["calls"][0]["plan"]["candidates"] == rows[0]
     assert layers["planner.optimal_plan.candidates"] == sum(rows)

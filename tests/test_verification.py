@@ -192,7 +192,7 @@ class TestConstantsSuiteEnumeratesOnce:
             assert l_max[:, 0].tolist() == [float(lv.max()) for lv in levels]
             cfg, l1_closed = closed[k]
             for j, lv in enumerate(levels):
-                profile = SmoothnessProfile(lv, float(lv.max()), float(lv.mean()), 1e-3,
+                profile = SmoothnessProfile(lv.size, float(lv.max()), float(lv.mean()), 1e-3,
                                             "lambda-lower-bound")
                 assert l1_closed[j].tobytes() == expected_smoothness(cfg, profile).tobytes()
             for i, q in enumerate(Q_GRID):
