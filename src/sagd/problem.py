@@ -20,6 +20,7 @@ flat scatter (sparse).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,8 +165,8 @@ class SmoothnessProfile:
     mu_source: str
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError("need n >= 1")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise InvalidInputError(f"need an integer n >= 1, got {self.n}")
         if not (np.isfinite(self.mu) and self.mu > 0.0):
             raise NotStronglyConvexError(f"mu must be positive, got {self.mu}")
         if not (np.isfinite(self.L_max) and np.isfinite(self.L_bar)):

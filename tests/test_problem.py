@@ -293,6 +293,8 @@ class TestSmoothnessProfile:
         "make,error",
         [
             (lambda: SmoothnessProfile(0, 1.0, 1.0, 0.1, "x"), InvalidInputError),
+            (lambda: SmoothnessProfile(2.5, 1.0, 1.0, 0.1, "x"), InvalidInputError),
+            (lambda: SmoothnessProfile(None, 1.0, 1.0, 0.1, "x"), InvalidInputError),
             (lambda: SmoothnessProfile(3, 1.0, 1.0, 0.0, "x"), NotStronglyConvexError),
             (lambda: SmoothnessProfile(3, 1.0, 1.0, math.nan, "x"), NotStronglyConvexError),
             (lambda: SmoothnessProfile(3, math.inf, 1.0, 0.1, "x"), InvalidInputError),
@@ -300,7 +302,7 @@ class TestSmoothnessProfile:
             (lambda: SmoothnessProfile.from_bounds(0, 1.0, 1.0, 0.1), InvalidInputError),
             (lambda: SmoothnessProfile.from_bounds(10, 2.0, 0.1, 0.1), InvalidInputError),
         ],
-        ids=["n0", "mu0", "mu-nan", "l-max-inf", "l-bar-above", "bounds-n0", "too-small"],
+        ids=["n0", "n-fraction", "n-none", "mu0", "mu-nan", "l-max-inf", "l-bar-above", "bounds-n0", "too-small"],
     )
     def test_invalid_profiles_rejected(self, make, error):
         with pytest.raises(error):
