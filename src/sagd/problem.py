@@ -155,7 +155,7 @@ class SmoothnessProfile:
     Profiles built from data via :func:`smoothness_profile` always satisfy
     0 < mu <= L_bar <= L_max.  Hand-built profiles used for evaluating
     complexity formulas on parameter grids may place mu above L_bar; only
-    n >= 1, mu > 0, finite constants and L_bar <= L_max are enforced here.
+    an integer n >= 1, mu > 0, finite constants and L_bar <= L_max are enforced.
     """
 
     n: int
