@@ -334,7 +334,7 @@ class _Pipeline:
     Construction runs, in order: the budget check (``budget`` is a
     SolverConfig that each solve completes with q, tau, alpha and seed;
     run's explicit --alpha is checked with it), the resolved ``out`` and
-    ``plot`` paths checked to lie in existing directories, the command's
+    ``plot`` paths checked to name files in existing directories, the command's
     number flags, the ``seeds``, the dataset, the explicit q and taus
     checked against its n, its profile, the planner's ``best`` candidate
     (None unless a sweep or both of run's --q and --tau are auto), ``q``,
@@ -353,9 +353,12 @@ class _Pipeline:
         if not sweep and args.plot and not args.out:
             raise SagdError("--plot needs --out")
         self.out, self.plot = _resolve_out(args.out), _resolve_out(None if sweep else args.plot)
-        for folder in [os.path.dirname(path) or "." for path in (self.out, self.plot) if path]:
+        for path in filter(None, (self.out, self.plot)):  # "" resolves to "./"
+            folder = os.path.dirname(path) or "."
             if not os.path.isdir(folder):
                 raise SagdError(f"output directory {folder!r} does not exist")
+            if os.path.isdir(path):
+                raise SagdError(f"output path {path!r} is a directory")
         q = None if args.q == "auto" else _number(args, "q", float)
         tau = None if sweep or args.tau == "auto" else _number(args, "tau", int)
         ranges = _parse_taus(args.taus) if sweep else None

@@ -5,8 +5,9 @@ the max of two envelopes in q: one monotonically increasing (driven by
 expected smoothness), one decreasing-concave-decreasing (driven by the
 sketch residual).  Its minimizer over q for a fixed tau therefore lies at
 q = 1, at the lower branch-crossing root of the residual, or where the two
-envelopes intersect.  The planner enumerates exactly those candidates for
-every tau, plus the single-sample baseline, and picks the cheapest.
+envelopes intersect.  One builder, :func:`_pairs`, gives those candidates
+of any tau, and one function, :func:`_rank`, with one tie rule, ranks any
+slate: plan_q, plan_tau and optimal_plan all pick through it.
 """
 
 import math
@@ -139,54 +140,55 @@ def _ranking_profile(profile):
     return replace(profile, L_bar=profile.L_max)
 
 
+def _pairs(profile, taus):
+    """``(tau, kind, q)`` of the closed-form pairs of each tau >= 2 in ``taus``:
+    its lower branch root, then its envelope intersection, if in [0, 1]."""
+    q_minus, _ = branch_roots(taus, profile.n)
+    hit_kind, hit_q = q_intersections(taus, profile.n, profile.L_max, profile.mu)
+    q = np.column_stack((q_minus, hit_q)).ravel()
+    kind = np.column_stack((np.full(np.size(taus), KIND_Q_MINUS), hit_kind)).ravel()
+    keep = (0.0 <= q) & (q <= 1.0)  # False for NaN
+    return np.repeat(taus, 2)[keep], kind[keep], q[keep]
+
+
+def _rank(profile, tau, q):
+    """Omega of each (tau, q) pair, ``tau`` broadcast against ``q``, on the
+    ranking profile, and the index of the cheapest pair: ties go to the
+    larger tau (more parallelizable), then to the smaller q."""
+    tau, q = np.broadcast_arrays(tau, q)
+    cfg = InterpolationConfig(q, tau, profile.n)
+    omega = total_complexity(cfg, _ranking_profile(profile)).omega_coef
+    return omega, np.lexsort((q, -tau, omega))[0]
+
+
 def plan_q(profile, tau):
-    """The best q at a fixed tau on the ranking profile: the argmin of omega
-    over q = 0, 1, the lower branch root and the envelope intersection,
-    those in [0, 1], ties to the smaller q (so tau = 1 gives q = 0).
-    Returns ``(q, omega_coef)``."""
-    n = profile.n
-    q = [0.0]
-    if tau > 1:
-        q += [1.0, branch_roots(tau, n)[0], q_intersections(tau, n, profile.L_max, profile.mu)[1]]
-    q = np.array([v for v in q if 0.0 <= v <= 1.0])  # drops absent (NaN) candidates
-    omega = total_complexity(InterpolationConfig(q, tau, n), _ranking_profile(profile)).omega_coef
-    best = np.lexsort((q, omega))[0]
+    """The best q at a fixed tau by :func:`_rank` over q = 0, 1 and the pairs
+    of tau (q = 0 alone at tau = 1).  Returns ``(q, omega_coef)``."""
+    q = np.concatenate(([0.0, 1.0], _pairs(profile, [tau])[2])) if tau > 1 else np.zeros(1)
+    omega, best = _rank(profile, tau, q)
     return q[best].item(), omega[best].item()
 
 
 def plan_tau(profile, q):
-    """The best tau at a fixed q on the ranking profile: the argmin of omega
-    over tau = 1..profile.n, ties to the larger tau (more parallelizable).
-    Returns ``(tau, omega_coef)``."""
-    n = profile.n
-    cfg = InterpolationConfig(q, np.arange(1, n + 1), n)
-    omega = total_complexity(cfg, _ranking_profile(profile)).omega_coef
-    tau = int(np.flatnonzero(omega == omega.min())[-1]) + 1
-    return tau, omega[tau - 1].item()
+    """The best tau at a fixed q, ranked by :func:`_rank` over tau =
+    1..profile.n.  Returns ``(tau, omega_coef)``, tau a Python int."""
+    tau = np.arange(1, profile.n + 1)
+    omega, best = _rank(profile, tau, q)
+    return int(tau[best]), omega[best].item()
 
 
 def optimal_plan(profile):
     """Enumerate the candidate (q, tau) slate and return the cheapest.
 
-    Complexity coefficients are evaluated on the ranking profile
-    (L_i = L_max); the reported stepsize of each candidate uses the true
-    profile, so an executed plan is always covered by the convergence
-    guarantee.  Ties break toward larger tau (more parallelizable), then
-    smaller q.  Candidates come in a fixed order: the single-sample
-    baseline, the q = 1 family, then for each tau = 2..n its lower branch
-    root and its envelope intersection.
+    The slate, in order: the single-sample baseline, the q = 1 family, then
+    the :func:`_pairs` of tau = 2..n.  :func:`_rank` ranks it; each stepsize
+    uses the true profile, so an executed plan is always covered by the
+    convergence guarantee.
     """
     n = profile.n
     if n < 2:
         raise InvalidInputError("planning needs n >= 2")
-
-    # per tau = 2..n: the lower branch root, then the envelope intersection
-    taus = np.arange(2, n + 1)
-    q_minus, _ = branch_roots(taus, n)
-    hit_kind, hit_q = q_intersections(taus, n, profile.L_max, profile.mu)
-    pair_q = np.column_stack((q_minus, hit_q)).ravel()
-    pair_kind = np.column_stack((np.full(taus.size, KIND_Q_MINUS), hit_kind)).ravel()
-    keep = (0.0 <= pair_q) & (pair_q <= 1.0)
+    pair_tau, pair_kind, pair_q = _pairs(profile, np.arange(2, n + 1))
 
     # q = 1 family: the rounded closed-form tau plus the exhaustive scan's
     # argmin (they can differ by one when rounding picks the worse neighbor)
@@ -194,17 +196,12 @@ def optimal_plan(profile):
     t_round = optimal_minibatch_tau(n, profile.mu, profile.L_max)
     ones = [t_round] if t_scan == t_round else [t_round, t_scan]
 
-    tau = np.concatenate(([1], ones, np.repeat(taus, 2)[keep]))
-    q = np.concatenate(([0.0], [1.0] * len(ones), pair_q[keep]))
-    kind = np.concatenate(([KIND_SAGA_BASELINE], [KIND_ONE] * len(ones), pair_kind[keep]))
+    tau = np.concatenate(([1], ones, pair_tau))
+    q = np.concatenate(([0.0], [1.0] * len(ones), pair_q))
+    kind = np.concatenate(([KIND_SAGA_BASELINE], [KIND_ONE] * len(ones), pair_kind))
     covered = (kind != KIND_Q_MINUS) | (tau >= 4)
-    cfg = InterpolationConfig(q=q, tau=tau, n=n)
-    omega = total_complexity(cfg, _ranking_profile(profile)).omega_coef
-    alpha = stepsize(cfg, profile)
+    omega, best = _rank(profile, tau, q)
+    alpha = stepsize(InterpolationConfig(q, tau, n), profile)
     names = [f.name for f in fields(PlanCandidate)]
     slate = np.rec.fromarrays((tau, kind, q, omega, alpha, covered), names=names)
-    return Plan(
-        best=PlanCandidate(*slate[np.lexsort((q, -tau, omega))[0]].item()),
-        all_candidates=slate,
-        saga_omega=omega[0].item(),
-    )
+    return Plan(PlanCandidate(*slate[best].item()), slate, saga_omega=omega[0].item())

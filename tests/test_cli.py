@@ -711,6 +711,39 @@ class TestRun:
         assert "plan:" not in out and calls == []
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("source", ["synth", "data"])
+    @pytest.mark.parametrize(
+        "argv,path",
+        [
+            (("run", "--out", "{tmp}"), "{tmp}"),
+            (("run", "--out", "{tmp}/"), "{tmp}/"),
+            (("run", "--out", ""), "./"),
+            (("run", "--out", "{tmp}/x.csv", "--plot", "{tmp}"), "{tmp}"),
+            (("run", "--out", "{tmp}/x.csv", "--plot", ""), "./"),
+            (("sweep", "--taus", "1,2", "--out", "{tmp}/"), "{tmp}/"),
+            (("sweep", "--taus", "1,2", "--out", ""), "./"),
+        ],
+    )
+    def test_directory_output_path_checked_before_any_work(
+        self, capsys, tmp_path, monkeypatch, source, argv, path
+    ):
+        # an --out or --plot naming a directory ("" resolves to "./") fails
+        # before the data, the reference or any solve, not at the write
+        flags = dataset_flags(tmp_path, source)
+        monkeypatch.delenv("SAGD_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        calls = count_work(monkeypatch)
+        solve = cli.run_solver
+        monkeypatch.setattr(
+            cli, "run_solver", lambda *a, **k: calls.append("solve") or solve(*a, **k)
+        )
+        command, *rest = (a.format(tmp=tmp_path) for a in argv)
+        code, out, err = run_cli(capsys, command, *flags, "--q", "0.5", *rest)
+        assert code == 2
+        assert err == f"error: output path {path.format(tmp=tmp_path)!r} is a directory\n"
+        assert "plan:" not in out and calls == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_alpha_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--synth", "50,3,gaussian", "--q", "0", "--tau", "1",

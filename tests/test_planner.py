@@ -4,6 +4,8 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagd import planner as pl
 from sagd.complexity import (
@@ -319,6 +321,36 @@ class TestPlanOneValue:
             "plan_tau": "8c25279ab2ab65b94510211cffaa81aaf29ae73da5016ba6c41bfbf9bd9309fe",
             "full_batch": "d6ce4b4248b4efc19ea3858585c8b0558b30274ff7cb2d2257f229965ba39a5a",
         }
+
+
+@st.composite
+def _explicit_profiles(draw):
+    """n in [2, 2000], 4 L_max / mu from 0.01 n to 1000 n (and at least 4, so
+    that mu <= L_max), L_bar / L_max in (0, 1]."""
+    n = draw(st.integers(2, 2000))
+    cond = max(4.0, n * 10.0 ** draw(st.floats(-2.0, 3.0)))
+    l_max = draw(st.floats(0.01, 100.0))
+    ratio = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return SmoothnessProfile(n, l_max, ratio * l_max, 4.0 * l_max / cond, "exact-eigen")
+
+
+class TestPlanProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_explicit_profiles())
+    def test_plan_beats_saga_by_at_most_one_evaluation(self, prof):
+        # ROADMAP finding F5: the planned pair saves at most one gradient
+        # evaluation per log(1/eps) over the single-sample baseline
+        plan = pl.optimal_plan(prof)
+        assert plan.saga_omega - plan.best.omega_coef <= 1 + 1e-9 * plan.saga_omega
+
+    @settings(max_examples=150, deadline=None)
+    @given(_explicit_profiles())
+    def test_entry_points_share_one_ranking(self, prof):
+        # plan_q at the planned tau and plan_tau at the planned q find the
+        # planned omega exactly: the three planners rank the same way
+        best = pl.optimal_plan(prof).best
+        assert pl.plan_q(prof, best.tau)[1] == best.omega_coef
+        assert pl.plan_tau(prof, best.q)[1] == best.omega_coef
 
 
 def _scalar_slate(profile, n):
