@@ -74,6 +74,17 @@ _SEED_HELP = ("comma-separated 64-bit seeds; --synth data is drawn from the firs
               "(so '2,1' and '2' solve one dataset, '1,2' another; plan --synth uses seed 0)")
 
 
+def _add_solve_args(p, max_passes, out_help):
+    p.add_argument("--q", default="auto", help="interpolation probability or 'auto'")
+    p.add_argument("--seed", default="0", help=_SEED_HELP)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--max-passes", type=float, default=max_passes)
+    p.add_argument("--check-every", type=float, default=0.25,
+                   help="effective passes between convergence checks")
+    p.add_argument("--out", help=out_help)
+    p.add_argument("--json", action="store_true")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sagd",
@@ -91,30 +102,18 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="solve and record trajectories")
     _add_dataset_args(p_run)
-    p_run.add_argument("--q", default="auto", help="interpolation probability or 'auto'")
+    _add_solve_args(p_run, max_passes=200.0, out_help="results CSV path")
     p_run.add_argument("--tau", default="auto", help="minibatch size or 'auto'")
     p_run.add_argument("--alpha", default="auto", help="stepsize or 'auto'")
-    p_run.add_argument("--seed", default="0", help=_SEED_HELP)
-    p_run.add_argument("--tol", type=float, default=1e-10)
-    p_run.add_argument("--max-passes", type=float, default=200.0)
-    p_run.add_argument("--check-every", type=float, default=0.25,
-                       help="effective passes between convergence checks")
-    p_run.add_argument("--out", help="results CSV path")
     p_run.add_argument("--plot", help="SVG plot path (needs --out)")
     p_run.add_argument("--x-axis", choices=X_AXES, default="effective_passes")
-    p_run.add_argument("--json", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="compare minibatch sizes at fixed q")
     _add_dataset_args(p_sweep)
-    p_sweep.add_argument("--q", default="auto")
+    _add_solve_args(p_sweep, max_passes=500.0, out_help="per-tau summary CSV path")
     p_sweep.add_argument("--taus", required=True,
                          help="comma list and/or ranges, e.g. 1,2,4-12")
-    p_sweep.add_argument("--seed", default="0", help=_SEED_HELP)
-    p_sweep.add_argument("--tol", type=float, default=1e-10)
-    p_sweep.add_argument("--max-passes", type=float, default=500.0)
-    p_sweep.add_argument("--check-every", type=float, default=0.25)
-    p_sweep.add_argument("--out", help="per-tau summary CSV path")
-    p_sweep.add_argument("--json", action="store_true")
+    p_sweep.set_defaults(tau="auto", alpha="auto", plot=None)  # run's, with no flags
 
     p_verify = sub.add_parser("verify", help="closed forms vs enumeration oracles")
     p_verify.add_argument("--n-max", type=int, default=8)
@@ -329,30 +328,33 @@ def cmd_plan(args):
 
 class _Pipeline:
     """The part of a run or sweep command before its first solve, done once,
-    and the per-seed solve.
+    and the per-seed solve.  A sweep is a run over its --taus: its parser
+    gives it run's tau and alpha, both "auto", and no plot.
 
     Construction runs, in order: the budget check (``budget`` is a
     SolverConfig that each solve completes with q, tau, alpha and seed;
-    run's explicit --alpha is checked with it), the resolved ``out`` and
-    ``plot`` paths checked to name files in existing directories, the command's
-    number flags, the ``seeds``, the dataset, the explicit q and taus
-    checked against its n, its profile, the planner's ``best`` candidate
-    (None unless a sweep or both of run's --q and --tau are auto), ``q``,
-    ``taus`` (run's one tau; one auto value is planned with the other held
-    fixed) and their ``alphas`` (floats), the reference ``x_star``, and the
-    gradient table at x0 = 0: each solve takes a copy, the last the table.
+    an explicit --alpha is checked with it), the resolved ``out`` and
+    ``plot`` paths checked to name files in existing directories, the number
+    flags, the ``seeds``, the dataset, the explicit q and tau and the sweep's
+    taus checked against its n, its profile, and the plan: both q and tau
+    auto take ``optimal_plan``'s best pair, one auto value is planned with
+    the other held fixed.  ``tau`` keeps the planned (or explicit) tau;
+    ``cells`` lists the ``(q, tau, alpha)`` of every solve (run's one tau,
+    or each of the sweep's), auto stepsizes from one array call.  Last come
+    the reference ``x_star`` and the gradient table at x0 = 0: each solve
+    takes a copy, the last the table.
     """
 
     def __init__(self, args):
         sweep = args.command == "sweep"
-        alpha = None if sweep or args.alpha == "auto" else _number(args, "alpha", float)
+        alpha = None if args.alpha == "auto" else _number(args, "alpha", float)
         self.budget = SolverConfig(  # 1.0 stands in for an auto alpha, resolved later
             q=0.0, tau=1, alpha=1.0 if alpha is None else alpha, tol=args.tol,
             max_effective_passes=args.max_passes, check_every_passes=args.check_every,
         )
-        if not sweep and args.plot and not args.out:
+        if args.plot and not args.out:
             raise SagdError("--plot needs --out")
-        self.out, self.plot = _resolve_out(args.out), _resolve_out(None if sweep else args.plot)
+        self.out, self.plot = _resolve_out(args.out), _resolve_out(args.plot)
         for path in filter(None, (self.out, self.plot)):  # "" resolves to "./"
             folder = os.path.dirname(path) or "."
             if not os.path.isdir(folder):
@@ -360,43 +362,37 @@ class _Pipeline:
             if os.path.isdir(path):
                 raise SagdError(f"output path {path!r} is a directory")
         q = None if args.q == "auto" else _number(args, "q", float)
-        tau = None if sweep or args.tau == "auto" else _number(args, "tau", int)
+        tau = None if args.tau == "auto" else _number(args, "tau", int)
         ranges = _parse_taus(args.taus) if sweep else None
         self.seeds = _parse_seeds(args.seed)
         data, loss, self.dataset_id = _load_dataset(args, self.seeds[0])
         self.data, self.loss = data, loss
         InterpolationConfig(0.0 if q is None else q, 1 if tau is None else tau, data.n)
-        if sweep:
-            self.taus = _expand_taus(ranges, data.n)
+        taus = _expand_taus(ranges, data.n) if sweep else None
         profile = smoothness_profile(data, loss)
-        self.best = line = None
-        if sweep or (q is None and tau is None):  # sweep reports the planner's tau*
+        line = None
+        if q is None and tau is None:
             plan = optimal_plan(profile)
-            self.best = best = plan.best
-            q, tau = best.q if q is None else q, best.tau
-            line = (f"plan: q*={best.q:.6g} tau*={best.tau} "
-                    f"omega={best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})")
+            q, tau = plan.best.q, plan.best.tau
+            line = (f"plan: q*={q:.6g} tau*={tau} "
+                    f"omega={plan.best.omega_coef:.6g} (baseline {plan.saga_omega:.6g})")
         elif q is None:  # an auto value is planned with the explicit one held fixed
             q, omega = plan_q(profile, tau)
             line = f"plan: q*={q:.6g} at tau={tau} omega={omega:.6g}"
         elif tau is None:
             tau, omega = plan_tau(profile, q)
             line = f"plan: tau*={tau} at q={q:.6g} omega={omega:.6g}"
-        self.q = q
-        if not sweep:
-            self.taus = [tau]
         if line and not sweep:  # with --json, stdout holds the JSON document alone
             print(line, file=sys.stderr if args.json else sys.stdout)
-        if alpha is None:
-            icfg = InterpolationConfig(q=q, tau=np.array(self.taus), n=data.n)
-            self.alphas = stepsize(icfg, profile).tolist()
-        else:
-            self.alphas = [alpha]
+        self.tau, taus = tau, taus or [tau]
+        icfg = InterpolationConfig(q=q, tau=np.array(taus), n=data.n)
+        alphas = stepsize(icfg, profile).tolist() if alpha is None else [alpha]
+        self.cells = [(q, t, a) for t, a in zip(taus, alphas)]
         xstar_tol = min(1e-12, args.tol * 1e-2) if loss.kind == "logistic" else 1e-12
         self.x_star = exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=profile)
         table = solver.init_table(data, loss, np.zeros(data.d))
         copies = (dataclasses.replace(table, J=table.J.copy(), col_sum=table.col_sum.copy())
-                  for _ in range(len(self.seeds) * len(self.taus) - 1))
+                  for _ in range(len(self.seeds) * len(self.cells) - 1))
         self._tables = itertools.chain(copies, [table])  # each solve writes into its own
 
     def solve(self, q, tau, alpha):
@@ -409,7 +405,7 @@ class _Pipeline:
 
 def cmd_run(args):
     pipe = _Pipeline(args)
-    q, (tau,), (alpha,), n = pipe.q, pipe.taus, pipe.alphas, pipe.data.n
+    ((q, tau, alpha),), n = pipe.cells, pipe.data.n
     results = pipe.solve(q, tau, alpha)
 
     if pipe.out:
@@ -443,13 +439,12 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     pipe = _Pipeline(args)
-    q, n = pipe.q, pipe.data.n
     rows = []
     all_converged = True
-    for tau, alpha in zip(pipe.taus, pipe.alphas):
+    for q, tau, alpha in pipe.cells:
         results = pipe.solve(q, tau, alpha)
         all_converged &= all(r.converged for r in results)
-        passes = [r.passes_to_tol(args.tol, n) for r in results]
+        passes = [r.passes_to_tol(args.tol, pipe.data.n) for r in results]
         median = statistics.median(float("inf") if p is None else p for p in passes)
         rows.append({"tau": tau, "median_passes": median,
                      "diverged": [r.seed for r in results if r.diverged]})
@@ -462,14 +457,14 @@ def cmd_sweep(args):
                 fh.write(f"{row['tau']},{row['median_passes']:.17g}\n")
     if args.json:
         payload = {"dataset": pipe.dataset_id, "q": q, "rows": rows,
-                   "best_tau_observed": best_row["tau"], "planner_tau": pipe.best.tau}
+                   "best_tau_observed": best_row["tau"], "planner_tau": pipe.tau}
         print(json.dumps(payload, sort_keys=True))
     else:
         for row in rows:
             seeds_note = ", ".join(map(str, row["diverged"]))
             print(f"tau={row['tau']:>5}  median passes={row['median_passes']:.2f}"
                   + (f"  DIVERGED (seeds {seeds_note})" if row["diverged"] else ""))
-        print(f"best observed tau: {best_row['tau']}; planner tau*: {pipe.best.tau}")
+        print(f"best observed tau: {best_row['tau']}; planner tau*: {pipe.tau}")
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 

@@ -144,7 +144,8 @@ def total_complexity(cfg, profile):
     rho = sketch_residual(cfg)
     g_smooth = smoothness_term(l1, mu, cost)
     g_resid = residual_term(th, rho, l_max, mu, n, cost)
-    alpha = np.minimum(1.0 / (4.0 * l1), n / (4.0 * l_max * rho + mu * th * n))
+    with np.errstate(divide="ignore", over="ignore"):  # l1 = 0 (L_bar = 0) gives inf
+        alpha = np.minimum(np.divide(1.0, 4.0 * l1), n / (4.0 * l_max * rho + mu * th * n))
     return MethodConstants(
         theta=th,
         cost_per_iter=cost,

@@ -16,18 +16,18 @@ from .exceptions import InvalidInputError, ParseError
 from .numerics import SeededRng
 from .problem import Dataset
 
-CSV_HEADER = [
-    "method",
-    "q",
-    "tau",
-    "seed",
-    "iter",
-    "grad_evals",
-    "effective_passes",
-    "wall_seconds",
-    "error",
-    "lyapunov",
-]
+
+def _optional_float(text):
+    return None if text == "" else float(text)
+
+
+# the results-CSV columns in file order, each with the parser that reads it back
+_CSV_COLUMNS = (
+    ("method", str), ("q", float), ("tau", int), ("seed", int), ("iter", int),
+    ("grad_evals", int), ("effective_passes", float), ("wall_seconds", float),
+    ("error", float), ("lyapunov", _optional_float),
+)
+CSV_HEADER = [name for name, _ in _CSV_COLUMNS]
 
 
 def _fmt(x):
@@ -186,26 +186,8 @@ def read_results_csv(path):
         missing = [c for c in CSV_HEADER if c not in header]
         if missing:
             raise ParseError(f"{path}: missing columns {missing}")
-        pos = {c: header.index(c) for c in CSV_HEADER}
-        rows = []
-        for rec in reader:
-            if not rec:
-                continue
-            lyap = rec[pos["lyapunov"]]
-            rows.append(
-                {
-                    "method": rec[pos["method"]],
-                    "q": float(rec[pos["q"]]),
-                    "tau": int(rec[pos["tau"]]),
-                    "seed": int(rec[pos["seed"]]),
-                    "iter": int(rec[pos["iter"]]),
-                    "grad_evals": int(rec[pos["grad_evals"]]),
-                    "effective_passes": float(rec[pos["effective_passes"]]),
-                    "wall_seconds": float(rec[pos["wall_seconds"]]),
-                    "error": float(rec[pos["error"]]),
-                    "lyapunov": None if lyap == "" else float(lyap),
-                }
-            )
+        pos = [(name, header.index(name), parse) for name, parse in _CSV_COLUMNS]
+        rows = [{name: parse(rec[i]) for name, i, parse in pos} for rec in reader if rec]
     return rows
 
 

@@ -851,6 +851,66 @@ class TestSweep:
         payload = json.loads(out)
         assert [r["tau"] for r in payload["rows"]] == [1, 2, 4, 5, 6]
 
+    SWEEP_120 = ("sweep", "--synth", "120,12,gaussian", "--normalize", "--seed", "1",
+                 "--taus", "1-4")
+
+    def test_explicit_q_reports_the_best_tau_at_that_q(self, capsys):
+        # the planner's tau at q = 1 is 2; optimal_plan's tau* (at q* ~ 0.196) is 4
+        args = cli.build_parser().parse_args(self.SWEEP_120)
+        data, loss, _ = cli._load_dataset(args, seed=1)
+        profile = problem.smoothness_profile(data, loss)
+        assert planner.plan_tau(profile, 1.0)[0] == 2
+        code, out, _ = run_cli(capsys, *self.SWEEP_120, "--q", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["planner_tau"] == 2
+        code, out, _ = run_cli(capsys, *self.SWEEP_120, "--q", "1")
+        assert code == 0
+        assert out.splitlines()[-1].endswith("; planner tau*: 2")
+        code, out, _ = run_cli(capsys, *self.SWEEP_120, "--q", "auto", "--json")
+        assert code == 0
+        assert json.loads(out)["planner_tau"] == planner.optimal_plan(profile).best.tau == 4
+
+    @pytest.mark.parametrize("q", ["0.5", "1"])
+    def test_planner_tau_is_runs_planned_tau(self, capsys, q):
+        # sweep plans tau as run --tau auto does, and prints no plan line
+        data = ("--synth", "120,12,gaussian", "--normalize", "--seed", "1", "--q", q)
+        code, out, err = run_cli(capsys, "run", *data, "--tau", "auto", "--max-passes", "1")
+        assert code == 3
+        planned = int(re.fullmatch(r"plan: tau\*=(\d+) at q=.*", out.splitlines()[0])[1])
+        code, out, err = run_cli(capsys, "sweep", *data, "--taus", "1", "--max-passes", "1",
+                                 "--json")
+        assert code == 3 and err == ""
+        assert json.loads(out)["planner_tau"] == planned
+
+    def test_one_sample_dataset_sweeps(self, capsys, tmp_path):
+        # planning tau at an explicit q needs no n >= 2, as for run --tau auto
+        path = tmp_path / "one.svm"
+        path.write_text("1 1:0.5 2:-1.25\n", encoding="ascii")
+        flags = ("--data", str(path), "--q", "0.5", "--json")
+        assert run_cli(capsys, "run", *flags, "--tau", "auto")[0] == 0
+        code, out, _ = run_cli(capsys, "sweep", *flags, "--taus", "1")
+        assert code == 0
+        assert json.loads(out)["planner_tau"] == 1
+
+    @pytest.mark.parametrize("flag", [("--alpha", "0.1"), ("--plot", "x.svg")])
+    def test_run_only_flags_rejected(self, capsys, monkeypatch, flag):
+        # the sweep parser's tau, alpha and plot defaults add no flag
+        calls = count_work(monkeypatch)
+        code, out, err = run_cli(capsys, "sweep", "--synth", "30,3,gaussian", "--taus", "1,2",
+                                 *flag)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert calls == []
+
+    def test_tau_abbreviates_taus(self, capsys):
+        # with no --tau flag of its own, sweep reads --tau as argparse's
+        # abbreviation of --taus, so its last value wins
+        code, out, _ = run_cli(capsys, "sweep", "--synth", "30,3,gaussian", "--normalize",
+                               "--q", "0.5", "--taus", "1,2", "--tau", "3", "--tol", "1e-6",
+                               "--json")
+        assert code == 0
+        assert [r["tau"] for r in json.loads(out)["rows"]] == [3]
+
 
 class TestVerify:
     def test_default_grid_passes(self, capsys):

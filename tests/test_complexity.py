@@ -263,6 +263,19 @@ class TestArrayCalculus:
         assert type(cx.sketch_residual(cfg)) is float
         assert type(cx.stepsize(cfg, prof)) is float
 
+    @pytest.mark.parametrize("l_bar", [0.0, 5e-324])
+    def test_zero_expected_smoothness_takes_the_residual_bound(self, l_bar, recwarn):
+        # at (q, tau) = (1, n) the expected smoothness is L_bar, so its bound
+        # 1 / (4 l1) is infinite and the residual bound n / (4 L_max rho + mu theta n) wins
+        n, prof = 10, SmoothnessProfile(10, 1.0, l_bar, 0.1, "x")
+        one = cx.total_complexity(cx.InterpolationConfig(q=1.0, tau=n, n=n), prof)
+        arr = cx.stepsize(cx.InterpolationConfig(q=np.array([1.0]), tau=n, n=n), prof)
+        residual_bound = n / (4.0 * prof.L_max * one.sketch_residual + prof.mu * one.theta * n)
+        assert type(one.stepsize) is float
+        assert one.stepsize == arr[0] == residual_bound == 10.0
+        assert np.array(one.stepsize).tobytes() == arr.tobytes()
+        assert len(recwarn) == 0
+
     def test_array_config_validation(self):
         with pytest.raises(InvalidInputError):
             cx.InterpolationConfig(q=np.array([0.2, 1.5]), tau=2, n=3)
