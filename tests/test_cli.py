@@ -874,7 +874,7 @@ class TestSweep:
     def test_planner_tau_is_runs_planned_tau(self, capsys, q):
         # sweep plans tau as run --tau auto does, and prints no plan line
         data = ("--synth", "120,12,gaussian", "--normalize", "--seed", "1", "--q", q)
-        code, out, err = run_cli(capsys, "run", *data, "--tau", "auto", "--max-passes", "1")
+        code, out, _ = run_cli(capsys, "run", *data, "--tau", "auto", "--max-passes", "1")
         assert code == 3
         planned = int(re.fullmatch(r"plan: tau\*=(\d+) at q=.*", out.splitlines()[0])[1])
         code, out, err = run_cli(capsys, "sweep", *data, "--taus", "1", "--max-passes", "1",
