@@ -91,8 +91,9 @@ def build_parser():
         description="solver and complexity planner for the SAGA/minibatch-SAGA interpolation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)  # flags are spelled in full
 
-    p_plan = sub.add_parser("plan", help="compute the optimal (q, tau) for a problem")
+    p_plan = add("plan", help="compute the optimal (q, tau) for a problem")
     _add_dataset_args(p_plan)
     p_plan.add_argument("--n", type=int, help="explicit sample count (no dataset)")
     p_plan.add_argument("--l-max", type=float, help="explicit max smoothness")
@@ -100,7 +101,7 @@ def build_parser():
     p_plan.add_argument("--mu", type=float, help="explicit strong convexity")
     p_plan.add_argument("--json", action="store_true")
 
-    p_run = sub.add_parser("run", help="solve and record trajectories")
+    p_run = add("run", help="solve and record trajectories")
     _add_dataset_args(p_run)
     _add_solve_args(p_run, max_passes=200.0, out_help="results CSV path")
     p_run.add_argument("--tau", default="auto", help="minibatch size or 'auto'")
@@ -108,14 +109,14 @@ def build_parser():
     p_run.add_argument("--plot", help="SVG plot path (needs --out)")
     p_run.add_argument("--x-axis", choices=X_AXES, default="effective_passes")
 
-    p_sweep = sub.add_parser("sweep", help="compare minibatch sizes at fixed q")
+    p_sweep = add("sweep", help="compare minibatch sizes at fixed q")
     _add_dataset_args(p_sweep)
     _add_solve_args(p_sweep, max_passes=500.0, out_help="per-tau summary CSV path")
     p_sweep.add_argument("--taus", required=True,
                          help="comma list and/or ranges, e.g. 1,2,4-12")
     p_sweep.set_defaults(tau="auto", alpha="auto", plot=None)  # run's, with no flags
 
-    p_verify = sub.add_parser("verify", help="closed forms vs enumeration oracles")
+    p_verify = add("verify", help="closed forms vs enumeration oracles")
     p_verify.add_argument("--n-max", type=int, default=8)
     p_verify.add_argument("--json", action="store_true")
     return parser
@@ -207,69 +208,42 @@ def _load_dataset(args, seed=0):
     return data, LossSpec(args.loss, lam), dataset_id
 
 
-_CANDIDATE_KEYS = ("tau", "kind", "q", "omega_coef", "alpha", "covered")  # PlanCandidate's fields
-_ROW_KEY_ORDER = sorted(range(len(_CANDIDATE_KEYS)), key=_CANDIDATE_KEYS.__getitem__)
-# a JSON row's text around its values: '{"alpha": ', ', "covered": ', ..., ', "tau": ', '}'
-_JSON_PIECES = ("{%s}" % ", ".join(f"{json.dumps(_CANDIDATE_KEYS[i])}: %s"
-                                   for i in _ROW_KEY_ORDER)).split("%s")
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_TABLE_FIELDS = ("tau", "q_kind", "q", "omega_coef", "alpha")  # the sorted table's columns
-_TABLE_SPECS = (">6", ">14", ">12.6g", ">14.6g", ">12.6g")
+# each plan output's candidate row, a % field per value: the JSON keys sorted, each
+# kind bare inside its quotes (kinds need no escaping), the table's columns as headed
+_JSON_ROW = '{"alpha": %s, "covered": %s, "kind": "%s", "omega_coef": %s, "q": %s, "tau": %d}'
+_JSON_FIELDS = ("alpha", "covered", "q_kind", "omega_coef", "q", "tau")
+_TABLE_ROW = "%6d %14s %12.6g %14.6g %12.6g"
+_TABLE_FIELDS = ("tau", "q_kind", "q", "omega_coef", "alpha")
 _PLAN_BLOCK_ROWS = 4096  # plan formats and writes this many candidate rows at a time
 
 
-def _json_texts(column):
-    """The JSON text of every entry of one slate column, as ``json.dumps`` writes it."""
+def _json_values(column):
+    """One slate column's entries as ``_JSON_ROW`` takes them: ``json.dumps`` spells flags
+    and non-finite floats; the rest stay as they are (``str`` of a float is its repr)."""
     values = column.tolist()
-    if column.dtype.kind == "i":
-        return list(map(int.__repr__, values))
+    if column.dtype.kind == "b":  # flags: few distinct values
+        spelled = {v: json.dumps(v) for v in set(values)}
+        return list(map(spelled.__getitem__, values))
     if column.dtype.kind == "f":
-        texts = list(map(float.__repr__, values))
         for i in np.flatnonzero(~np.isfinite(column)).tolist():
-            texts[i] = _JSON_NON_FINITE[texts[i]]
-        return texts
-    encoded = {v: json.dumps(v) for v in set(values)}  # kinds and flags: few distinct values
-    return list(map(encoded.__getitem__, values))
+            values[i] = json.dumps(values[i])
+    return values
 
 
-def _block(texts, pieces, joiner):
-    """``joiner.join`` of the rows ``pieces[0] + texts[0][r] + pieces[1] + ...
-    + texts[-1][r] + pieces[-1]`` over the entries r (at least one) of the
-    column texts, as one join: every column's texts are slice-assigned into
-    one flat list of the pieces, so no Python code runs per row."""
-    width = 2 * len(texts)
-    row = [None] * width  # value slots; each row opens with the last one's closing piece
-    row[::2] = [pieces[-1] + joiner + pieces[0], *pieces[1:-1]]
-    flat = row * len(texts[0])
-    for k, column in enumerate(texts):
-        flat[2 * k + 1::width] = column
-    flat[0] = pieces[0]
-    flat.append(pieces[-1])
-    return "".join(flat)
+def _plan_rows(template, joiner, columns, values=np.ndarray.tolist):
+    """``template`` filled with each row of the slate ``columns`` (the entries
+    ``values`` gives), joined by ``joiner``: one ``%`` for all the rows."""
+    fields = tuple(itertools.chain.from_iterable(zip(*map(values, columns))))
+    return joiner.join([template] * len(columns[0])) % fields
 
 
-def _json_block(columns):
-    """The JSON objects of the candidates in the slate's ``columns``, given in
-    ``_CANDIDATE_KEYS`` order, joined by ", ": byte-equal to joining
-    ``json.dumps`` of each row's dict with ``sort_keys=True``."""
-    return _block([_json_texts(columns[i]) for i in _ROW_KEY_ORDER], _JSON_PIECES, ", ")
-
-
-def _table_block(columns):
-    """The sorted table's lines for the candidates in ``columns``, given in
-    ``_TABLE_FIELDS`` order, joined by newlines."""
-    texts = [list(map(format, column.tolist(), itertools.repeat(spec)))  # as f-strings do
-             for column, spec in zip(columns, _TABLE_SPECS)]
-    return _block(texts, ("", " ", " ", " ", " ", ""), "\n")
-
-
-def _print_blocks(encode, columns, joiner, order=None):
-    """Print ``encode`` of the rows of the slate ``columns`` (in slate order,
-    or those of ``order``) ``_PLAN_BLOCK_ROWS`` rows at a time: one text with
-    ``joiner`` between every two rows and no newline at the end."""
+def _print_plan_rows(template, joiner, columns, values=np.ndarray.tolist, order=None):
+    """Print ``_plan_rows`` of the slate ``columns`` (in slate order, or that of ``order``)
+    ``_PLAN_BLOCK_ROWS`` rows at a time: one text with no newline at the end."""
     for s in range(0, len(columns[0]), _PLAN_BLOCK_ROWS):
         rows = slice(s, s + _PLAN_BLOCK_ROWS) if order is None else order[s:s + _PLAN_BLOCK_ROWS]
-        print(joiner if s else "", encode([c[rows] for c in columns]), sep="", end="")
+        block = _plan_rows(template, joiner, [c[rows] for c in columns], values)
+        print(joiner if s else "", block, sep="", end="")
 
 
 def cmd_plan(args):
@@ -295,9 +269,10 @@ def cmd_plan(args):
     closed = full_batch_interpolation(profile) if n >= 3 else None
     slate = plan.all_candidates
     if args.json:
-        best = _json_block([np.atleast_1d(v) for v in dataclasses.astuple(plan.best)])
+        best = [np.atleast_1d(getattr(plan.best, name)) for name in _JSON_FIELDS]
+        best = _plan_rows(_JSON_ROW, "", best, _json_values)
         print(f'{{"best": {best}, "candidates": [', end="")
-        _print_blocks(_json_block, [slate[name] for name in slate.dtype.names], ", ")
+        _print_plan_rows(_JSON_ROW, ", ", [slate[name] for name in _JSON_FIELDS], _json_values)
         rest = {  # every key sorts after "candidates"
             "source": source,
             "n": n,
@@ -319,7 +294,7 @@ def cmd_plan(args):
         )
     print(f"{'tau':>6} {'kind':>14} {'q':>12} {'omega':>14} {'alpha':>12}")
     order = np.lexsort((slate.tau, slate.omega_coef))  # stable: ties keep slate order
-    _print_blocks(_table_block, [slate[name] for name in _TABLE_FIELDS], "\n", order)
+    _print_plan_rows(_TABLE_ROW, "\n", [slate[name] for name in _TABLE_FIELDS], order=order)
     print()
     best = plan.best
     print(f"chosen: q*={best.q:.6g} tau*={best.tau} omega={best.omega_coef:.6g}")

@@ -54,9 +54,10 @@ def check_constants_against_oracles(
     """Compare every closed-form sampling constant with its enumeration.
 
     Grid: n in {2..n_max}, tau in {1..n}, q over ``Q_GRID``.  Tolerances:
-    bias correction and projector mean to 1e-12, sketch residual to
-    1e-9 * max(1, oracle), expected smoothness to 1e-9 relative over
-    ``levels_per_pair`` random smoothness vectors per (n, tau).
+    bias correction and projector mean (against I / theta, with the closed
+    form's theta) to 1e-12, sketch residual to 1e-9 * max(1, oracle),
+    expected smoothness to 1e-9 relative over ``levels_per_pair`` random
+    smoothness vectors per (n, tau).
 
     Each (n, tau) is one pass over its whole q grid.  The closed forms are
     evaluated once over ``Q_GRID``; ``smoothness_fn(cfg, stack)`` gets a
@@ -98,7 +99,7 @@ def check_constants_against_oracles(
                 n, tau, qs, th_oracle,
                 sketch_oracle.oracle_smoothness_max_term(levels, tau)[:, None], stack.L_max,
             )
-            expected = np.eye(n) / th_oracle[:, None, None]
+            expected = np.eye(n) / th_all[:, None, None]  # unbiasedness
             # one row per q: theta, projector mean, residual, then each level set
             bad = np.column_stack([
                 np.abs(th_all - th_oracle) > 1e-12 * np.fmax(1.0, th_oracle),

@@ -179,6 +179,13 @@ def expected_blocks(rows):
     return json_block, text_block
 
 
+def plan_blocks(slate):
+    """cmd_plan's JSON block and table block of the ``slate``'s rows."""
+    return (cli._plan_rows(cli._JSON_ROW, ", ", [slate[name] for name in cli._JSON_FIELDS],
+                           cli._json_values),
+            cli._plan_rows(cli._TABLE_ROW, "\n", [slate[name] for name in cli._TABLE_FIELDS]))
+
+
 PLAN_KINDS = (planner.KIND_SAGA_BASELINE, planner.KIND_ONE, planner.KIND_Q_MINUS,
               planner.KIND_Q_I1, planner.KIND_Q_I2)
 EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e-05, 1e16, float("nan"), float("inf"), float("-inf"))
@@ -219,22 +226,24 @@ class TestPlan:
 
     def test_row_encoder_matches_json_dumps(self):
         slate, rows = hand_slate()
-        want, want_text = expected_blocks(rows)
-        assert cli._json_block([slate[name] for name in slate.dtype.names]) == want
-        assert cli._table_block([slate[name] for name in cli._TABLE_FIELDS]) == want_text
+        assert plan_blocks(slate) == expected_blocks(rows)
         for row in rows:  # one PlanCandidate, as cmd_plan encodes "best"
-            best = dataclasses.astuple(PlanCandidate(*row))
-            assert cli._json_block([np.atleast_1d(v) for v in best]) == expected_blocks([row])[0]
+            best = [np.atleast_1d(getattr(PlanCandidate(*row), name)) for name in cli._JSON_FIELDS]
+            got = cli._plan_rows(cli._JSON_ROW, "", best, cli._json_values)
+            assert got == expected_blocks([row])[0]
+
+    def test_kinds_need_no_json_escaping(self):
+        # _JSON_ROW writes each kind bare inside its quotes
+        kinds = [getattr(planner, name) for name in dir(planner) if name.startswith("KIND_")]
+        assert sorted(kinds) == sorted(PLAN_KINDS)
+        assert all(json.dumps(kind) == f'"{kind}"' for kind in kinds)
 
     @settings(max_examples=200, deadline=None)
     @given(candidate_rows)
     def test_blocks_match_row_encoders(self, rows):
         # every kind, both covered values, and floats from -0.0 and the
         # subnormals to +-inf and NaN, in blocks of 1 to 50 rows
-        slate = slate_of(rows)
-        json_block, text_block = expected_blocks(rows)
-        assert cli._json_block([slate[name] for name in slate.dtype.names]) == json_block
-        assert cli._table_block([slate[name] for name in cli._TABLE_FIELDS]) == text_block
+        assert plan_blocks(slate_of(rows)) == expected_blocks(rows)
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_block_seams_in_plan_output(self, capsys, fmt):
@@ -902,15 +911,6 @@ class TestSweep:
         assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert calls == []
 
-    def test_tau_abbreviates_taus(self, capsys):
-        # with no --tau flag of its own, sweep reads --tau as argparse's
-        # abbreviation of --taus, so its last value wins
-        code, out, _ = run_cli(capsys, "sweep", "--synth", "30,3,gaussian", "--normalize",
-                               "--q", "0.5", "--taus", "1,2", "--tau", "3", "--tol", "1e-6",
-                               "--json")
-        assert code == 0
-        assert [r["tau"] for r in json.loads(out)["rows"]] == [3]
-
 
 class TestVerify:
     def test_default_grid_passes(self, capsys):
@@ -978,6 +978,16 @@ class TestParsing:
     def test_bad_synth_spec(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--synth", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("sweep", "--taus", "1-26", "--tau", "3"),
+                                      ("run", "--max-p", "5")], ids=["sweep-tau", "run-max-p"])
+    def test_flag_prefixes_rejected(self, capsys, monkeypatch, argv):
+        # flags are spelled in full: sweep has no --tau, and no flag answers to a prefix
+        calls = count_work(monkeypatch)
+        code, out, err = run_cli(capsys, argv[0], "--synth", "30,3,gaussian", *argv[1:])
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["plan", "run", "sweep"])
     @pytest.mark.parametrize("source", [(), ("--synth", "30,3,gaussian")])

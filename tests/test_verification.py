@@ -68,6 +68,15 @@ class TestConstantsSuite:
         assert any(f.startswith("theta(") for f in result.failures)
         assert not any(f.startswith("residual(") for f in result.failures)
 
+    def test_perturbed_theta_fails_projector_mean(self):
+        # the enumerated projector mean is held to I / theta of the closed
+        # form (unbiasedness), not to the theta read off that same mean
+        result = check_constants_against_oracles(
+            n_max=3, levels_per_pair=2, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
+        )
+        assert "projector-mean(n=2,tau=1,q=0.00)" in result.failures
+        assert {f.split("(")[0] for f in result.failures} == {"theta", "projector-mean"}
+
 
 def _warped_residual(cfg):
     # a residual warped toward +q^3 curvature violates monotonicity/concavity
@@ -100,7 +109,7 @@ class TestFailurePins:
         assert [self._pin(r) for r in runs] == [
             (189, 189, "ba727c44e66af2221bf2ee42abb69d11a17a921ee4155d1bda9b802d98a23684"),
             (105, 315, "ae201ba83eaee5b0f64a54c3e34729e617650ab086d92ee7e8f29f751c95fa66"),
-            (105, 105, "c6ab07648e7e3be73866c462c8fd92c095bfe02ded52dbd70311323dfedc3cfd"),
+            (105, 210, "bfedc8c459a529ded83455c448e746a31c1180bf9e490a6fb95c871899f5bf9a"),
         ]
 
     def test_perturbed_envelope_run(self):
