@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from . import __version__
 from .complexity import InterpolationConfig, full_batch_interpolation, stepsize
 from .data_io import (
     X_AXES,
@@ -89,6 +88,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="sagd",
         description="solver and complexity planner for the SAGA/minibatch-SAGA interpolation",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     add = functools.partial(sub.add_parser, allow_abbrev=False)  # flags are spelled in full
@@ -309,9 +309,10 @@ class _Pipeline:
     Construction runs, in order: the budget check (``budget`` is a
     SolverConfig that each solve completes with q, tau, alpha and seed;
     an explicit --alpha is checked with it), the resolved ``out`` and
-    ``plot`` paths checked to name files in existing directories, the number
-    flags, the ``seeds``, the dataset, the explicit q and tau and the sweep's
-    taus checked against its n, its profile, and the plan: both q and tau
+    ``plot`` paths checked to name files in existing directories (the plot
+    neither the CSV nor its manifest), the number flags, the ``seeds``, the
+    dataset, the explicit q and tau and the sweep's taus checked against
+    its n, its profile, and the plan: both q and tau
     auto take ``optimal_plan``'s best pair, one auto value is planned with
     the other held fixed.  ``tau`` keeps the planned (or explicit) tau;
     ``cells`` lists the ``(q, tau, alpha)`` of every solve (run's one tau,
@@ -336,6 +337,9 @@ class _Pipeline:
                 raise SagdError(f"output directory {folder!r} does not exist")
             if os.path.isdir(path):
                 raise SagdError(f"output path {path!r} is a directory")
+        if self.plot and os.path.realpath(self.plot) in map(
+                os.path.realpath, (self.out, f"{self.out}.manifest.json")):
+            raise SagdError(f"--plot {self.plot!r} would overwrite the results CSV or its manifest")
         q = None if args.q == "auto" else _number(args, "q", float)
         tau = None if args.tau == "auto" else _number(args, "tau", int)
         ranges = _parse_taus(args.taus) if sweep else None
@@ -385,9 +389,7 @@ def cmd_run(args):
 
     if pipe.out:
         manifest = RunManifest.new(
-            pipe.dataset_id, pipe.loss.kind, pipe.loss.lam, q, tau, alpha, pipe.seeds,
-            f"sagd-{__version__}",
-        )
+            pipe.dataset_id, pipe.loss.kind, pipe.loss.lam, q, tau, alpha, pipe.seeds)
         series = [TrajectorySeries("sagd", q, tau, r.seed, n, r.points) for r in results]
         write_results_csv(series, pipe.out, manifest=manifest)
         if pipe.plot:

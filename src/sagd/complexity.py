@@ -60,16 +60,15 @@ def _scalar(x):
 
 @dataclass(frozen=True)
 class MethodConstants:
-    """Everything the stepsize and complexity of one (q, tau) depend on."""
+    """The stepsize and complexity of one (q, tau).  The constants they are
+    built from are the functions below: :func:`theta`,
+    :func:`expected_smoothness`, :func:`sketch_residual` and the config's
+    ``cost_per_iter``."""
 
-    theta: float                 # bias-correction factor n / (q (tau - 1) + 1)
-    cost_per_iter: float         # expected gradient evaluations per step
-    expected_smoothness: float   # second-moment bound for the gradient estimator
-    sketch_residual: float       # excess variance of the corrected sampling
     stepsize: float
-    smoothness_term: float       # complexity branch driven by expected smoothness
-    residual_term: float         # complexity branch driven by the sketch residual
-    omega_coef: float            # max of the two branches; total cost / log(1/eps)
+    smoothness_term: float  # complexity branch driven by expected smoothness
+    residual_term: float    # complexity branch driven by the sketch residual
+    omega_coef: float       # max of the two branches; total cost / log(1/eps)
 
 
 def theta(cfg):
@@ -133,8 +132,8 @@ def stepsize(cfg, profile):
 
 
 def total_complexity(cfg, profile):
-    """All method constants for one (q, tau), including the complexity
-    coefficient omega_coef = expected gradient evaluations / log(1/eps)."""
+    """The stepsize, both complexity envelopes and the complexity coefficient
+    omega_coef = expected gradient evaluations / log(1/eps) for one (q, tau)."""
     n = cfg.n
     mu = profile.mu
     l_max = profile.L_max
@@ -147,10 +146,6 @@ def total_complexity(cfg, profile):
     with np.errstate(divide="ignore", over="ignore"):  # l1 = 0 (L_bar = 0) gives inf
         alpha = np.minimum(np.divide(1.0, 4.0 * l1), n / (4.0 * l_max * rho + mu * th * n))
     return MethodConstants(
-        theta=th,
-        cost_per_iter=cost,
-        expected_smoothness=l1,
-        sketch_residual=rho,
         stepsize=_scalar(alpha),
         smoothness_term=g_smooth,
         residual_term=g_resid,

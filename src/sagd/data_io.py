@@ -12,6 +12,7 @@ import math
 import statistics
 from dataclasses import asdict, dataclass
 
+from . import __version__
 from .exceptions import InvalidInputError, ParseError
 from .numerics import SeededRng
 from .problem import Dataset
@@ -127,9 +128,10 @@ class RunManifest:
     created_utc: str
 
     @classmethod
-    def new(cls, dataset_id, loss, lam, q, tau, alpha, seeds, build):
+    def new(cls, dataset_id, loss, lam, q, tau, alpha, seeds):
+        """This build's manifest, stamped now."""
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        return cls(dataset_id, loss, lam, q, tau, alpha, tuple(seeds), build, stamp)
+        return cls(dataset_id, loss, lam, q, tau, alpha, tuple(seeds), f"sagd-{__version__}", stamp)
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)

@@ -37,6 +37,8 @@ MU_LAMBDA_BOUND = "lambda-lower-bound"
 _BLOCK_BYTES = 1 << 20
 # ridge mu comes from an exact eigensolve up to this dimension, else lambda
 _EXACT_MU_DIM_LIMIT = 512
+# gradient-descent iterations the logistic reference solve may take
+_GD_MAX_ITERS = 1_000_000
 
 
 @dataclass(eq=False)  # arrays have no single truth value; compare by identity
@@ -156,6 +158,7 @@ class SmoothnessProfile:
     0 < mu <= L_bar <= L_max.  Hand-built profiles used for evaluating
     complexity formulas on parameter grids may place mu above L_bar; only
     an integer n >= 1, mu > 0, finite constants and L_bar <= L_max are enforced.
+    :meth:`uniform` and :meth:`from_bounds` record mu as ``MU_LAMBDA_BOUND``.
     """
 
     n: int
@@ -175,25 +178,25 @@ class SmoothnessProfile:
             raise InvalidInputError("need L_bar <= L_max")
 
     @classmethod
-    def uniform(cls, n, l_max, mu, mu_source=MU_LAMBDA_BOUND):
+    def uniform(cls, n, l_max, mu):
         """All samples share the same smoothness constant."""
-        return cls(n, float(l_max), float(l_max), mu, mu_source)
+        return cls(n, float(l_max), float(l_max), mu, MU_LAMBDA_BOUND)
 
     @classmethod
-    def from_bounds(cls, n, l_max, l_bar, mu, mu_source=MU_LAMBDA_BOUND):
+    def from_bounds(cls, n, l_max, l_bar, mu):
         """Profile of the smallest problem realizing (L_max, L_bar): one sample
         at L_max, the rest at the level that makes the mean come out right.
         L_bar is those levels' mean, which may differ from l_bar in the last bit."""
         if n < 1 or l_bar > l_max:
             raise InvalidInputError("need n >= 1 and L_bar <= L_max")
         if n == 1 or l_bar == l_max:
-            return cls.uniform(n, l_max, mu, mu_source)
+            return cls.uniform(n, l_max, mu)
         rest = (n * l_bar - l_max) / (n - 1)
         if rest < 0:
             raise InvalidInputError("L_bar too small to realize with nonneg constants")
         levels = np.full(n, rest)
         levels[0] = l_max
-        return cls(n, float(l_max), float(levels.mean()), mu, mu_source)
+        return cls(n, float(l_max), float(levels.mean()), mu, MU_LAMBDA_BOUND)
 
 
 def _sigmoid_neg(z):
@@ -464,12 +467,13 @@ def smoothness_profile(data, loss):
     return SmoothnessProfile(data.n, float(levels.max()), float(levels.mean()), mu, source)
 
 
-def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000, profile=None):
+def exact_solution(data, loss, tol=1e-12, profile=None):
     """High-accuracy minimizer x* with ||grad f(x*)|| <= tol.
 
     Ridge is solved directly: (A^T A / n + lambda I) x = A^T y / n, with a
     few Newton refinement passes if the first solve leaves the gradient
-    above tol.  Logistic runs full-gradient descent with stepsize 1/L_bar.
+    above tol.  Logistic runs full-gradient descent with stepsize 1/L_bar,
+    at most ``_GD_MAX_ITERS`` iterations.
     Both bind the full gradient once (:func:`gradient_sum_fn`, with
     :func:`full_grad`'s bits), so no iteration rebuilds row views, and
     ridge reuses the Gram matrix the profile built (``Dataset.gram``).
@@ -501,14 +505,14 @@ def exact_solution(data, loss, tol=1e-12, max_iters=1_000_000, profile=None):
     step = 1.0 / profile.L_bar
     x = np.zeros(d)
     gnorm = math.inf
-    for _ in range(max_iters):
+    for _ in range(_GD_MAX_ITERS):
         g = gsum(x) / n
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return x
         x = x - step * g
     raise ConvergenceError(
-        f"gradient descent did not reach tol {tol:.3e} in {max_iters} iterations "
+        f"gradient descent did not reach tol {tol:.3e} in {_GD_MAX_ITERS} iterations "
         f"(achieved {gnorm:.3e})",
         achieved=gnorm,
     )

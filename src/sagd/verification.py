@@ -25,7 +25,10 @@ from .problem import SmoothnessProfile
 
 Q_GRID = tuple(i / 20 for i in range(21))
 ORACLE_SEED = 20240801  # seeds the random smoothness vectors of the constants suite
+LEVELS_PER_PAIR = 20  # random smoothness vectors per (n, tau) in the constants suite
 COND_SCALES = (0.5, 2.0)  # 4 L_max / mu = cond * (n - 1) in the envelope suite
+ENVELOPE_NS = (10, 100, 1000)  # the n of the envelope suite
+TAUS_PER_N = 12  # log-spaced taus per n in the envelope suite, beside 4, 5, 6, 8 and n
 
 
 @dataclass
@@ -44,19 +47,13 @@ class SuiteResult:
         return line
 
 
-def check_constants_against_oracles(
-    n_max=8,
-    levels_per_pair=20,
-    rho_fn=None,
-    smoothness_fn=None,
-    theta_fn=None,
-):
+def check_constants_against_oracles(n_max=8, rho_fn=None, smoothness_fn=None, theta_fn=None):
     """Compare every closed-form sampling constant with its enumeration.
 
     Grid: n in {2..n_max}, tau in {1..n}, q over ``Q_GRID``.  Tolerances:
     bias correction and projector mean (against I / theta, with the closed
     form's theta) to 1e-12, sketch residual to 1e-9 * max(1, oracle),
-    expected smoothness to 1e-9 relative over ``levels_per_pair`` random
+    expected smoothness to 1e-9 relative over ``LEVELS_PER_PAIR`` random
     smoothness vectors per (n, tau).
 
     Each (n, tau) is one pass over its whole q grid.  The closed forms are
@@ -86,7 +83,7 @@ def check_constants_against_oracles(
     start = time.perf_counter()
     for n in range(2, n_max + 1):
         for tau in range(1, n + 1):
-            levels = 0.5 + rng.uniforms(levels_per_pair * n).reshape(levels_per_pair, n)
+            levels = 0.5 + rng.uniforms(LEVELS_PER_PAIR * n).reshape(LEVELS_PER_PAIR, n)
             # the (K, 1) columns broadcast against q: one closed-form row per level set
             stack = SimpleNamespace(L_max=levels.max(axis=1)[:, None],
                                     L_bar=levels.mean(axis=1)[:, None])
@@ -135,14 +132,10 @@ def _envelopes(n, taus, profile, rho_fn):
         complexity.theta(cfg), rho_fn(cfg), profile.L_max, profile.mu, n, cost)
 
 
-def check_envelope_shapes(
-    n_values=(10, 100, 1000),
-    taus_per_n=12,
-    rho_fn=None,
-):
+def check_envelope_shapes(rho_fn=None):
     """Shape properties of the complexity envelopes on dense q grids.
 
-    For each n and condition scale in ``COND_SCALES``:
+    For each n in ``ENVELOPE_NS`` and condition scale in ``COND_SCALES``:
     the smoothness envelope is nondecreasing in q; the residual envelope is
     nonincreasing outside the branch window [q-, q+] and concave strictly
     inside it; the branch roots solve their defining equation to 1e-9
@@ -155,10 +148,10 @@ def check_envelope_shapes(
     failures = []
     checks = 0
     start = time.perf_counter()
-    for n in n_values:
+    for n in ENVELOPE_NS:
         taus = sorted(
             {4, 5, 6, 8}
-            | {min(n, max(4, round(n ** (k / (taus_per_n - 1.0)))) ) for k in range(taus_per_n)}
+            | {min(n, max(4, round(n ** (k / (TAUS_PER_N - 1.0)))) ) for k in range(TAUS_PER_N)}
             | {n}
         )
         taus = np.array([t for t in taus if 4 <= t <= n], dtype=np.int64)

@@ -32,7 +32,7 @@ from sagd.problem import (
 )
 from sagd.sketch_oracle import oracle_expected_direction
 from sagd.solver import SolverConfig, init_table, run
-from sagd.verification import check_constants_against_oracles, check_envelope_shapes
+from sagd.verification import ENVELOPE_NS, check_constants_against_oracles, check_envelope_shapes
 
 
 def _report(num, text):
@@ -148,7 +148,8 @@ def test_criterion_4_full_batch_closed_forms():
 
 
 def test_criterion_5_envelope_shape_grids():
-    result = check_envelope_shapes(n_values=(10, 100, 1000))
+    assert ENVELOPE_NS == (10, 100, 1000)
+    result = check_envelope_shapes()
     assert result.passed, result.failures[:10]
     _report(5, f"envelope monotonicity/concavity, branch roots and "
                f"intersections verified ({result.checks} cases)")

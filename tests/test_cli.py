@@ -753,6 +753,23 @@ class TestRun:
         assert "plan:" not in out and calls == []
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("plot", ["{tmp}/x.csv", "{tmp}/x.csv.manifest.json",
+                                      "{tmp}/sub/../x.csv"])
+    def test_plot_naming_the_results_rejected_before_any_work(self, capsys, tmp_path,
+                                                             monkeypatch, plot):
+        # the SVG would overwrite the results CSV or its manifest; the paths
+        # are compared resolved
+        (tmp_path / "sub").mkdir()
+        calls = count_work(monkeypatch)
+        plot = plot.format(tmp=tmp_path)
+        code, out, err = run_cli(capsys, "run", "--synth", "30,3,gaussian", "--q", "0.5",
+                                 "--tau", "2", "--out", str(tmp_path / "x.csv"), "--plot", plot)
+        assert code == 2 and out == ""
+        assert err == (f"error: --plot {plot!r} would overwrite the results CSV "
+                       "or its manifest\n")
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_alpha_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--synth", "50,3,gaussian", "--q", "0", "--tau", "1",
@@ -979,14 +996,19 @@ class TestParsing:
         code, _, err = run_cli(capsys, "plan", "--synth", "10")
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [("sweep", "--taus", "1-26", "--tau", "3"),
-                                      ("run", "--max-p", "5")], ids=["sweep-tau", "run-max-p"])
-    def test_flag_prefixes_rejected(self, capsys, monkeypatch, argv):
-        # flags are spelled in full: sweep has no --tau, and no flag answers to a prefix
+    @pytest.mark.parametrize("argv,message", [
+        (("sweep", "--synth", "30,3,gaussian", "--taus", "1-26", "--tau", "3"),
+         "unrecognized arguments: --tau 3"),
+        (("run", "--synth", "30,3,gaussian", "--max-p", "5"), "unrecognized arguments: --max-p 5"),
+        (("--he",), "the following arguments are required: command"),
+    ], ids=["sweep-tau", "run-max-p", "top-he"])
+    def test_flag_prefixes_rejected(self, capsys, monkeypatch, argv, message):
+        # flags are spelled in full: sweep has no --tau, and no flag answers
+        # to a prefix, the top-level --help included
         calls = count_work(monkeypatch)
-        code, out, err = run_cli(capsys, argv[0], "--synth", "30,3,gaussian", *argv[1:])
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert message in err
         assert calls == []
 
     @pytest.mark.parametrize("command", ["plan", "run", "sweep"])

@@ -198,7 +198,7 @@ class TestTotalComplexity:
         cfg = cx.InterpolationConfig(q=0.45, tau=5, n=12)
         prof = _profile_from_levels(np.linspace(0.5, 2.0, 12), mu=0.05)
         mc = cx.total_complexity(cfg, prof)
-        assert abs(mc.theta * mc.cost_per_iter - 12) <= 1e-12 * 12
+        assert abs(cx.theta(cfg) * cfg.cost_per_iter - 12) <= 1e-12 * 12
         assert mc.omega_coef == max(mc.smoothness_term, mc.residual_term)
         assert mc.stepsize == cx.stepsize(cfg, prof)
 
@@ -244,17 +244,24 @@ class TestArrayCalculus:
     def test_array_calls_equal_scalar_calls(self, slate):
         n, taus, qs, prof = slate
         cfg = cx.InterpolationConfig(q=np.array(qs), tau=np.array(taus), n=n)
-        arr = cx.total_complexity(cfg, prof)
+        def constants(c):  # what total_complexity is built from, by name
+            return {"theta": cx.theta(c), "expected_smoothness": cx.expected_smoothness(c, prof),
+                    "sketch_residual": cx.sketch_residual(c)}
+
+        arr, arr_constants = cx.total_complexity(cfg, prof), constants(cfg)
         alphas = cx.stepsize(cfg, prof)
         for i, (tau, q) in enumerate(zip(taus, qs)):
             one_cfg = cx.InterpolationConfig(q=q, tau=tau, n=n)
-            one = cx.total_complexity(one_cfg, prof)
+            one, one_constants = cx.total_complexity(one_cfg, prof), constants(one_cfg)
             for field in dataclasses.fields(one):
                 assert getattr(arr, field.name)[i] == getattr(one, field.name), field.name
+            for name, value in one_constants.items():
+                assert type(value) is float, name
+                assert arr_constants[name][i].tobytes() == np.float64(value).tobytes(), name
             assert alphas[i] == cx.stepsize(one_cfg, prof) == one.stepsize
-            assert type(one.omega_coef) is float and type(one.sketch_residual) is float
-            ref = (one.expected_smoothness, one.sketch_residual, one.stepsize, one.omega_coef)
-            assert ref == _reference_constants(n, tau, q, prof)
+            assert type(one.omega_coef) is float
+            l1, rho = one_constants["expected_smoothness"], one_constants["sketch_residual"]
+            assert (l1, rho, one.stepsize, one.omega_coef) == _reference_constants(n, tau, q, prof)
 
     def test_scalar_calls_return_python_types(self):
         cfg = cx.InterpolationConfig(q=0.3, tau=4, n=9)
@@ -268,9 +275,11 @@ class TestArrayCalculus:
         # at (q, tau) = (1, n) the expected smoothness is L_bar, so its bound
         # 1 / (4 l1) is infinite and the residual bound n / (4 L_max rho + mu theta n) wins
         n, prof = 10, SmoothnessProfile(10, 1.0, l_bar, 0.1, "x")
-        one = cx.total_complexity(cx.InterpolationConfig(q=1.0, tau=n, n=n), prof)
+        cfg = cx.InterpolationConfig(q=1.0, tau=n, n=n)
+        one = cx.total_complexity(cfg, prof)
         arr = cx.stepsize(cx.InterpolationConfig(q=np.array([1.0]), tau=n, n=n), prof)
-        residual_bound = n / (4.0 * prof.L_max * one.sketch_residual + prof.mu * one.theta * n)
+        rho, th = cx.sketch_residual(cfg), cx.theta(cfg)
+        residual_bound = n / (4.0 * prof.L_max * rho + prof.mu * th * n)
         assert type(one.stepsize) is float
         assert one.stepsize == arr[0] == residual_bound == 10.0
         assert np.array(one.stepsize).tobytes() == arr.tobytes()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sagd
 from sagd.data_io import (
     CSV_HEADER,
     RunManifest,
@@ -165,7 +166,8 @@ class TestResultsCsv:
             read_results_csv(path)
 
     def test_manifest_json_beside_csv(self, tmp_path):
-        manifest = RunManifest.new("synth", "ridge", 0.001, 0.5, 2, 0.01, [1, 2], "sagd-test")
+        manifest = RunManifest.new("synth", "ridge", 0.001, 0.5, 2, 0.01, [1, 2])
+        assert manifest.build == f"sagd-{sagd.__version__}"
         path = tmp_path / "res.csv"
         write_results_csv([_series()], path, manifest=manifest)
         text = (tmp_path / "res.csv.manifest.json").read_text()

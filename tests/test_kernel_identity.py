@@ -374,7 +374,8 @@ def test_logistic_reference_groups_rows_once(monkeypatch):
     counts = []
     for iters in (2, 60):
         calls.clear()
+        monkeypatch.setattr(problem, "_GD_MAX_ITERS", iters)
         with pytest.raises(ConvergenceError):
-            problem.exact_solution(data, loss, tol=1e-300, max_iters=iters, profile=prof)
+            problem.exact_solution(data, loss, tol=1e-300, profile=prof)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0

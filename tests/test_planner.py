@@ -295,7 +295,7 @@ class TestPlanOneValue:
         levels = np.linspace(0.5, 2.0, 20)
         prof = SmoothnessProfile(20, 2.0, float(levels.mean()), 0.05, "exact-eigen")
         uniform = _uniform(20, 2.0, 0.05)
-        assert pl._ranking_profile(prof) == SmoothnessProfile.uniform(20, 2.0, 0.05, "exact-eigen")
+        assert pl._ranking_profile(prof) == SmoothnessProfile(20, 2.0, 2.0, 0.05, "exact-eigen")
         assert pl.plan_q(prof, 7) == pl.plan_q(uniform, 7)
         assert pl.plan_tau(prof, 0.4) == pl.plan_tau(uniform, 0.4)
 
@@ -356,7 +356,7 @@ class TestPlanProperties:
 def _scalar_slate(profile, n):
     """The planner's candidate list built one (q, tau) at a time."""
     l_max, mu = profile.L_max, profile.mu
-    uniform = SmoothnessProfile.uniform(n, l_max, mu, profile.mu_source)
+    uniform = SmoothnessProfile(n, l_max, l_max, mu, profile.mu_source)
 
     def make(tau, kind, q, covered=True):
         cfg = InterpolationConfig(q=q, tau=tau, n=n)

@@ -334,13 +334,14 @@ class TestExactSolution:
         x = exact_solution(data, loss, tol=1e-12)
         assert np.linalg.norm(full_grad(data, loss, x)) <= 1e-12
 
-    def test_budget_exhaustion_reports_achieved_norm(self):
+    def test_budget_exhaustion_reports_achieved_norm(self, monkeypatch):
         from sagd.exceptions import ConvergenceError
 
         data = normalize_rows(_sign_dataset(20, 3, 23))
         loss = LossSpec("logistic", 0.05)
-        with pytest.raises(ConvergenceError) as info:
-            exact_solution(data, loss, tol=1e-13, max_iters=3)
+        monkeypatch.setattr(problem, "_GD_MAX_ITERS", 3)
+        with pytest.raises(ConvergenceError, match="in 3 iterations") as info:
+            exact_solution(data, loss, tol=1e-13)
         assert info.value.achieved is not None and info.value.achieved > 1e-13
 
 

@@ -18,6 +18,7 @@ from sagd.complexity import (
     theta,
     total_complexity,
 )
+from sagd import verification
 from sagd.numerics import SeededRng
 from sagd.problem import SmoothnessProfile
 from sagd.verification import (
@@ -47,32 +48,29 @@ class TestConstantsSuite:
         # untouched quantities must not be blamed
         assert not any(f.startswith("theta(") for f in result.failures)
 
-    def test_perturbed_smoothness_detected(self):
-        from sagd.complexity import expected_smoothness
-
+    def test_perturbed_smoothness_detected(self, monkeypatch):
+        monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 3)
         result = check_constants_against_oracles(
-            n_max=3,
-            levels_per_pair=3,
-            smoothness_fn=lambda cfg, prof: expected_smoothness(cfg, prof) + 1e-5,
+            n_max=3, smoothness_fn=lambda cfg, prof: expected_smoothness(cfg, prof) + 1e-5
         )
         assert not result.passed
         assert any(f.startswith("smoothness(") for f in result.failures)
 
-    def test_perturbed_theta_detected(self):
-        from sagd.complexity import theta
-
+    def test_perturbed_theta_detected(self, monkeypatch):
+        monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 2)
         result = check_constants_against_oracles(
-            n_max=3, levels_per_pair=2, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
+            n_max=3, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
         )
         assert not result.passed
         assert any(f.startswith("theta(") for f in result.failures)
         assert not any(f.startswith("residual(") for f in result.failures)
 
-    def test_perturbed_theta_fails_projector_mean(self):
+    def test_perturbed_theta_fails_projector_mean(self, monkeypatch):
         # the enumerated projector mean is held to I / theta of the closed
         # form (unbiasedness), not to the theta read off that same mean
+        monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 2)
         result = check_constants_against_oracles(
-            n_max=3, levels_per_pair=2, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
+            n_max=3, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
         )
         assert "projector-mean(n=2,tau=1,q=0.00)" in result.failures
         assert {f.split("(")[0] for f in result.failures} == {"theta", "projector-mean"}
@@ -93,27 +91,28 @@ class TestFailurePins:
         digest = hashlib.sha256("\n".join(result.failures).encode()).hexdigest()
         return result.checks, len(result.failures), digest
 
-    def test_perturbed_constants_runs(self):
-        runs = [
-            check_constants_against_oracles(
-                n_max=4, rho_fn=lambda cfg: sketch_residual(cfg) * (1 + 1e-6) + 1e-6
-            ),
-            check_constants_against_oracles(
-                n_max=3, levels_per_pair=3,
-                smoothness_fn=lambda cfg, prof: expected_smoothness(cfg, prof) + 1e-5,
-            ),
-            check_constants_against_oracles(
-                n_max=3, levels_per_pair=2, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
-            ),
-        ]
+    def test_perturbed_constants_runs(self, monkeypatch):
+        runs = [check_constants_against_oracles(
+            n_max=4, rho_fn=lambda cfg: sketch_residual(cfg) * (1 + 1e-6) + 1e-6
+        )]
+        monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 3)
+        runs.append(check_constants_against_oracles(
+            n_max=3, smoothness_fn=lambda cfg, prof: expected_smoothness(cfg, prof) + 1e-5
+        ))
+        monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 2)
+        runs.append(check_constants_against_oracles(
+            n_max=3, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
+        ))
         assert [self._pin(r) for r in runs] == [
             (189, 189, "ba727c44e66af2221bf2ee42abb69d11a17a921ee4155d1bda9b802d98a23684"),
             (105, 315, "ae201ba83eaee5b0f64a54c3e34729e617650ab086d92ee7e8f29f751c95fa66"),
             (105, 210, "bfedc8c459a529ded83455c448e746a31c1180bf9e490a6fb95c871899f5bf9a"),
         ]
 
-    def test_perturbed_envelope_run(self):
-        result = check_envelope_shapes(n_values=(10,), taus_per_n=4, rho_fn=_warped_residual)
+    def test_perturbed_envelope_run(self, monkeypatch):
+        monkeypatch.setattr(verification, "ENVELOPE_NS", (10,))
+        monkeypatch.setattr(verification, "TAUS_PER_N", 4)
+        result = check_envelope_shapes(rho_fn=_warped_residual)
         assert self._pin(result) == (
             27, 14, "d3563712a3f8d917faa5faae78879f4fbb38f981ce228b40455664bee9fd51f7"
         )
@@ -160,9 +159,8 @@ class TestConstantsSuiteEnumeratesOnce:
             closed.append((cfg, out))
             return out
 
-        result = check_constants_against_oracles(
-            n_max=self.N_MAX, levels_per_pair=self.LEVELS, smoothness_fn=smoothness
-        )
+        monkeypatch.setattr(verification, "LEVELS_PER_PAIR", self.LEVELS)
+        result = check_constants_against_oracles(n_max=self.N_MAX, smoothness_fn=smoothness)
         monkeypatch.undo()
         assert result.passed
         pairs = [(n, tau) for n in range(2, self.N_MAX + 1) for tau in range(1, n + 1)]
@@ -217,8 +215,10 @@ class TestConstantsSuiteEnumeratesOnce:
 
 
 class TestEnvelopeSuite:
-    def test_passes_on_small_grid(self):
-        result = check_envelope_shapes(n_values=(10, 50), taus_per_n=6)
+    def test_passes_on_small_grid(self, monkeypatch):
+        monkeypatch.setattr(verification, "ENVELOPE_NS", (10, 50))
+        monkeypatch.setattr(verification, "TAUS_PER_N", 6)
+        result = check_envelope_shapes()
         assert result.passed, result.failures[:5]
         assert result.checks > 0
 
@@ -235,8 +235,10 @@ class TestEnvelopeSuite:
             assert g_resid[k].tobytes() == want.tobytes()
             assert g_resid[k].tobytes() == total_complexity(cfg, profile).residual_term.tobytes()
 
-    def test_perturbed_residual_breaks_shapes(self):
-        result = check_envelope_shapes(n_values=(10,), taus_per_n=4, rho_fn=_warped_residual)
+    def test_perturbed_residual_breaks_shapes(self, monkeypatch):
+        monkeypatch.setattr(verification, "ENVELOPE_NS", (10,))
+        monkeypatch.setattr(verification, "TAUS_PER_N", 4)
+        result = check_envelope_shapes(rho_fn=_warped_residual)
         assert not result.passed
 
 
