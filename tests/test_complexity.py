@@ -244,6 +244,7 @@ class TestArrayCalculus:
     def test_array_calls_equal_scalar_calls(self, slate):
         n, taus, qs, prof = slate
         cfg = cx.InterpolationConfig(q=np.array(qs), tau=np.array(taus), n=n)
+
         def constants(c):  # what total_complexity is built from, by name
             return {"theta": cx.theta(c), "expected_smoothness": cx.expected_smoothness(c, prof),
                     "sketch_residual": cx.sketch_residual(c)}
