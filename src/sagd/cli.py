@@ -308,9 +308,9 @@ class _Pipeline:
 
     Construction runs, in order: the budget check (``budget`` is a
     SolverConfig that each solve completes with q, tau, alpha and seed;
-    an explicit --alpha is checked with it), the resolved ``out`` and
-    ``plot`` paths checked to name files in existing directories (the plot
-    neither the CSV nor its manifest), the number flags, the ``seeds``, the
+    an explicit --alpha is checked with it), the resolved ``out``, run's
+    manifest and ``plot`` paths checked to name files in existing
+    directories (the plot neither the CSV nor its manifest), the number flags, the ``seeds``, the
     dataset, the explicit q and tau and the sweep's taus checked against
     its n, its profile, and the plan: both q and tau
     auto take ``optimal_plan``'s best pair, one auto value is planned with
@@ -331,14 +331,14 @@ class _Pipeline:
         if args.plot and not args.out:
             raise SagdError("--plot needs --out")
         self.out, self.plot = _resolve_out(args.out), _resolve_out(args.plot)
-        for path in filter(None, (self.out, self.plot)):  # "" resolves to "./"
+        manifest = f"{self.out}.manifest.json" if self.out and not sweep else None
+        for path in filter(None, (self.out, manifest, self.plot)):  # "" resolves to "./"
             folder = os.path.dirname(path) or "."
             if not os.path.isdir(folder):
                 raise SagdError(f"output directory {folder!r} does not exist")
             if os.path.isdir(path):
                 raise SagdError(f"output path {path!r} is a directory")
-        if self.plot and os.path.realpath(self.plot) in map(
-                os.path.realpath, (self.out, f"{self.out}.manifest.json")):
+        if self.plot and os.path.realpath(self.plot) in map(os.path.realpath, (self.out, manifest)):
             raise SagdError(f"--plot {self.plot!r} would overwrite the results CSV or its manifest")
         q = None if args.q == "auto" else _number(args, "q", float)
         tau = None if args.tau == "auto" else _number(args, "tau", int)

@@ -149,9 +149,9 @@ class TrajectorySeries:
     points: list
 
 
-def write_results_csv(series_list, path, manifest=None):
+def write_results_csv(series_list, path, manifest):
     """Write trajectories to CSV (stable column order, 17-significant-digit
-    floats).  When a manifest is given it lands next to the CSV as
+    floats), and the :class:`RunManifest` next to it as
     ``<path>.manifest.json``."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -172,9 +172,8 @@ def write_results_csv(series_list, path, manifest=None):
                         "" if p.lyapunov is None else _fmt(p.lyapunov),
                     ]
                 )
-    if manifest is not None:
-        with open(f"{path}.manifest.json", "w", encoding="ascii") as fh:
-            fh.write(manifest.to_json() + "\n")
+    with open(f"{path}.manifest.json", "w", encoding="ascii") as fh:
+        fh.write(manifest.to_json() + "\n")
 
 
 def read_results_csv(path):

@@ -39,7 +39,7 @@ class PlanCandidate:
     q: float
     omega_coef: float
     alpha: float
-    covered: bool = True
+    covered: bool
 
 
 @dataclass

@@ -16,7 +16,7 @@ and sums over rows in row order, each one fold-and-reduce per block of rows
 (:func:`_row_sum`; rows of one entry accumulate instead).  The full gradient
 is bound once (:func:`gradient_sum_fn`): sparse rows read x through one
 gather buffer, and a block of terms is one broadcast product (dense) or one
-flat scatter (sparse).
+flat scatter (sparse).  The batch and full gradients share :func:`loss_derivative`.
 """
 
 import math
@@ -205,6 +205,18 @@ def _sigmoid_neg(z):
     return ez / (1.0 + ez) if z >= 0.0 else 1.0 / (1.0 + ez)
 
 
+def loss_derivative(z, y, ridge):
+    """The data terms' derivatives at the row dots z = A x, for arrays z, y:
+    z - y (ridge) or -1/2 y sigmoid(-y z) (logistic), with the bits of
+    :func:`gradient_fn`'s scalar form (libm exp, then array + and /)."""
+    if ridge:
+        return z - y
+    t = y * z
+    ez = np.fromiter(map(math.exp, (-np.abs(t)).tolist()), float, t.size)
+    den = 1.0 + ez
+    return -0.5 * y * np.where(t >= 0.0, ez / den, 1.0 / den)
+
+
 def gradient_fn(data, loss):
     """Bind a fast per-sample gradient ``g(x, i)`` for repeated use.
 
@@ -246,13 +258,10 @@ def batch_gradient_fn(data, loss):
     y = data.labels
     lam = loss.lam
     ridge = loss.kind == "ridge"
-    if not ridge:
-        from scipy.special import expit  # imported only when needed: it costs ~3 MB
 
     def batch(x, idx):
         sub = a[idx]
-        z = sub @ x
-        c = z - y[idx] if ridge else -0.5 * y[idx] * expit(-(y[idx] * z))
+        c = loss_derivative(sub @ x, y[idx], ridge)
         return sub * c[:, None] + lam * x
 
     return batch
@@ -388,15 +397,7 @@ def gradient_sum_fn(data, loss):
             return blk
 
     def gsum(x, out=None):
-        z = dots(x)
-        if ridge:
-            coef = z - y
-        else:
-            # _sigmoid_neg over the rows: the same libm exp, then array + and /
-            t = y * z
-            ez = np.fromiter(map(math.exp, (-np.abs(t)).tolist()), float, n)
-            den = 1.0 + ez
-            coef = -0.5 * y * np.where(t >= 0.0, ez / den, 1.0 / den)
+        coef = loss_derivative(dots(x), y, ridge)
         lamx = lam * x
 
         def block(s, e):

@@ -101,7 +101,7 @@ class TrajectoryPoint:
     grad_evals: int
     wall_seconds: float
     error: float
-    lyapunov: float = None
+    lyapunov: float  # None unless the run tracks the Lyapunov function
 
 
 @dataclass
@@ -120,7 +120,7 @@ class RunResult:
     converged: bool
     x: np.ndarray
     seed: int
-    diverged: bool = False  # stopped at a checkpoint whose error or iterate is not finite
+    diverged: bool  # stopped at a checkpoint whose error or iterate is not finite
 
     def passes_to_tol(self, tol, n):
         """Effective passes at the first checkpoint with error <= tol."""

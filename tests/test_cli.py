@@ -536,6 +536,25 @@ class TestRun:
         assert masked_csv_digest(out_csv) == digest
 
     @pytest.mark.parametrize(
+        "q,digest",
+        [
+            ("1", "c2cd18e530d21f947317eadbf3bec7aaef4b4109a3cbab08be09b456001d02e8"),
+            ("0.5", "c2b93d4e3cb2922a41991ee827aa96fde99c14fc845455ae29d0aa50df7ec702"),
+        ],
+    )
+    def test_dense_logistic_runs_pinned(self, capsys, tmp_path, q, digest):
+        # dense logistic minibatch steps take the batch kernel, single-sample
+        # steps gradient_fn; the digests (wall time masked) pin both
+        out_csv = tmp_path / "res.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--synth", "120,4,gaussian", "--normalize", "--loss", "logistic",
+            "--q", q, "--tau", "8", "--seed", "3,4", "--tol", "1e-6", "--max-passes", "30",
+            "--out", str(out_csv),
+        )
+        assert code == 0
+        assert masked_csv_digest(out_csv) == digest
+
+    @pytest.mark.parametrize(
         "flag,args",
         [
             ("--q", ("run", "--q", "x", "--tau", "2")),
@@ -731,16 +750,21 @@ class TestRun:
             (("run", "--out", "{tmp}/x.csv", "--plot", ""), "./"),
             (("sweep", "--taus", "1,2", "--out", "{tmp}/"), "{tmp}/"),
             (("sweep", "--taus", "1,2", "--out", ""), "./"),
+            (("run", "--out", "{tmp}/x.csv"), "{tmp}/x.csv.manifest.json"),
+            (("run", "--out", "x.csv", "--plot", "p.svg"), "./x.csv.manifest.json"),
         ],
     )
     def test_directory_output_path_checked_before_any_work(
         self, capsys, tmp_path, monkeypatch, source, argv, path
     ):
-        # an --out or --plot naming a directory ("" resolves to "./") fails
-        # before the data, the reference or any solve, not at the write
+        # an --out, run's manifest beside it or --plot naming a directory
+        # ("" resolves to "./") fails before the data, the reference or any
+        # solve, not at the write
         flags = dataset_flags(tmp_path, source)
         monkeypatch.delenv("SAGD_OUT_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
+        path = path.format(tmp=tmp_path)
+        os.makedirs(path, exist_ok=True)
         calls = count_work(monkeypatch)
         solve = cli.run_solver
         monkeypatch.setattr(
@@ -749,9 +773,16 @@ class TestRun:
         command, *rest = (a.format(tmp=tmp_path) for a in argv)
         code, out, err = run_cli(capsys, command, *flags, "--q", "0.5", *rest)
         assert code == 2
-        assert err == f"error: output path {path.format(tmp=tmp_path)!r} is a directory\n"
+        assert err == f"error: output path {path!r} is a directory\n"
         assert "plan:" not in out and calls == []
         assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_writes_no_manifest_and_ignores_its_path(self, capsys, tmp_path):
+        (tmp_path / "x.csv.manifest.json").mkdir()
+        code, _, _ = run_cli(capsys, "sweep", "--synth", "30,3,gaussian", "--taus", "1,2",
+                             "--q", "0.5", "--tol", "1e-6", "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert (tmp_path / "x.csv").read_text().startswith("tau,median_passes\n")
 
     @pytest.mark.parametrize("plot", ["{tmp}/x.csv", "{tmp}/x.csv.manifest.json",
                                       "{tmp}/sub/../x.csv"])
@@ -1035,22 +1066,35 @@ class TestParsing:
 
 class TestModuleEntryPoint:
     @staticmethod
-    def _python_m(*args):
+    def _python(*args):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p
         ))
         return subprocess.run(
-            [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
         )
 
     @pytest.mark.parametrize("module", ["sagd", "sagd.cli"])
     def test_verify_runs(self, module):
-        proc = self._python_m(module, "verify", "--n-max", "2")
+        proc = self._python("-m", module, "verify", "--n-max", "2")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("PASS") == 2
 
     def test_invalid_plan_exits_2(self):
-        proc = self._python_m("sagd", "plan", "--n", "1", "--l-max", "1", "--mu", "0.1")
+        proc = self._python("-m", "sagd", "plan", "--n", "1", "--l-max", "1", "--mu", "0.1")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    def test_dense_logistic_run_leaves_scipy_special_unloaded(self):
+        # every q = 1 step takes the batch kernel, whose loss derivative is
+        # problem.loss_derivative's libm exp
+        script = (
+            "import sys; from sagd.cli import main; "
+            "code = main(['run', '--synth', '120,4,gaussian', '--loss', 'logistic', "
+            "'--q', '1', '--tau', '8', '--tol', '1e-6']); "
+            "print(code, 'scipy.special' in sys.modules)"
+        )
+        proc = self._python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"

@@ -125,6 +125,9 @@ class TestSynthetic:
         assert np.all((data.labels >= 0.0) & (data.labels < 1.0))
 
 
+MANIFEST = RunManifest.new("synth", "ridge", 0.001, 0.5, 2, 0.01, [1])
+
+
 def _series(n=4, with_lyap=False):
     points = [
         TrajectoryPoint(0, n, 0.0, 1.0, 2.5 if with_lyap else None),
@@ -136,14 +139,14 @@ def _series(n=4, with_lyap=False):
 class TestResultsCsv:
     def test_header_only_for_empty_series(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_results_csv([TrajectorySeries("sagd", 0.0, 1, 0, 4, [])], path)
+        write_results_csv([TrajectorySeries("sagd", 0.0, 1, 0, 4, [])], path, MANIFEST)
         lines = path.read_text().strip().splitlines()
         assert lines == [",".join(CSV_HEADER)]
 
     def test_one_point_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"
-        series = TrajectorySeries("saga", 0.0, 1, 3, 4, [TrajectoryPoint(0, 4, 0.0, 0.5)])
-        write_results_csv([series], path)
+        series = TrajectorySeries("saga", 0.0, 1, 3, 4, [TrajectoryPoint(0, 4, 0.0, 0.5, None)])
+        write_results_csv([series], path, MANIFEST)
         assert len(path.read_text().strip().splitlines()) == 2
 
     def test_numeric_round_trip(self, tmp_path):
@@ -151,7 +154,7 @@ class TestResultsCsv:
         series = _series(with_lyap=True)
         series.points[1].error = math.pi * 1e-9
         series.points[1].wall_seconds = 1.0 / 3.0
-        write_results_csv([series], path)
+        write_results_csv([series], path, MANIFEST)
         rows = read_results_csv(path)
         assert rows[1]["error"] == math.pi * 1e-9
         assert rows[1]["wall_seconds"] == 1.0 / 3.0
@@ -169,7 +172,7 @@ class TestResultsCsv:
         manifest = RunManifest.new("synth", "ridge", 0.001, 0.5, 2, 0.01, [1, 2])
         assert manifest.build == f"sagd-{sagd.__version__}"
         path = tmp_path / "res.csv"
-        write_results_csv([_series()], path, manifest=manifest)
+        write_results_csv([_series()], path, manifest)
         text = (tmp_path / "res.csv.manifest.json").read_text()
         assert json.loads(text) == dict(dataclasses.asdict(manifest), seeds=[1, 2])
 
@@ -177,7 +180,7 @@ class TestResultsCsv:
 class TestSvgPlot:
     def test_single_series_one_polyline(self, tmp_path):
         csv_path = tmp_path / "r.csv"
-        write_results_csv([_series()], csv_path)
+        write_results_csv([_series()], csv_path, MANIFEST)
         out = tmp_path / "r.svg"
         emit_svg_plot(csv_path, "effective_passes", out)
         text = out.read_text()
@@ -187,7 +190,7 @@ class TestSvgPlot:
     def test_integer_decade_ticks(self, tmp_path):
         csv_path = tmp_path / "r.csv"
         points = [TrajectoryPoint(k, 4 * (k + 1), 0.0, 10.0 ** (-k), None) for k in range(11)]
-        write_results_csv([TrajectorySeries("sagd", 1.0, 2, 0, 4, points)], csv_path)
+        write_results_csv([TrajectorySeries("sagd", 1.0, 2, 0, 4, points)], csv_path, MANIFEST)
         out = tmp_path / "r.svg"
         emit_svg_plot(csv_path, "effective_passes", out)
         text = out.read_text()
@@ -198,9 +201,9 @@ class TestSvgPlot:
         csv_path = tmp_path / "r.csv"
         series = []
         for k, (q, tau) in enumerate([(0.0, 1), (0.5, 2), (1.0, 4), (1.0, 8)]):
-            pts = [TrajectoryPoint(0, 8, 0.0, 1.0), TrajectoryPoint(5, 16, 0.1, 1e-3)]
+            pts = [TrajectoryPoint(0, 8, 0.0, 1.0, None), TrajectoryPoint(5, 16, 0.1, 1e-3, None)]
             series.append(TrajectorySeries("sagd", q, tau, k, 8, pts))
-        write_results_csv(series, csv_path)
+        write_results_csv(series, csv_path, MANIFEST)
         out = tmp_path / "r.svg"
         emit_svg_plot(csv_path, "effective_passes", out)
         text = out.read_text()
@@ -209,7 +212,7 @@ class TestSvgPlot:
 
     def test_bad_axis_rejected(self, tmp_path):
         csv_path = tmp_path / "r.csv"
-        write_results_csv([_series()], csv_path)
+        write_results_csv([_series()], csv_path, MANIFEST)
         with pytest.raises(InvalidInputError):
             emit_svg_plot(csv_path, "iterations", tmp_path / "x.svg")
 
@@ -218,11 +221,11 @@ class TestSvgPlot:
         series = []
         for seed in (1, 2, 3):
             pts = [
-                TrajectoryPoint(0, 8, 0.0, 1.0),
-                TrajectoryPoint(5, 16 + seed, 0.1, 10.0 ** (-3 - 0.1 * seed)),
+                TrajectoryPoint(0, 8, 0.0, 1.0, None),
+                TrajectoryPoint(5, 16 + seed, 0.1, 10.0 ** (-3 - 0.1 * seed), None),
             ]
             series.append(TrajectorySeries("sagd", 0.5, 2, seed, 8, pts))
-        write_results_csv(series, csv_path)
+        write_results_csv(series, csv_path, MANIFEST)
         out = tmp_path / "r.svg"
         emit_svg_plot(csv_path, "effective_passes", out)
         text = out.read_text()

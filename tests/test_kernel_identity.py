@@ -144,6 +144,26 @@ def test_bound_gradient_sum_matches_row_loop_on_every_call(case, seed):
                 assert same_bits(gsum(p) / data.n, row_full_grad(data, loss, p))
 
 
+# z where the logistic derivative meets a tail: signed zeros, exp's
+# underflow near 745, past it, and subnormals
+_TAIL_Z = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 5e-324, -5e-324, 1e-310, -1e-310]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.floats(-40.0, 40.0) | st.floats(allow_nan=False) | st.sampled_from(_TAIL_Z),
+        st.sampled_from([-1.0, 1.0]),
+    ),
+    min_size=1, max_size=16,
+))
+def test_logistic_loss_derivative_matches_sigmoid_neg(pairs):
+    # the batch and the full gradient take the array form, gradient_fn the scalar one
+    z, y = (np.array(col) for col in zip(*pairs))
+    scalar = [-0.5 * yi * problem._sigmoid_neg(yi * zi) for zi, yi in pairs]
+    assert same_bits(problem.loss_derivative(z, y, ridge=False), scalar)
+
+
 @pytest.mark.parametrize("density", [1.0, 0.3])
 @pytest.mark.parametrize("block_bytes", [1, 64, 1 << 20])
 def test_logistic_reference_matches_row_loop_descent(density, block_bytes):
