@@ -309,9 +309,9 @@ class _Pipeline:
     Construction runs, in order: the budget check (``budget`` is a
     SolverConfig that each solve completes with q, tau, alpha and seed;
     an explicit --alpha is checked with it), the resolved ``out``, run's
-    manifest and ``plot`` paths checked to name files in existing
-    directories (the plot neither the CSV nor its manifest), the number flags, the ``seeds``, the
-    dataset, the explicit q and tau and the sweep's taus checked against
+    manifest and ``plot`` paths checked to name files in existing directories
+    (the plot neither the CSV nor its manifest), the number flags, the ``seeds``,
+    the dataset, the explicit q and tau and the sweep's taus checked against
     its n, its profile, and the plan: both q and tau
     auto take ``optimal_plan``'s best pair, one auto value is planned with
     the other held fixed.  ``tau`` keeps the planned (or explicit) tau;

@@ -2,8 +2,8 @@
 
 Dense vectors and matrices are plain float64 numpy arrays throughout.  The
 one custom container defined here is :class:`SeededRng`, the frozen random
-generator: integer arithmetic alone, so a seed draws one stream on every platform
-and release (trajectories also depend on the BLAS kernels; README, Notes).
+generator: integer arithmetic alone, so a seed draws one stream on every
+platform and release (trajectories also depend on the BLAS kernels: README).
 """
 
 import functools

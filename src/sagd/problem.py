@@ -16,7 +16,7 @@ and sums over rows in row order, each one fold-and-reduce per block of rows
 (:func:`_row_sum`; rows of one entry accumulate instead).  The full gradient
 is bound once (:func:`gradient_sum_fn`): sparse rows read x through one
 gather buffer, and a block of terms is one broadcast product (dense) or one
-flat scatter (sparse).  The batch and full gradients share :func:`loss_derivative`.
+flat scatter (sparse); the batch gradient shares its :func:`loss_derivative`.
 """
 
 import math
