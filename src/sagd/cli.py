@@ -368,7 +368,7 @@ class _Pipeline:
         alphas = stepsize(icfg, profile).tolist() if alpha is None else [alpha]
         self.cells = [(q, t, a) for t, a in zip(taus, alphas)]
         xstar_tol = min(1e-12, args.tol * 1e-2) if loss.kind == "logistic" else 1e-12
-        self.x_star = exact_solution(data, loss, tol=max(xstar_tol, 1e-14), profile=profile)
+        self.x_star = exact_solution(data, loss, profile, tol=max(xstar_tol, 1e-14))
         table = solver.init_table(data, loss, np.zeros(data.d))
         copies = (dataclasses.replace(table, J=table.J.copy(), col_sum=table.col_sum.copy())
                   for _ in range(len(self.seeds) * len(self.cells) - 1))

@@ -157,7 +157,7 @@ class SmoothnessProfile:
     Profiles built from data via :func:`smoothness_profile` always satisfy
     0 < mu <= L_bar <= L_max.  Hand-built profiles used for evaluating
     complexity formulas on parameter grids may place mu above L_bar; only
-    an integer n >= 1, mu > 0, finite constants and L_bar <= L_max are enforced.
+    an integer n >= 1, mu > 0, finite constants 0 <= L_bar <= L_max are enforced.
     :meth:`uniform` and :meth:`from_bounds` record mu as ``MU_LAMBDA_BOUND``.
     """
 
@@ -172,8 +172,8 @@ class SmoothnessProfile:
             raise InvalidInputError(f"need an integer n >= 1, got {self.n}")
         if not (np.isfinite(self.mu) and self.mu > 0.0):
             raise NotStronglyConvexError(f"mu must be positive, got {self.mu}")
-        if not (np.isfinite(self.L_max) and np.isfinite(self.L_bar)):
-            raise InvalidInputError("smoothness constants must be finite")
+        if not (0.0 <= self.L_max < math.inf and 0.0 <= self.L_bar < math.inf):
+            raise InvalidInputError("smoothness constants must be finite and >= 0")
         if self.L_bar > self.L_max * (1.0 + 1e-12):
             raise InvalidInputError("need L_bar <= L_max")
 
@@ -213,8 +213,7 @@ def loss_derivative(z, y, ridge):
         return z - y
     t = y * z
     ez = np.fromiter(map(math.exp, (-np.abs(t)).tolist()), float, t.size)
-    den = 1.0 + ez
-    return -0.5 * y * np.where(t >= 0.0, ez / den, 1.0 / den)
+    return -0.5 * y * (np.where(t >= 0.0, ez, 1.0) / (1.0 + ez))
 
 
 def gradient_fn(data, loss):
@@ -468,7 +467,7 @@ def smoothness_profile(data, loss):
     return SmoothnessProfile(data.n, float(levels.max()), float(levels.mean()), mu, source)
 
 
-def exact_solution(data, loss, tol=1e-12, profile=None):
+def exact_solution(data, loss, profile, tol=1e-12):
     """High-accuracy minimizer x* with ||grad f(x*)|| <= tol.
 
     Ridge is solved directly: (A^T A / n + lambda I) x = A^T y / n, with a
@@ -478,12 +477,10 @@ def exact_solution(data, loss, tol=1e-12, profile=None):
     Both bind the full gradient once (:func:`gradient_sum_fn`, with
     :func:`full_grad`'s bits), so no iteration rebuilds row views, and
     ridge reuses the Gram matrix the profile built (``Dataset.gram``).
-    ``profile`` is the data's :func:`smoothness_profile` if the caller has
-    it; computing one refuses data that is not strongly convex.
+    ``profile`` is the data's :func:`smoothness_profile`, whose L_bar sets
+    the logistic stepsize.
     """
-    if profile is None:
-        profile = smoothness_profile(data, loss)
-    elif profile.n != data.n:
+    if profile.n != data.n:
         raise InvalidInputError(f"profile has n = {profile.n}, data has n = {data.n}")
     n, d = data.n, data.d
     gsum = gradient_sum_fn(data, loss)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .exceptions import InvalidInputError
 from .numerics import SeededRng, sample_subset
-from .problem import (  # noqa: F401  full_grad: perfbench/tracer.py spans it by this name
+# full_grad, smoothness_profile: imported only for perfbench/tracer.py's spans
+from .problem import (  # noqa: F401
     check_logistic_labels,
     batch_gradient_fn,
     full_grad,
@@ -77,7 +78,6 @@ class SolverConfig:
     tol: float = 1e-10
     max_effective_passes: float = 100.0
     check_every_passes: float = 0.25
-    track_lyapunov: bool = False
 
     def __post_init__(self):
         if not (isinstance(self.q, numbers.Real) and 0.0 <= self.q <= 1.0):
@@ -101,7 +101,7 @@ class TrajectoryPoint:
     grad_evals: int
     wall_seconds: float
     error: float
-    lyapunov: float  # None unless the run tracks the Lyapunov function
+    lyapunov: float  # None unless the run is given a Lyapunov reference
 
 
 @dataclass
@@ -200,7 +200,7 @@ def lyapunov(state, cfg, x_star, grad_table_star, l_max):
     return float(dx @ dx) + coef * float(np.sum(dj * dj))
 
 
-def run(data, loss, cfg, x_star, table):
+def run(data, loss, cfg, x_star, table, lyapunov_ref=None):
     """Run the iteration from x = 0 until the error reaches ``cfg.tol``, the
     pass budget is exhausted, or the run diverges: it stops at the first
     checkpoint whose error or iterate is not finite, with ``diverged`` set.
@@ -209,6 +209,8 @@ def run(data, loss, cfg, x_star, table):
     solution ``x_star`` (a vector of shape (d,)) that the error ||x - x*|| is
     measured against, and ``table``, which must be ``init_table(data, loss, 0)``;
     the run takes the table over, writes into it and counts its n evaluations.
+    With ``lyapunov_ref = (init_table(data, loss, x_star).J, profile.L_max)``
+    every checkpoint records :func:`lyapunov`, else None.
     Checkpoints land every round(check_every_passes * n / (q (tau - 1) + 1))
     iterations (a spacing that overflows to inf is refused), so runs that
     differ only by seed are sampled at identical iteration counts.
@@ -220,6 +222,9 @@ def run(data, loss, cfg, x_star, table):
     shapes = (np.shape(table.J), np.shape(table.col_sum))
     if shapes != ((data.d, n), (data.d,)):
         raise InvalidInputError(f"table shapes {shapes} are not (({data.d}, {n}), ({data.d},))")
+    ref_shape = None if lyapunov_ref is None else np.shape(lyapunov_ref[0])
+    if ref_shape not in (None, (data.d, n)):
+        raise InvalidInputError(f"reference table shape {ref_shape} is not ({data.d}, {n})")
     if loss.kind == "logistic":
         check_logistic_labels(data)
     if cfg.tau > n:  # SolverConfig checks q and tau >= 1
@@ -231,16 +236,13 @@ def run(data, loss, cfg, x_star, table):
 
     rng = SeededRng(cfg.seed)
     state = SolverState(x=np.zeros(data.d), table=table, grad_evals=n)  # n: the table fill
-    if cfg.track_lyapunov:
-        l_max = smoothness_profile(data, loss).L_max
-        grad_star = init_table(data, loss, x_star).J
 
     batch_grad = batch_gradient_fn(data, loss)
     # a q = 1 step with a batch kernel never takes a per-sample gradient
     grad = gradient_fn(data, loss) if cfg.q < 1.0 or batch_grad is None else None
 
     def psi():
-        return lyapunov(state, cfg, x_star, grad_star, l_max) if cfg.track_lyapunov else None
+        return None if lyapunov_ref is None else lyapunov(state, cfg, x_star, *lyapunov_ref)
 
     budget = cfg.max_effective_passes * n
     err = float(np.linalg.norm(state.x - x_star))

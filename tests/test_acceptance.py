@@ -50,7 +50,7 @@ def desk_instance():
     data = normalize_rows(synth_gaussian(1000, 10, seed=20240810))
     loss = LossSpec("ridge", 1.0 / data.n)
     profile = smoothness_profile(data, loss)
-    x_star = exact_solution(data, loss)
+    x_star = exact_solution(data, loss, profile)
     plan = optimal_plan(profile)
     return {"data": data, "loss": loss, "profile": profile, "x_star": x_star, "plan": plan}
 
@@ -58,14 +58,15 @@ def desk_instance():
 def _median_passes(inst, q, tau, seeds, tol=1e-10, track=False):
     data, loss = inst["data"], inst["loss"]
     alpha = stepsize(InterpolationConfig(q, tau, data.n), inst["profile"])
+    ref = (init_table(data, loss, inst["x_star"]).J, inst["profile"].L_max) if track else None
     passes, results = [], []
     for seed in seeds:
         cfg = SolverConfig(
             q=q, tau=tau, alpha=alpha, seed=seed, tol=tol, max_effective_passes=500,
-            check_every_passes=0.25, track_lyapunov=track,
+            check_every_passes=0.25,
         )
         table = init_table(data, loss, np.zeros(data.d))
-        result = run(data, loss, cfg, x_star=inst["x_star"], table=table)
+        result = run(data, loss, cfg, x_star=inst["x_star"], table=table, lyapunov_ref=ref)
         assert result.converged, f"(q={q}, tau={tau}, seed={seed}) did not converge"
         passes.append(result.passes_to_tol(tol, data.n))
         results.append(result)

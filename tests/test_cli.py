@@ -344,6 +344,12 @@ class TestPlan:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_negative_smoothness_rejected(self, capsys):
+        # L_max * (1 + 1e-12) lies below a negative L_max, so the order check alone misreported it
+        code, out, err = run_cli(capsys, "plan", "--n", "4", "--l-max", "-1", "--mu", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: smoothness constants must be finite and >= 0\n"
+
 
 class TestRun:
     def test_baseline_run_converges(self, capsys, tmp_path):

@@ -172,7 +172,8 @@ def test_logistic_reference_matches_row_loop_descent(density, block_bytes):
     step = 1.0 / float(row_smoothness_levels(data, loss)[0].mean())
     expect = row_gradient_descent(data, loss, step, tol=1e-10, max_iters=5000)
     with row_sum_patches(block_bytes):
-        assert same_bits(problem.exact_solution(data, loss, tol=1e-10), expect)
+        prof = problem.smoothness_profile(data, loss)
+        assert same_bits(problem.exact_solution(data, loss, prof, tol=1e-10), expect)
 
 
 def row_loop_sum(block):
@@ -328,7 +329,8 @@ def test_wide_sparse_logistic_matches_row_loops():
         table = init_table(data, loss, x)
         j_mat, col_sum = row_init_table_at_x(data, loss, x)
         assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
-        assert same_bits(problem.exact_solution(data, loss, tol=1e-5), expect)
+        prof = problem.smoothness_profile(data, loss)
+        assert same_bits(problem.exact_solution(data, loss, prof, tol=1e-5), expect)
 
 
 def mixed_length_dataset(rng, lengths, d, kind):
@@ -374,7 +376,7 @@ def test_long_and_mixed_length_rows_match_row_loops(kind, dense):
             assert same_bits(problem._ridge_rhs(data), row_ridge_rhs(data))
         else:
             expect = row_gradient_descent(data, loss, 1.0 / prof.L_bar, tol=1e-5, max_iters=400)
-            assert same_bits(problem.exact_solution(data, loss, tol=1e-5), expect)
+            assert same_bits(problem.exact_solution(data, loss, prof, tol=1e-5), expect)
     # normalizing refuses an empty row, so its norms are checked on the others
     if not dense:
         with pytest.raises(InvalidInputError, match="cannot normalize zero row"):
@@ -396,6 +398,6 @@ def test_logistic_reference_groups_rows_once(monkeypatch):
         calls.clear()
         monkeypatch.setattr(problem, "_GD_MAX_ITERS", iters)
         with pytest.raises(ConvergenceError):
-            problem.exact_solution(data, loss, tol=1e-300, profile=prof)
+            problem.exact_solution(data, loss, prof, tol=1e-300)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0

@@ -157,7 +157,7 @@ class TestGradients:
     def test_full_grad_vanishes_at_solution(self):
         data = _random_dataset(20, 5, 6)
         loss = LossSpec("ridge", 0.1)
-        x_star = exact_solution(data, loss)
+        x_star = exact_solution(data, loss, smoothness_profile(data, loss))
         assert np.linalg.norm(full_grad(data, loss, x_star)) <= 1e-9
 
     def test_batch_matches_per_sample(self):
@@ -301,8 +301,12 @@ class TestSmoothnessProfile:
             (lambda: SmoothnessProfile(3, 1.0, 1.1, 0.1, "x"), InvalidInputError),
             (lambda: SmoothnessProfile.from_bounds(0, 1.0, 1.0, 0.1), InvalidInputError),
             (lambda: SmoothnessProfile.from_bounds(10, 2.0, 0.1, 0.1), InvalidInputError),
+            (lambda: SmoothnessProfile(10, -1.0, -2.0, 0.1, "x"), InvalidInputError),
+            (lambda: SmoothnessProfile(10, 1.0, -0.5, 0.1, "x"), InvalidInputError),
+            (lambda: SmoothnessProfile.uniform(4, -1.0, 1.0), InvalidInputError),
         ],
-        ids=["n0", "n-fraction", "n-none", "mu0", "mu-nan", "l-max-inf", "l-bar-above", "bounds-n0", "too-small"],
+        ids=["n0", "n-fraction", "n-none", "mu0", "mu-nan", "l-max-inf", "l-bar-above", "bounds-n0",
+             "too-small", "both-negative", "l-bar-negative", "uniform-negative"],
     )
     def test_invalid_profiles_rejected(self, make, error):
         with pytest.raises(error):
@@ -313,25 +317,27 @@ class TestExactSolution:
     def test_zero_labels(self):
         data = _random_dataset(10, 3, 18)
         data = Dataset(data.indptr, data.indices, data.values, labels=np.zeros(10), d=3)
-        x = exact_solution(data, LossSpec("ridge", 0.2))
+        loss = LossSpec("ridge", 0.2)
+        x = exact_solution(data, loss, smoothness_profile(data, loss))
         assert np.linalg.norm(x) <= 1e-12
 
     def test_identity_design_no_reg(self):
         y = np.array([2.0, -1.0, 0.5])
         data = Dataset.from_dense(np.eye(3), y)
-        x = exact_solution(data, LossSpec("ridge", 0.0))
+        loss = LossSpec("ridge", 0.0)
+        x = exact_solution(data, loss, smoothness_profile(data, loss))
         assert np.allclose(x, y, atol=1e-10)
 
     def test_random_ridge_gradient_norm(self):
         data = _random_dataset(40, 6, 19)
         loss = LossSpec("ridge", 0.05)
-        x = exact_solution(data, loss)
+        x = exact_solution(data, loss, smoothness_profile(data, loss))
         assert np.linalg.norm(full_grad(data, loss, x)) <= 1e-10
 
     def test_logistic_gradient_norm(self):
         data = normalize_rows(_sign_dataset(30, 4, 20))
         loss = LossSpec("logistic", 0.1)
-        x = exact_solution(data, loss, tol=1e-12)
+        x = exact_solution(data, loss, smoothness_profile(data, loss), tol=1e-12)
         assert np.linalg.norm(full_grad(data, loss, x)) <= 1e-12
 
     def test_budget_exhaustion_reports_achieved_norm(self, monkeypatch):
@@ -341,7 +347,7 @@ class TestExactSolution:
         loss = LossSpec("logistic", 0.05)
         monkeypatch.setattr(problem, "_GD_MAX_ITERS", 3)
         with pytest.raises(ConvergenceError, match="in 3 iterations") as info:
-            exact_solution(data, loss, tol=1e-13)
+            exact_solution(data, loss, smoothness_profile(data, loss), tol=1e-13)
         assert info.value.achieved is not None and info.value.achieved > 1e-13
 
 

@@ -21,6 +21,7 @@ from sagd.problem import (
     smoothness_profile,
 )
 from reference_methods import reference_minibatch_saga, reference_saga
+from sagd import solver
 from sagd.solver import (
     GradientTable,
     SolverConfig,
@@ -50,12 +51,22 @@ def _sparse_logistic(n, d, seed):
     return normalize_rows(Dataset(indptr, np.nonzero(mask)[1], a[mask], labels, d))
 
 
-def _solve(data, loss, x_star, q, tau, alpha=None, **kw):
+def _x_star(data, loss):
+    return exact_solution(data, loss, smoothness_profile(data, loss))
+
+
+def _solve(data, loss, x_star, q, tau, alpha=None, lyapunov_ref=None, **kw):
     """``run`` from a fresh table at ``alpha``, by default the theoretical stepsize."""
     if alpha is None:
         alpha = stepsize(InterpolationConfig(q, tau, data.n), smoothness_profile(data, loss))
     cfg = SolverConfig(q=q, tau=tau, alpha=alpha, **kw)
-    return run(data, loss, cfg, x_star, init_table(data, loss, np.zeros(data.d)))
+    table = init_table(data, loss, np.zeros(data.d))
+    return run(data, loss, cfg, x_star, table, lyapunov_ref=lyapunov_ref)
+
+
+def _lyapunov_ref(data, loss, x_star):
+    """The reference ``run`` tracks the Lyapunov function with: the table at x* and L_max."""
+    return init_table(data, loss, x_star).J, smoothness_profile(data, loss).L_max
 
 
 def _digest(result):
@@ -188,7 +199,7 @@ class TestBookkeeping:
     def test_same_seed_bitwise_identical(self):
         data = _dataset(30, 4, 12)
         loss = LossSpec("ridge", 0.1)
-        x_star = exact_solution(data, loss)
+        x_star = _x_star(data, loss)
         kw = dict(q=0.5, tau=4, seed=77, tol=1e-8, max_effective_passes=30)
         r1, r2 = (_solve(data, loss, x_star, **kw) for _ in range(2))
         assert np.array_equal(r1.x, r2.x)
@@ -203,11 +214,11 @@ class TestBookkeeping:
     def test_theoretical_stepsize_runs_pinned(self, case, digest):
         if case == "ridge":
             data, loss, tau, seed = _dataset(30, 4, 12), LossSpec("ridge", 0.1), 4, 77
-            x_star = exact_solution(data, loss)
+            x_star = _x_star(data, loss)
         else:
             data, loss, tau, seed = _sparse_logistic(40, 6, 23), LossSpec("logistic", 0.05), 3, 5
             assert batch_gradient_fn(data, loss) is None
-            x_star = exact_solution(data, loss, tol=1e-12)
+            x_star = _x_star(data, loss)
         result = _solve(data, loss, x_star, 0.5, tau, seed=seed, tol=1e-8, max_effective_passes=30)
         assert _digest(result) == digest
 
@@ -217,7 +228,7 @@ class TestBookkeeping:
         cfg = SolverConfig(q=0.5, tau=4, alpha=0.05, seed=77, tol=1e-8, max_effective_passes=30)
         table = init_table(data, loss, np.zeros(4))
         fill = table.J.copy()
-        result = run(data, loss, cfg, exact_solution(data, loss), table)
+        result = run(data, loss, cfg, _x_star(data, loss), table)
         assert result.points[0].grad_evals == data.n  # the fill is counted
         assert not np.array_equal(table.J, fill)  # the run wrote into the table
 
@@ -226,7 +237,7 @@ class TestLyapunov:
     def test_zero_at_fixed_point(self):
         data = _dataset(7, 3, 13)
         loss = LossSpec("ridge", 0.1)
-        x_star = exact_solution(data, loss)
+        x_star = _x_star(data, loss)
         g_star = init_table(data, loss, x_star).J
         table = GradientTable(J=g_star.copy(), col_sum=g_star.sum(axis=1))
         state = SolverState(x=x_star.copy(), table=table)
@@ -243,6 +254,52 @@ class TestLyapunov:
         cfg = SolverConfig(q=0.0, tau=1, alpha=0.1)
         assert lyapunov(state, cfg, x_star, g_star, l_max=1.0) == 25.0
 
+    # taken with SolverConfig(track_lyapunov=True), when run derived the reference itself
+    @pytest.mark.parametrize("kind,digest", [
+        ("ridge", "34812db530c05edfb348a009a8b8477aa0219525e555d7cdd40edb2b5afe7e98"),
+        ("logistic", "933ac455fb7e071c7e9eb3599fe43454b12d332e9fe513df25f7faed47d84c43"),
+    ])
+    def test_tracked_runs_pinned(self, kind, digest):
+        if kind == "ridge":
+            data, loss = _dataset(30, 4, 12), LossSpec("ridge", 0.1)
+        else:
+            base = _dataset(40, 5, 24, normalize=True)
+            labels = np.where(base.labels < 0.0, -1.0, 1.0)
+            data = Dataset(base.indptr, base.indices, base.values, labels, base.d)
+            loss = LossSpec("logistic", 0.05)
+        x_star = _x_star(data, loss)
+        ref = _lyapunov_ref(data, loss, x_star)
+        h = hashlib.sha256()
+        for q in (0.0, 0.5, 1.0):
+            for seed in (1, 2):
+                result = _solve(data, loss, x_star, q, 4, lyapunov_ref=ref, seed=seed, tol=1e-8,
+                                max_effective_passes=30)
+                for p in result.points:
+                    h.update(struct.pack("<qqdd", p.iter, p.grad_evals, p.error, p.lyapunov))
+        assert h.hexdigest() == digest
+
+    def test_run_with_reference_derives_nothing(self, monkeypatch):
+        # the caller's reference is the only source of L_max and the table at x*
+        data, loss = _dataset(30, 4, 12), LossSpec("ridge", 0.1)
+        x_star = _x_star(data, loss)
+        cfg = SolverConfig(q=0.5, tau=4, alpha=0.05, seed=1, tol=1e-8, max_effective_passes=5)
+        table, ref = init_table(data, loss, np.zeros(4)), _lyapunov_ref(data, loss, x_star)
+        calls = []
+        for name in ("smoothness_profile", "gradient_sum_fn"):
+            monkeypatch.setattr(solver, name, lambda *args, name=name: calls.append(name))
+        result = run(data, loss, cfg, x_star, table, lyapunov_ref=ref)
+        assert calls == []
+        assert all(p.lyapunov is not None for p in result.points)
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 31), (30, 4)])
+    def test_misshaped_reference_table_rejected(self, shape):
+        # a (d, 1) table would broadcast against the (d, n) one silently
+        data = _dataset(30, 4, 12)
+        with pytest.raises(InvalidInputError) as err:
+            _solve(data, LossSpec("ridge", 0.1), np.zeros(4), 0.5, 4, alpha=0.05,
+                   lyapunov_ref=(np.zeros(shape), 1.0))
+        assert str(err.value) == f"reference table shape {shape} is not (4, 30)"
+
     def test_full_batch_coefficient_identity(self):
         # theta alpha / (2 n L_max) equals alpha / (2 L_max (q (n-1) + 1))
         n, q, alpha, l_max = 8, 0.3, 0.05, 1.4
@@ -256,7 +313,7 @@ class TestRun:
     def test_single_sample_baseline_converges_monotonically(self):
         data = normalize_rows(_dataset(100, 5, 15))
         loss = LossSpec("ridge", 1.0 / 100)
-        x_star = exact_solution(data, loss)
+        x_star = _x_star(data, loss)
         result = _solve(data, loss, x_star, 0.0, 1, seed=5, tol=1e-10, max_effective_passes=400)
         assert result.converged
         errors = [p.error for p in result.points]
@@ -273,7 +330,7 @@ class TestRun:
         loss = LossSpec("ridge", 0.1)
         prof = smoothness_profile(data, loss)
         alpha = stepsize(InterpolationConfig(1.0, 16, 16), prof)
-        x_star = exact_solution(data, loss)
+        x_star = exact_solution(data, loss, prof)
         result = _solve(
             data, loss, x_star, 1.0, 16, alpha=alpha, seed=0, tol=1e-12,
             max_effective_passes=2000, check_every_passes=16.0 / 16,
@@ -286,7 +343,7 @@ class TestRun:
     def test_budget_exhaustion_flagged(self):
         data = _dataset(50, 4, 17)
         loss = LossSpec("ridge", 0.02)
-        x_star = exact_solution(data, loss)
+        x_star = _x_star(data, loss)
         result = _solve(data, loss, x_star, 0.0, 1, seed=1, tol=1e-14, max_effective_passes=2.0)
         assert not result.converged
         assert result.points[-1].grad_evals <= 2.0 * 50 + 50
@@ -295,7 +352,7 @@ class TestRun:
     def test_divergent_run_stops_at_first_non_finite_checkpoint(self):
         data = _dataset(500, 10, 19, normalize=True)
         loss = LossSpec("ridge", 0.1)
-        x_star = exact_solution(data, loss)
+        x_star = _x_star(data, loss)
         with np.errstate(over="ignore", invalid="ignore"):
             result = _solve(data, loss, x_star, 0.0, 1, alpha=50.0, seed=1, max_effective_passes=50.0)
         errors = [p.error for p in result.points]
@@ -307,7 +364,7 @@ class TestRun:
     def test_converging_run_not_flagged_diverged(self):
         data = _dataset(40, 3, 18)
         loss = LossSpec("ridge", 0.1)
-        result = _solve(data, loss, exact_solution(data, loss), 0.0, 1, seed=2, tol=1e-6)
+        result = _solve(data, loss, _x_star(data, loss), 0.0, 1, seed=2, tol=1e-6)
         assert result.converged and not result.diverged
 
     @pytest.mark.parametrize("x_star", [None, np.zeros(4), np.zeros((3, 1)), np.zeros(2)])
@@ -322,14 +379,15 @@ class TestRun:
         data = normalize_rows(_dataset(60, 4, 19))
         loss = LossSpec("ridge", 1.0 / 60)
         prof = smoothness_profile(data, loss)
-        x_star = exact_solution(data, loss)
+        x_star = exact_solution(data, loss, prof)
         icfg = InterpolationConfig(0.5, 4, 60)
         alpha = stepsize(icfg, prof)
+        ref = _lyapunov_ref(data, loss, x_star)
         series = []
         for seed in range(10):
             result = _solve(
-                data, loss, x_star, 0.5, 4, alpha=alpha, seed=seed, tol=1e-8,
-                max_effective_passes=200, track_lyapunov=True,
+                data, loss, x_star, 0.5, 4, alpha=alpha, lyapunov_ref=ref, seed=seed, tol=1e-8,
+                max_effective_passes=200,
             )
             series.append({p.iter: p.lyapunov for p in result.points})
         iters = sorted(set.intersection(*[set(s) for s in series]))
@@ -366,7 +424,7 @@ class TestRun:
     def test_numpy_integer_tau_accepted(self):
         data = _dataset(8, 3, 21)
         loss = LossSpec("ridge", 0.1)
-        x_star = exact_solution(data, loss)
+        x_star = _x_star(data, loss)
         runs = [_solve(data, loss, x_star, 0.5, tau, alpha=0.05, seed=3) for tau in (3, np.int64(3))]
         assert _digest(runs[0]) == _digest(runs[1])
 
@@ -406,7 +464,7 @@ class TestRun:
 
         plan = optimal_plan(prof)
         assert plan.best.omega_coef <= plan.saga_omega
-        x_star = exact_solution(data, loss, tol=1e-12)
+        x_star = exact_solution(data, loss, prof, tol=1e-12)
         result = _solve(
             data, loss, x_star, plan.best.q, plan.best.tau, seed=1, tol=1e-9,
             max_effective_passes=500,
