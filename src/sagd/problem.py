@@ -157,7 +157,7 @@ class SmoothnessProfile:
     Profiles built from data via :func:`smoothness_profile` always satisfy
     0 < mu <= L_bar <= L_max.  Hand-built profiles used for evaluating
     complexity formulas on parameter grids may place mu above L_bar; only
-    an integer n >= 1, mu > 0, finite constants 0 <= L_bar <= L_max are enforced.
+    an integer n >= 1, mu > 0 and finite constants 0 <= L_bar <= L_max are enforced.
     :meth:`uniform` and :meth:`from_bounds` record mu as ``MU_LAMBDA_BOUND``.
     """
 
