@@ -146,22 +146,18 @@ def oracle_residual_eigenvalues(n, tau, q):
 
 def oracle_smoothness_max_term(levels, tau):
     """max_i Sum_{subsets C of size tau containing i} mean(levels[C]),
-    by explicit subset enumeration: a float for one level set, an array of
-    ``K`` for a ``(K, n)`` stack of them."""
+    by explicit subset enumeration, tau = 1 included: a float for one level
+    set, an array of ``K`` for a ``(K, n)`` stack of them."""
     levels = np.asarray(levels, dtype=np.float64)
     n = levels.shape[-1]
     _check_sizes(n, tau)
-    if tau == 1:
-        # each index appears in exactly one singleton subset
-        top = levels.max(axis=-1)
-    else:
-        combos = atom_rows(n, tau)[1]
-        totals = np.zeros(levels.shape)
-        # a C-ordered gather, so that each subset mean is one contiguous row
-        # reduction (pairwise from 8 entries on), whatever the stack's size
-        means = np.take(levels, combos, axis=-1).mean(axis=-1)
-        np.add.at(totals, (..., combos), means[..., None])
-        top = totals.max(axis=-1)
+    combos = atom_rows(n, tau)[1]
+    totals = np.zeros(levels.shape)
+    # a C-ordered gather, so that each subset mean is one contiguous row
+    # reduction (pairwise from 8 entries on), whatever the stack's size
+    means = np.take(levels, combos, axis=-1).mean(axis=-1)
+    np.add.at(totals, (..., combos), means[..., None])
+    top = totals.max(axis=-1)
     return float(top) if top.ndim == 0 else top
 
 

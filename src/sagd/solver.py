@@ -120,7 +120,7 @@ class RunResult:
     converged: bool
     x: np.ndarray
     seed: int
-    diverged: bool  # stopped at a checkpoint whose error or iterate is not finite
+    diverged: bool  # stopped at a checkpoint whose error is not finite
 
     def passes_to_tol(self, tol, n):
         """Effective passes at the first checkpoint with error <= tol."""
@@ -203,7 +203,8 @@ def lyapunov(state, cfg, x_star, grad_table_star, l_max):
 def run(data, loss, cfg, x_star, table, lyapunov_ref=None):
     """Run the iteration from x = 0 until the error reaches ``cfg.tol``, the
     pass budget is exhausted, or the run diverges: it stops at the first
-    checkpoint whose error or iterate is not finite, with ``diverged`` set.
+    checkpoint whose error is not finite (a non-finite iterate always gives
+    one), with ``diverged`` set and no numpy warning.
 
     The caller derives the inputs: the stepsize ``cfg.alpha``, the reference
     solution ``x_star`` (a vector of shape (d,)) that the error ||x - x*|| is
@@ -241,28 +242,24 @@ def run(data, loss, cfg, x_star, table, lyapunov_ref=None):
     # a q = 1 step with a batch kernel never takes a per-sample gradient
     grad = gradient_fn(data, loss) if cfg.q < 1.0 or batch_grad is None else None
 
-    def psi():
-        return None if lyapunov_ref is None else lyapunov(state, cfg, x_star, *lyapunov_ref)
-
     budget = cfg.max_effective_passes * n
-    err = float(np.linalg.norm(state.x - x_star))
-    points = [TrajectoryPoint(0, state.grad_evals, 0.0, err, psi())]
-    start = time.perf_counter()
-    while True:
-        converged = err <= cfg.tol
-        diverged = not (math.isfinite(err) and np.isfinite(state.x).all())
-        if converged or diverged or state.grad_evals >= budget:
-            break
-        for _ in range(check_every):
-            sagd_step(state, cfg, rng, grad, batch_grad)
-            if state.grad_evals >= budget:
-                break
+    points = []
+
+    def checkpoint(wall_seconds):
         err = float(np.linalg.norm(state.x - x_star))
-        points.append(
-            TrajectoryPoint(
-                state.iters, state.grad_evals, time.perf_counter() - start, err, psi()
-            )
-        )
-    return RunResult(
-        points=points, converged=converged, x=state.x, seed=cfg.seed, diverged=diverged
-    )
+        psi = None if lyapunov_ref is None else lyapunov(state, cfg, x_star, *lyapunov_ref)
+        points.append(TrajectoryPoint(state.iters, state.grad_evals, wall_seconds, err, psi))
+        return err
+
+    # an overflowing iterate is caught by its non-finite error: numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = checkpoint(0.0)
+        start = time.perf_counter()
+        while err > cfg.tol and math.isfinite(err) and state.grad_evals < budget:
+            for _ in range(check_every):
+                sagd_step(state, cfg, rng, grad, batch_grad)
+                if state.grad_evals >= budget:
+                    break
+            err = checkpoint(time.perf_counter() - start)
+    return RunResult(points=points, converged=err <= cfg.tol, x=state.x, seed=cfg.seed,
+                     diverged=not math.isfinite(err))

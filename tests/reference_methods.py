@@ -322,8 +322,6 @@ def loop_smoothness_max_term(levels, tau):
     """max_i of the subset means summed over the tau-subsets holding i, one
     subset and one index at a time."""
     levels = np.asarray(levels, dtype=np.float64)
-    if tau == 1:
-        return float(levels.max())
     totals = np.zeros(levels.size)
     for combo in itertools.combinations(range(levels.size), tau):
         mean = levels[list(combo)].mean()

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -829,16 +830,30 @@ class TestRun:
         args = ("run", "--synth", "500,10,gaussian", "--normalize", "--q", "0", "--tau", "1",
                 "--alpha", "50", "--seed", "1,2")
         out_csv = tmp_path / "res.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, _ = run_cli(capsys, *args, "--out", str(out_csv))
-            assert code == 3
-            assert out.count("DIVERGED") == 2
-            assert out_csv.read_text().splitlines()[0] == (
-                "method,q,tau,seed,iter,grad_evals,effective_passes,wall_seconds,error,lyapunov"
-            )
-            code, out, _ = run_cli(capsys, *args, "--json")
+        code, out, _ = run_cli(capsys, *args, "--out", str(out_csv))
+        assert code == 3
+        assert out.count("DIVERGED") == 2
+        assert out_csv.read_text().splitlines()[0] == (
+            "method,q,tau,seed,iter,grad_evals,effective_passes,wall_seconds,error,lyapunov"
+        )
+        code, out, _ = run_cli(capsys, *args, "--json")
         assert code == 3
         assert [r["diverged"] for r in json.loads(out)["runs"]] == [True, True]
+
+    @pytest.mark.parametrize("spacing", [(), ("--check-every", "50")])
+    def test_divergence_reported_without_warning(self, capsys, spacing):
+        # the iterate overflows: inside the norm at the default spacing, inside
+        # the single-sample update at 50 passes; no numpy warning may escape
+        args = ("run", "--synth", "300,10,gaussian", "--normalize", "--q", "0", "--tau", "1",
+                "--alpha", "10", "--seed", "1", *spacing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *args)
+            assert (code, err) == (3, "")
+            assert out.startswith("seed 1: DIVERGED")
+            code, out, _ = run_cli(capsys, *args, "--json")
+        assert code == 3
+        assert [r["diverged"] for r in json.loads(out)["runs"]] == [True]
 
     def test_plot_output(self, capsys, tmp_path):
         out_csv = tmp_path / "res.csv"
@@ -894,11 +909,10 @@ class TestSweep:
         monkeypatch.setattr(cli, "stepsize", lambda *a: stepsize(*a) * np.array([1.0, 1.0, 100.0]))
         args = ("sweep", "--synth", "200,4,gaussian", "--normalize", "--q", "1.0",
                 "--taus", "1-3", "--seed", "1,2", "--tol", "1e-6")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, _ = run_cli(capsys, *args, "--json")
-            assert code == 3
-            assert [r["diverged"] for r in json.loads(out)["rows"]] == [[], [], [1, 2]]
-            code, out, _ = run_cli(capsys, *args)
+        code, out, _ = run_cli(capsys, *args, "--json")
+        assert code == 3
+        assert [r["diverged"] for r in json.loads(out)["rows"]] == [[], [], [1, 2]]
+        code, out, _ = run_cli(capsys, *args)
         assert code == 3
         assert [line for line in out.splitlines() if "DIVERGED" in line] == [
             "tau=    3  median passes=inf  DIVERGED (seeds 1, 2)"

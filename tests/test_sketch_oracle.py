@@ -144,6 +144,16 @@ class TestSmoothnessMaxTerm:
         levels = np.array([0.3, 2.5, 1.1])
         assert oracle.oracle_smoothness_max_term(levels, 1) == 2.5
 
+    def test_single_element_subsets_enumerated(self, monkeypatch):
+        # tau = 1 takes the same enumeration as tau >= 2, not levels.max()
+        seen = []
+        atom_rows = oracle.atom_rows
+        monkeypatch.setattr(oracle, "atom_rows", lambda n, tau: seen.append((n, tau))
+                            or atom_rows(n, tau))
+        assert oracle.oracle_smoothness_max_term(np.array([0.3, 2.5, 1.1]), 1) == 2.5
+        assert oracle.oracle_smoothness_max_term(np.ones((2, 4)), 1).tolist() == [1.0, 1.0]
+        assert seen == [(3, 1), (4, 1)]
+
     def test_matches_combinatorial_identity(self):
         rng = np.random.default_rng(7)
         n, tau = 7, 3

@@ -3,9 +3,12 @@ import hashlib
 import math
 import statistics
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagd.complexity import InterpolationConfig, stepsize
 from sagd.exceptions import InvalidInputError
@@ -353,13 +356,28 @@ class TestRun:
         data = _dataset(500, 10, 19, normalize=True)
         loss = LossSpec("ridge", 0.1)
         x_star = _x_star(data, loss)
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = _solve(data, loss, x_star, 0.0, 1, alpha=50.0, seed=1, max_effective_passes=50.0)
+        result = _solve(data, loss, x_star, 0.0, 1, alpha=50.0, seed=1, max_effective_passes=50.0)
         errors = [p.error for p in result.points]
         assert result.diverged and not result.converged
         assert not math.isfinite(errors[-1])
         assert all(math.isfinite(e) for e in errors[:-1])  # stopped at the first one
         assert result.points[-1].grad_evals < 50.0 * data.n / 10
+
+    def test_overflowing_iterate_stops_at_its_checkpoint_without_warning(self):
+        # 50 passes between checkpoints: the iterate itself overflows to NaN, and
+        # neither the update nor the norm nor the Lyapunov function may warn
+        data = _dataset(300, 10, 19, normalize=True)
+        loss = LossSpec("ridge", 0.1)
+        x_star = _x_star(data, loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = _solve(data, loss, x_star, 0.0, 1, alpha=10.0, seed=1,
+                            lyapunov_ref=_lyapunov_ref(data, loss, x_star),
+                            max_effective_passes=500.0, check_every_passes=50.0)
+        assert not np.isfinite(result.x).all()
+        assert [math.isfinite(p.error) for p in result.points] == [True, False]
+        assert result.diverged and not result.converged
+        assert result.points[-1].grad_evals == 300 + 50 * 300  # the table fill, then one spacing
 
     def test_converging_run_not_flagged_diverged(self):
         data = _dataset(40, 3, 18)
@@ -477,3 +495,22 @@ class TestRun:
         table = GradientTable(J=np.zeros((2, 6)), col_sum=np.zeros(2))
         with pytest.raises(InvalidInputError):
             run(data, LossSpec("logistic", 0.1), cfg, np.zeros(2), table)
+
+
+class TestNonFiniteIterateGivesNonFiniteError:
+    """Why ``run`` tests only the error: against a finite x*, any inf or NaN
+    in x makes ||x - x*|| non-finite (squares cannot cancel an inf)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8),
+        st.data(),
+    )
+    def test_norm_not_finite(self, x_star, data):
+        x_star = np.array(x_star)
+        x = np.array(data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                                        min_size=x_star.size, max_size=x_star.size)))
+        at = data.draw(st.integers(0, x_star.size - 1))
+        x[at] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(float(np.linalg.norm(x - x_star)))
