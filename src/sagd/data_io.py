@@ -98,8 +98,8 @@ def write_libsvm(data, path):
 def _synth(n, d, seed, draws):
     if n < 1 or d < 1:
         raise InvalidInputError("need n >= 1 and d >= 1")
-    entries = draws(SeededRng(seed), n * (d + 1))
-    return Dataset.from_dense(entries[:n * d].reshape(n, d), entries[n * d:])
+    entries = draws(SeededRng(seed), n * (d + 1))  # the dataset keeps this one buffer
+    return Dataset.from_dense(entries[:n * d].reshape(n, d), entries[n * d:], copy=False)
 
 
 def synth_gaussian(n, d, seed):

@@ -17,12 +17,12 @@ from .exceptions import InvalidInputError, NotPositiveDefiniteError
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
-# Lane geometry of the bulk generator: a chunk is _LANES lanes of _STEPS
-# consecutive words each (both powers of two), lane g starting g * _STEPS
-# words into the chunk.
-_LANES = 256
+# Lane geometry of the bulk generator: a lane chunk is a power of two of lanes (at
+# most _MAX_LANES) of _STEPS consecutive words each, lane g starting g * _STEPS words
+# in; doubling refills stop at _CHUNK words (256 lanes), the slice bulk draws convert.
 _STEPS = 64
-_CHUNK = _LANES * _STEPS
+_MAX_LANES = 1024
+_CHUNK = 256 * _STEPS
 # Refills of fewer words than this come from the scalar loop: below it a
 # lane chunk's cost (the spread and 64 vector steps) and the once-per-process
 # table build are not repaid.
@@ -76,21 +76,21 @@ def _apply(table, states):
 
 
 @functools.cache
-def _spread_tables():
-    """Nibble tables of T^(_STEPS * 2^k) for k = 0 .. log2(_LANES) - 1, with T
-    the one-step state transition: the doublings that set the lanes of a
-    chunk _STEPS words apart.  Built once per process by squaring T."""
+def _spread_table(k):
+    """Nibble table of T^(_STEPS * 2^k), with T the one-step state transition:
+    the doubling that sets lanes 2^k .. 2^(k+1) - 1 of a chunk.  Built once per
+    process and k, on first use: T^_STEPS by stepping the 256 unit states
+    _STEPS times, each later power by squaring the one before."""
+    if k:  # square the last power; its rows are its table's entries 16 j + 2^b
+        last = _spread_table(k - 1)
+        rows = _apply(last, last.reshape(64, 16, 4)[:, [1, 2, 4, 8]].reshape(256, 4))
+        return _nibble_table(rows)
     bit = np.arange(256)
     lanes = np.zeros((4, 256), dtype=np.uint64)  # lane i: the state with only bit i set
     lanes[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
-    _step_lanes(*lanes, lanes[1], np.empty(256, dtype=np.uint64))
-    rows = np.ascontiguousarray(lanes.T)  # T
-    tables = [_nibble_table(rows)]
-    skip = _STEPS.bit_length() - 1
-    while len(tables) < skip + _LANES.bit_length() - 1:
-        rows = _apply(tables[-1], rows)  # square the last power
-        tables.append(_nibble_table(rows))
-    return tables[skip:]
+    for _ in range(_STEPS):
+        _step_lanes(*lanes, lanes[1], np.empty(256, dtype=np.uint64))
+    return _nibble_table(np.ascontiguousarray(lanes.T))
 
 
 class SeededRng:
@@ -112,14 +112,16 @@ class SeededRng:
 
     Every draw reads one buffer; words leave the generator only by
     refilling it, with at least the draw's shortfall and otherwise double
-    the last fill, from 64 words up to one chunk of 16384.  Refills under
-    4096 words come from a scalar loop.  Larger ones are whole lane chunks:
-    the update is linear over GF(2), so jump matrices set 256 lanes 64
+    the last fill, from 64 words up to 16384; a bulk draw is one refill.
+    Refills under 4096 words come from a scalar loop, larger ones from lane
+    chunks: the update is linear over GF(2), so jump matrices set the fewest
+    power-of-two lanes (at most 1024) that cover the rest of the refill 64
     words apart, the lanes step together as numpy uint64 arrays, and the
-    last lane ends at the state after the chunk; the surplus stays
-    buffered.  Bit identity is the contract: every method returns exactly
-    what the one-word-at-a-time generator gives, and the stream continues
-    from the next unread word after any mix of single and bulk draws.
+    last lane ends at the state after the chunk; a last chunk's surplus
+    stays buffered.  Bit identity is the contract: every method returns
+    exactly what the one-word-at-a-time generator gives, and the stream
+    continues from the next unread word after any mix of single and bulk
+    draws.
 
     Instances are single-owner mutable state: concurrent use requires
     independent instances.
@@ -187,17 +189,18 @@ class SeededRng:
 
     def uniforms(self, count):
         """``count`` draws of ``uniform()``, as an array."""
-        out = np.empty(count)
-        for a in range(0, count, _CHUNK):  # a chunk of words at a time bounds the memory
-            np.multiply(self.words(min(_CHUNK, count - a)) >> 11, _INV_2_53, out=out[a:a + _CHUNK])
+        w, out = self.words(count), np.empty(count)
+        for a in range(0, count, _CHUNK):  # a slice at a time bounds the temporaries
+            np.multiply(w[a:a + _CHUNK] >> 11, _INV_2_53, out=out[a:a + _CHUNK])
         return out
 
     def normals(self, count):
         """``count`` standard normal draws (Box-Muller), as an array; an odd
         count drops the sine half of the last pair."""
         z = np.empty(count + count % 2)
-        for a in range(0, len(z), _CHUNK):  # _CHUNK is even: no pair straddles two draws
-            _box_muller(self.words(min(_CHUNK, len(z) - a)), z[a:a + _CHUNK])
+        w = self.words(len(z))
+        for a in range(0, len(z), _CHUNK):  # _CHUNK is even: no pair straddles two slices
+            _box_muller(w[a:a + _CHUNK], z[a:a + _CHUNK])
         return z[:count]
 
     def _peek(self, count):
@@ -212,7 +215,11 @@ class SeededRng:
         if count < _SCALAR_WORDS:
             fresh = [self._scalar_words(count)]
         else:
-            fresh = [self._lane_chunk() for _ in range(-(-count // _CHUNK))]
+            fresh = []
+            while count > 0:  # the fewest lanes that cover the rest, at most _MAX_LANES
+                lanes = min(1 << (-(-count // _STEPS) - 1).bit_length(), _MAX_LANES)
+                fresh.append(self._lane_chunk(lanes))
+                count -= lanes * _STEPS
         self._buf = np.concatenate((self._buf[self._pos:], *fresh))
         self._pos = 0
 
@@ -232,18 +239,18 @@ class SeededRng:
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return _output(np.array(s1s, dtype=np.uint64))
 
-    def _lane_chunk(self):
-        """The next _CHUNK words, from _LANES lanes _STEPS words apart stepped
-        together; the last lane's state is the state after them."""
+    def _lane_chunk(self, lanes):
+        """The next lanes * _STEPS words from ``lanes`` lanes (a power of two up to
+        _MAX_LANES) stepped together; the last lane's state is the state after them."""
         starts = np.array([[self._s0, self._s1, self._s2, self._s3]], dtype=np.uint64)
-        for table in _spread_tables():  # lanes k .. 2k - 1 start k * _STEPS words later
-            starts = np.concatenate((starts, _apply(table, starts)))
+        for k in range(lanes.bit_length() - 1):  # lanes 2^k .. 2^(k+1) - 1
+            starts = np.concatenate((starts, _apply(_spread_table(k), starts)))
         s0, s1, s2, s3 = np.ascontiguousarray(starts.T)
         # row b of s1s holds every lane's s1 before step b, the only state
         # word the output reads, so the output is one pass over the block
-        s1s = np.empty((_STEPS + 1, _LANES), dtype=np.uint64)
+        s1s = np.empty((_STEPS + 1, lanes), dtype=np.uint64)
         s1s[0] = s1
-        t = np.empty(_LANES, dtype=np.uint64)
+        t = np.empty(lanes, dtype=np.uint64)
         for b in range(_STEPS):
             _step_lanes(s0, s1s[b], s2, s3, s1s[b + 1], t)
         self._s0, self._s1, self._s2, self._s3 = (

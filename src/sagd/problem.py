@@ -118,8 +118,9 @@ class Dataset:
         return [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
     @classmethod
-    def from_dense(cls, a, labels):
-        a = np.array(a, dtype=np.float64)
+    def from_dense(cls, a, labels, copy=True):
+        """The rows of ``a`` (copied unless ``copy`` is False: a float64 ``a`` is kept)."""
+        a = np.array(a, dtype=np.float64, copy=copy)
         if a.ndim != 2:
             raise InvalidInputError("from_dense needs a 2-D matrix")
         n, d = a.shape
@@ -423,7 +424,8 @@ def _gram_matrix(data):
     h = np.zeros((data.d, data.d))
     if data.is_dense:
         a = data.dense_matrix()
-        return _row_sum(h, data.n, lambda s, e: a[s:e, :, None] * a[s:e, None, :])
+        # einsum without optimize multiplies each pair once, as np.outer does
+        return _row_sum(h, data.n, lambda s, e: np.einsum("ri,rj->rij", a[s:e], a[s:e]))
     for ix, v in zip(data.split(data.indices), data.split(data.values)):
         h[np.ix_(ix, ix)] += np.outer(v, v)
     return h
@@ -528,5 +530,6 @@ def normalize_rows(data):
     # already-unit rows divide by 1.0 and keep their bits (idempotence);
     # divide, not multiply by the reciprocal, for correctly rounded entries
     scale = np.where(np.abs(nrm - 1.0) <= 1e-12, 1.0, nrm)
-    values = data.values / np.repeat(scale, np.diff(data.indptr))
+    values = ((data.dense_matrix() / scale[:, None]).ravel() if data.is_dense
+              else data.values / np.repeat(scale, np.diff(data.indptr)))
     return Dataset(data.indptr, data.indices, values, data.labels.copy(), data.d)

@@ -207,9 +207,10 @@ def run(data, loss, cfg, x_star, table, lyapunov_ref=None):
     one), with ``diverged`` set and no numpy warning.
 
     The caller derives the inputs: the stepsize ``cfg.alpha``, the reference
-    solution ``x_star`` (a vector of shape (d,)) that the error ||x - x*|| is
-    measured against, and ``table``, which must be ``init_table(data, loss, 0)``;
-    the run takes the table over, writes into it and counts its n evaluations.
+    solution ``x_star`` (a finite vector of shape (d,)) that the error
+    ||x - x*|| is measured against, and ``table``, which must be
+    ``init_table(data, loss, 0)``; the run takes the table over, writes into
+    it and counts its n evaluations.
     With ``lyapunov_ref = (init_table(data, loss, x_star).J, profile.L_max)``
     every checkpoint records :func:`lyapunov`, else None.
     Checkpoints land every round(check_every_passes * n / (q (tau - 1) + 1))
@@ -219,6 +220,8 @@ def run(data, loss, cfg, x_star, table, lyapunov_ref=None):
     """
     if np.shape(x_star) != (data.d,):
         raise InvalidInputError(f"x_star must have shape ({data.d},), got {np.shape(x_star)}")
+    if not np.isfinite(x_star).all():  # the stop rule reads a non-finite error as divergence
+        raise InvalidInputError("x_star must be finite")
     n = data.n
     shapes = (np.shape(table.J), np.shape(table.col_sum))
     if shapes != ((data.d, n), (data.d,)):

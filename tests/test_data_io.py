@@ -109,7 +109,7 @@ class TestSynthetic:
     @pytest.mark.parametrize("n,d", [(1, 1), (7, 3), (300, 10), (2000, 10)])
     def test_draws_entries_row_by_row_then_labels(self, n, d):
         # (7, 3): the last entry and the first label share a Box-Muller pair;
-        # (2000, 10): 22 000 words, drawn from lanes over two chunks
+        # (2000, 10): 22 000 words, drawn from one 512-lane chunk
         for synth, draw in ((synth_gaussian, ScalarRng.normal), (synth_uniform, ScalarRng.uniform)):
             data = synth(n, d, seed=2**64 - 1)
             ref = ScalarRng(2**64 - 1)
@@ -117,6 +117,12 @@ class TestSynthetic:
             labels = np.array([draw(ref) for _ in range(n)])
             assert data.dense_matrix().tobytes() == a.tobytes()
             assert data.labels.tobytes() == labels.tobytes()
+
+    def test_dataset_keeps_the_drawn_buffer(self):
+        # the n x d block is not copied: values and labels view one draw
+        for synth in (synth_gaussian, synth_uniform):
+            data = synth(50, 4, seed=3)
+            assert data.values.base is not None and data.values.base is data.labels.base
 
     def test_uniform_range(self):
         data = synth_uniform(500, 3, seed=2)

@@ -216,6 +216,48 @@ def test_add_reduce_sums_one_entry_rows_pairwise():
     )
 
 
+def test_row_sum_blocks_are_c_contiguous(monkeypatch):
+    # np.add.reduce adds the rows of a C-contiguous block in order; a
+    # fancy-indexed (F-ordered) block would silently be summed pairwise
+    orders = []
+    row_sum = problem._row_sum
+
+    def checked(acc, n, block):
+        def kept(s, e):
+            blk = block(s, e)
+            orders.append(blk.flags.c_contiguous)
+            return blk
+
+        return row_sum(acc, n, kept)
+
+    monkeypatch.setattr(problem, "_row_sum", checked)
+    rng = np.random.default_rng(30)
+    for d, density in ((1, 1.0), (6, 1.0), (6, 0.5)):
+        data = random_dataset(rng, 30, d, "ridge", density)
+        loss = LossSpec("ridge", 0.1)
+        with row_sum_patches(7 * 8 * d * d):  # several blocks, the last one partial
+            problem._gram_matrix(data)
+            problem.full_grad(data, loss, rng.standard_normal(d))
+            init_table(data, loss, rng.standard_normal(d))
+    assert len(orders) > 10 and all(orders)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 100])
+def test_dense_gram_and_normalized_rows_match_row_loops(d):
+    # the Gram's einsum blocks and the normalized rows' (n, d) division;
+    # every third row is already unit and keeps its bits
+    rng = np.random.default_rng(31)
+    a = adversarial_block(rng, (40, d))
+    a[::3] /= np.linalg.norm(a[::3], axis=1)[:, None]
+    data = Dataset.from_dense(a, rng.standard_normal(40))
+    with row_sum_patches(7 * 8 * d * d):  # 7-row blocks, the last one partial
+        assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
+    assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
+    out = problem.normalize_rows(data)
+    assert same_bits(out.values, row_normalized_values(data))
+    assert same_bits(out.labels, data.labels) and out.labels is not data.labels
+
+
 def test_add_at_adds_repeated_indices_in_input_order():
     # the numpy property problem._ridge_rhs and the sketch_oracle scatters rest on
     rng = np.random.default_rng(24)

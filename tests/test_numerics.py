@@ -13,7 +13,7 @@ from sagd.numerics import SeededRng, sample_subset, solve_spd, symmetric_eigen
 
 MAX_SEED = 2**64 - 1
 # bulk counts around the scalar/lane switch (4096), one lane (64 words)
-# and one chunk (16384 words, 256 lanes), and past a chunk boundary
+# and 256 lanes (16384 words, the largest doubling refill), and past them
 BULK_COUNTS = (0, 1, 2, 63, 64, 65, 4095, 4096, 4097, 16383, 16384, 16385, 2 * 16384 + 65)
 
 
@@ -124,7 +124,8 @@ class TestLaneStream:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, MAX_SEED])
     def test_synth_bulk_draw_matches_scalar_reference(self, seed):
-        # one synth_gaussian(20000, 10) draw: 220 000 normals over 14 chunks
+        # one synth_gaussian(20000, 10) draw: 220 000 normals from one refill
+        # of three 1024-lane chunks and one of 512 lanes
         rng, ref = SeededRng(seed), ScalarRng(seed)
         assert _bits(rng.normals(220_000)) == _bits(ref.normals(220_000))
         assert rng.next_u64() == ref.next_u64()
@@ -148,7 +149,38 @@ class TestLaneStream:
         got = rng._scalar_words(count)
         assert got.dtype == np.uint64
         assert got.tolist() == [ref.next_u64() for _ in range(count)]
-        assert rng._lane_chunk().tolist() == [ref.next_u64() for _ in range(16384)]
+        assert rng._lane_chunk(256).tolist() == [ref.next_u64() for _ in range(16384)]
+
+    @pytest.mark.parametrize("lanes", [1 << k for k in range(11)])
+    def test_lane_chunk_of_every_lane_count_matches_scalar_reference(self, lanes):
+        rng, ref = SeededRng(23), ScalarRng(23)
+        # a chunk from a state not at the seed, then single words after it
+        assert rng._scalar_words(5).tolist() == [ref.next_u64() for _ in range(5)]
+        assert rng._lane_chunk(lanes).tolist() == [ref.next_u64() for _ in range(lanes * 64)]
+        assert [rng.next_u64() for _ in range(3)] == [ref.next_u64() for _ in range(3)]
+
+    @pytest.mark.parametrize("count", [65535, 65536, 65537, 2 * 65536 + 4160, 3 * 65536 - 64])
+    def test_words_around_wide_chunks_between_single_words_match_scalar_reference(self, count):
+        # one refill of 1024-lane chunks (65 536 words each) and a partial
+        # last chunk of fewer lanes, read between single words
+        rng, ref = SeededRng(29), ScalarRng(29)
+        for _ in range(2):
+            assert rng.next_u64() == ref.next_u64()
+            assert rng.words(count).tolist() == [ref.next_u64() for _ in range(count)]
+        assert [rng.next_u64() for _ in range(5)] == [ref.next_u64() for _ in range(5)]
+
+    def test_single_words_refill_by_doubling_up_to_256_lanes(self):
+        # a solver reading one word at a time: fills of 64 words doubling to
+        # 16 384 (scalar below 4096, then 64, 128 and 256 lanes), then 16 384 again
+        doubling = [64 << k for k in range(9)]
+        rng = SeededRng(31)
+        fills = []
+        for _ in range(sum(doubling) + 1):
+            refill = rng._pos == len(rng._buf)
+            rng.next_u64()
+            if refill:
+                fills.append(len(rng._buf))
+        assert fills == doubling + [16384]
 
     def test_from_state_restarts_the_buffer(self):
         rng = SeededRng(4)

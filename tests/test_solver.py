@@ -391,6 +391,14 @@ class TestRun:
         with pytest.raises(InvalidInputError, match=r"x_star must have shape \(3,\)"):
             _solve(data, LossSpec("ridge", 0.1), x_star, 0.0, 1, alpha=0.1, seed=2, tol=1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_rejected(self, bad):
+        # refused at the boundary, not reported as a divergence at iteration 0
+        data = _dataset(20, 3, 18)
+        with pytest.raises(InvalidInputError, match="x_star must be finite"):
+            _solve(data, LossSpec("ridge", 0.1), np.array([bad, 0.0, 0.0]), 0.0, 1,
+                   alpha=0.1, seed=2, tol=1e-6)
+
     def test_contraction_envelope_median(self):
         # median over seeds of the tracked distance measure stays under
         # twice the geometric envelope (1 - mu alpha)^k
