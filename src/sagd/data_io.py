@@ -12,6 +12,8 @@ import math
 import statistics
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
 from .exceptions import InvalidInputError, ParseError
 from .numerics import SeededRng
@@ -98,8 +100,10 @@ def write_libsvm(data, path):
 def _synth(n, d, seed, draws):
     if n < 1 or d < 1:
         raise InvalidInputError("need n >= 1 and d >= 1")
-    entries = draws(SeededRng(seed), n * (d + 1))  # the dataset keeps this one buffer
-    return Dataset.from_dense(entries[:n * d].reshape(n, d), entries[n * d:], copy=False)
+    entries = draws(SeededRng(seed), n * (d + 1))
+    # full CSR rows on the drawn buffer itself, which the values and labels share
+    indptr, indices = np.arange(n + 1) * d, np.tile(np.arange(d), n)
+    return Dataset(indptr, indices, entries[:n * d], entries[n * d:], d)
 
 
 def synth_gaussian(n, d, seed):

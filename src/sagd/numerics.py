@@ -19,10 +19,12 @@ _INV_2_53 = 2.0 ** -53
 
 # Lane geometry of the bulk generator: a lane chunk is a power of two of lanes (at
 # most _MAX_LANES) of _STEPS consecutive words each, lane g starting g * _STEPS words
-# in; doubling refills stop at _CHUNK words (256 lanes), the slice bulk draws convert.
+# in; doubling refills stop at _CHUNK words (256 lanes), and bulk draws refill one
+# widest chunk of _BULK words at a time.
 _STEPS = 64
 _MAX_LANES = 1024
 _CHUNK = 256 * _STEPS
+_BULK = _MAX_LANES * _STEPS
 # Refills of fewer words than this come from the scalar loop: below it a
 # lane chunk's cost (the spread and 64 vector steps) and the once-per-process
 # table build are not repaid.
@@ -112,7 +114,8 @@ class SeededRng:
 
     Every draw reads one buffer; words leave the generator only by
     refilling it, with at least the draw's shortfall and otherwise double
-    the last fill, from 64 words up to 16384; a bulk draw is one refill.
+    the last fill, from 64 words up to 16384; bulk draws refill 65536
+    words (1024 lanes) at a time, so a draw holds its output and one chunk.
     Refills under 4096 words come from a scalar loop, larger ones from lane
     chunks: the update is linear over GF(2), so jump matrices set the fewest
     power-of-two lanes (at most 1024) that cover the rest of the refill 64
@@ -189,18 +192,19 @@ class SeededRng:
 
     def uniforms(self, count):
         """``count`` draws of ``uniform()``, as an array."""
-        w, out = self.words(count), np.empty(count)
-        for a in range(0, count, _CHUNK):  # a slice at a time bounds the temporaries
-            np.multiply(w[a:a + _CHUNK] >> 11, _INV_2_53, out=out[a:a + _CHUNK])
+        out = np.empty(count)
+        for a in range(0, count, _BULK):  # a refill at a time bounds the memory
+            np.multiply(self.words(min(_BULK, count - a)) >> 11, _INV_2_53, out=out[a:a + _BULK])
         return out
 
     def normals(self, count):
         """``count`` standard normal draws (Box-Muller), as an array; an odd
         count drops the sine half of the last pair."""
         z = np.empty(count + count % 2)
-        w = self.words(len(z))
-        for a in range(0, len(z), _CHUNK):  # _CHUNK is even: no pair straddles two slices
-            _box_muller(w[a:a + _CHUNK], z[a:a + _CHUNK])
+        for a in range(0, len(z), _BULK):  # a refill at a time bounds the memory
+            w = self.words(min(_BULK, len(z) - a))
+            for b in range(0, len(w), _CHUNK):  # _CHUNK is even: no pair straddles two slices
+                _box_muller(w[b:b + _CHUNK], z[a + b:a + b + _CHUNK])
         return z[:count]
 
     def _peek(self, count):

@@ -118,9 +118,8 @@ class Dataset:
         return [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
     @classmethod
-    def from_dense(cls, a, labels, copy=True):
-        """The rows of ``a`` (copied unless ``copy`` is False: a float64 ``a`` is kept)."""
-        a = np.array(a, dtype=np.float64, copy=copy)
+    def from_dense(cls, a, labels):
+        a = np.array(a, dtype=np.float64)
         if a.ndim != 2:
             raise InvalidInputError("from_dense needs a 2-D matrix")
         n, d = a.shape

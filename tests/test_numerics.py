@@ -124,11 +124,26 @@ class TestLaneStream:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, MAX_SEED])
     def test_synth_bulk_draw_matches_scalar_reference(self, seed):
-        # one synth_gaussian(20000, 10) draw: 220 000 normals from one refill
+        # one synth_gaussian(20000, 10) draw: 220 000 normals from refills
         # of three 1024-lane chunks and one of 512 lanes
         rng, ref = SeededRng(seed), ScalarRng(seed)
         assert _bits(rng.normals(220_000)) == _bits(ref.normals(220_000))
         assert rng.next_u64() == ref.next_u64()
+
+    def test_bulk_draws_refill_one_wide_chunk_at_a_time(self, monkeypatch):
+        # a large draw holds its output and one 1024-lane chunk (65 536
+        # words), not all of its words at once
+        fills, refill = [], SeededRng._refill
+
+        def recorded(rng, need):
+            refill(rng, need)
+            fills.append(len(rng._buf))
+
+        monkeypatch.setattr(SeededRng, "_refill", recorded)
+        for draw in (SeededRng.normals, SeededRng.uniforms):
+            fills.clear()
+            draw(SeededRng(37), 3 * 65536 + 1000)
+            assert fills == [65536, 65536, 65536, 16384]
 
     @pytest.mark.parametrize("count", [4095, 4096, 16383, 16385, 3 * 16384 + 7])
     def test_bulk_words_between_single_words_match_scalar_reference(self, count):
