@@ -207,8 +207,8 @@ X_AXES = ("effective_passes", "wall_seconds")
 def emit_svg_plot(csv_path, x_axis, out_path):
     """Render error curves from a results CSV as a standalone SVG.
 
-    One polyline per (method, q, tau) series; y axis is log10 of the error
-    with ticks at integer decades; legend on the right.
+    One polyline per (method, q, tau) series, over its finite positive errors
+    (a diverged run's inf is left out); log10 y axis, ticks at integer decades.
     """
     if x_axis not in X_AXES:
         raise InvalidInputError(f"x_axis must be one of {X_AXES}, got {x_axis!r}")
@@ -234,11 +234,11 @@ def emit_svg_plot(csv_path, x_axis, out_path):
             ]
         else:
             pts.sort(key=lambda r: r["iter"])
-        xy = [(r[x_axis], r["error"]) for r in pts if r["error"] > 0.0]
+        xy = [(r[x_axis], r["error"]) for r in pts if 0.0 < r["error"] < math.inf]
         if xy:
             curves.append((key, xy))
     if not curves:
-        raise ParseError(f"{csv_path}: no positive-error points to plot")
+        raise ParseError(f"{csv_path}: no finite positive-error points to plot")
 
     xs = [x for _, xy in curves for x, _ in xy]
     ys = [math.log10(y) for _, xy in curves for _, y in xy]

@@ -8,6 +8,7 @@ platform and release (trajectories also depend on the BLAS kernels: README).
 
 import functools
 import math
+import numbers
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -93,6 +94,12 @@ def _spread_table(k):
     for _ in range(_STEPS):
         _step_lanes(*lanes, lanes[1], np.empty(256, dtype=np.uint64))
     return _nibble_table(np.ascontiguousarray(lanes.T))
+
+
+def _check_count(count):
+    """Refuse a bulk draw's count unless it is an integer >= 0, before any word is read."""
+    if not (isinstance(count, numbers.Integral) and count >= 0):
+        raise InvalidInputError(f"a bulk draw needs an integer count >= 0, got {count!r}")
 
 
 class SeededRng:
@@ -186,12 +193,14 @@ class SeededRng:
 
     def words(self, count):
         """The next ``count`` raw words, as a uint64 array."""
+        _check_count(count)
         out = self._peek(count)
         self._pos += count
         return out
 
     def uniforms(self, count):
         """``count`` draws of ``uniform()``, as an array."""
+        _check_count(count)
         out = np.empty(count)
         for a in range(0, count, _BULK):  # a refill at a time bounds the memory
             np.multiply(self.words(min(_BULK, count - a)) >> 11, _INV_2_53, out=out[a:a + _BULK])
@@ -200,6 +209,7 @@ class SeededRng:
     def normals(self, count):
         """``count`` standard normal draws (Box-Muller), as an array; an odd
         count drops the sine half of the last pair."""
+        _check_count(count)
         z = np.empty(count + count % 2)
         for a in range(0, len(z), _BULK):  # a refill at a time bounds the memory
             w = self.words(min(_BULK, len(z) - a))

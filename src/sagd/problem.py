@@ -10,13 +10,14 @@ per-sample smoothness bound to ||a_i||^2 / 8.
 
 A :class:`Dataset` stores its rows as CSR arrays; dense data has full
 rows.  The full-data kernels round exactly like a loop over the rows: one
-BLAS dot per row, called as one ``np.vecdot`` per row length (dense data is
-one length; sparse rows are grouped by entry count, :func:`_row_groups`),
-and sums over rows in row order, each one fold-and-reduce per block of rows
-(:func:`_row_sum`; rows of one entry accumulate instead).  The full gradient
-is bound once (:func:`gradient_sum_fn`): sparse rows read x through one
-gather buffer, and a block of terms is one broadcast product (dense) or one
-flat scatter (sparse); the batch gradient shares its :func:`loss_derivative`.
+BLAS dot per row, called as one ``np.vecdot`` per row length (the rows are
+grouped by entry count once per dataset, ``Dataset.row_groups``; dense data
+is one group of views), and sums over rows in row order, each one
+fold-and-reduce per block of rows (:func:`_row_sum`; rows of one entry
+accumulate instead).  The full gradient is bound once
+(:func:`gradient_sum_fn`): a block of terms is one broadcast product (dense)
+or one flat scatter (sparse); the batch gradient shares its
+:func:`loss_derivative`.
 """
 
 import math
@@ -99,6 +100,26 @@ class Dataset:
         h = _gram_matrix(self)
         h.flags.writeable = False
         return h
+
+    @cached_property
+    def row_groups(self):
+        """The rows grouped by entry count k, built on first use and kept: one
+        ``(rows, values, indices)`` per k, k rising, blocks (len(rows), k) with
+        rows ascending.  Where row lengths never fall (all dense data) ``rows``
+        are slices and the blocks views of the arrays, else index arrays and copies."""
+        ptr, counts = self.indptr, np.diff(self.indptr)
+        rising = bool(np.all(counts[1:] >= counts[:-1]))
+        order = slice(None) if rising else np.argsort(counts, kind="stable")
+        sizes = counts[order]
+        cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), self.n]
+        groups = []
+        for b, e in zip(cuts[:-1], cuts[1:]):
+            k = int(sizes[b])
+            rows = slice(b, e) if rising else order[b:e]
+            take = slice(ptr[b], ptr[e]) if rising else ptr[rows][:, None] + np.arange(k)
+            groups.append((rows, self.values[take].reshape(e - b, k),
+                           self.indices[take].reshape(e - b, k)))
+        return groups
 
     def dense_matrix(self):
         """The (n, d) data matrix; a read-only view of ``values`` for dense data."""
@@ -302,46 +323,17 @@ def _row_dot(a, b):
     return np.vecdot(a, b)
 
 
-def _row_groups(data):
-    """The rows grouped by entry count, one group per distinct count.
-
-    Returns ``(entries, groups)``: ``entries`` lists the nnz slots group by
-    group, rows ascending within a group, and each ``(rows, lo, hi)`` in
-    ``groups`` says that ``flat[entries][lo:hi].reshape(rows.size, -1)`` is
-    the group's block of rows for any length-nnz ``flat``."""
-    counts = np.diff(data.indptr)
-    order = np.argsort(counts, kind="stable")
-    sizes = counts[order]
-    ends = np.cumsum(sizes)
-    shift = data.indptr[:-1][order] - (ends - sizes)  # old row start less new row start
-    entries = np.arange(data.indices.size) + np.repeat(shift, sizes)
-    cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), data.n]
-    starts = [0, *ends.tolist()]
-    groups = [(order[b:e], starts[b], starts[e]) for b, e in zip(cuts[:-1], cuts[1:])]
-    return entries, groups
-
-
 def _row_dots_fn(data):
     """Bind ``dots(x)``: a_i^T x for every sample, each as ``v.dot(x)`` in
     :func:`gradient_fn` (:func:`_row_dot`; ``A @ x`` would round
-    differently): one call for dense data, one per row length for sparse
-    data, whose rows read x through one gather buffer of length nnz laid
-    out group by group and filled by a single ``np.take`` per call."""
-    if data.is_dense:
-        a = data.dense_matrix()
-        return lambda x: _row_dot(a, x)
-    entries, groups = _row_groups(data)
-    idx, vals, buf = data.indices[entries], data.values[entries], np.empty(entries.size)
-    blocks = [
-        (rows, vals[lo:hi].reshape(rows.size, -1), buf[lo:hi].reshape(rows.size, -1))
-        for rows, lo, hi in groups
-    ]
+    differently): one call per group of ``Dataset.row_groups``, whose rows
+    read x as it is when they are full and ``x[indices]`` otherwise."""
+    groups, d = data.row_groups, data.d
 
     def dots(x):
-        np.take(x, idx, out=buf)
         z = np.empty(data.n)
-        for rows, v, w in blocks:
-            z[rows] = _row_dot(v, w)
+        for rows, v, ix in groups:
+            z[rows] = _row_dot(v, x if v.shape[1] == d else x[ix])
         return z
 
     return dots
@@ -349,14 +341,9 @@ def _row_dots_fn(data):
 
 def _row_sq_norms(data):
     """||a_i||^2 for every sample, each as ``v.dot(v)``: one :func:`_row_dot`
-    for dense data, one per row length for sparse data."""
-    if data.is_dense:
-        a = data.dense_matrix()
-        return _row_dot(a, a)
-    entries, groups = _row_groups(data)
-    vals, out = data.values[entries], np.empty(data.n)
-    for rows, lo, hi in groups:
-        v = vals[lo:hi].reshape(rows.size, -1)
+    per group of ``Dataset.row_groups``."""
+    out = np.empty(data.n)
+    for rows, v, _ in data.row_groups:
         out[rows] = _row_dot(v, v)
     return out
 
@@ -366,8 +353,8 @@ def gradient_sum_fn(data, loss):
     bit-identical to :func:`gradient_fn`'s; with ``out`` (d x n) term i also
     lands in column i.
 
-    Binding takes the row groups, the buffers and one block of scratch
-    once.  A block of terms c_i a_i + lambda x is one broadcast product for
+    Binding takes the buffers and one block of scratch once, and the row
+    dots read the dataset's kept ``row_groups``.  A block of terms c_i a_i + lambda x is one broadcast product for
     dense data, and lambda x plus one flat scatter of the block's entries
     for sparse data (indices rise within a row: no slot is hit twice).
     """

@@ -229,6 +229,8 @@ def run(data, loss, cfg, x_star, table, lyapunov_ref=None):
     ref_shape = None if lyapunov_ref is None else np.shape(lyapunov_ref[0])
     if ref_shape not in (None, (data.d, n)):
         raise InvalidInputError(f"reference table shape {ref_shape} is not ({data.d}, {n})")
+    if ref_shape and not (math.isfinite(lyapunov_ref[1]) and lyapunov_ref[1] > 0.0):
+        raise InvalidInputError(f"reference L_max must be finite and > 0, got {lyapunov_ref[1]}")
     if loss.kind == "logistic":
         check_logistic_labels(data)
     if cfg.tau > n:  # SolverConfig checks q and tau >= 1

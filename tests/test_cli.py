@@ -866,6 +866,18 @@ class TestRun:
         assert code == 0
         assert out_svg.read_text().count("<polyline") == 1
 
+    def test_plot_of_diverging_run(self, capsys, tmp_path):
+        # the diverged run's inf error is left off the plot, and the run exits 3
+        out_csv, out_svg = tmp_path / "x.csv", tmp_path / "x.svg"
+        code, out, err = run_cli(
+            capsys, "run", "--synth", "50,3,gaussian", "--q", "0", "--tau", "1",
+            "--alpha", "1e3", "--seed", "1", "--out", str(out_csv), "--plot", str(out_svg),
+        )
+        assert (code, err) == (3, "")
+        assert "DIVERGED" in out
+        assert np.inf in [r["error"] for r in read_results_csv(out_csv)]
+        assert out_svg.read_text().count("<polyline") == 1
+
     def test_byte_identical_reruns_modulo_wall(self, capsys, tmp_path):
         args = (
             "run", "--synth", "150,4,gaussian", "--normalize", "--q", "0.4",

@@ -6,6 +6,7 @@ drawn too, down to one row per block, so that the running sum crosses
 block boundaries on these small datasets.
 """
 
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -427,19 +428,48 @@ def test_long_and_mixed_length_rows_match_row_loops(kind, dense):
     assert same_bits(problem.normalize_rows(nonempty).values, row_normalized_values(nonempty))
 
 
+@pytest.mark.parametrize("kind", ["ridge", "logistic"])
+def test_rising_length_sparse_rows_match_row_loops(kind):
+    # row lengths that never fall: the groups are views of the arrays, and
+    # the full rows at the end (a sparse dataset's) read x as it is
+    rng = np.random.default_rng(31)
+    lengths = sorted([0, 1, 2, 16, 17, 33, 80] * 6)
+    data = mixed_length_dataset(rng, lengths, 80, kind)
+    assert not data.is_dense and all(isinstance(g[0], slice) for g in data.row_groups)
+    loss = LossSpec(kind, 0.05)
+    with row_sum_patches(10 * 8 * 80):
+        x = rng.standard_normal(80) * 3.0
+        assert same_bits(problem.full_grad(data, loss, x), row_full_grad(data, loss, x))
+        table = init_table(data, loss, x)
+        j_mat, col_sum = row_init_table_at_x(data, loss, x)
+        assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
+        assert_profile_matches(data, loss, *row_smoothness_levels(data, loss))
+
+
+def count_row_groupings(monkeypatch):
+    """Record every dataset whose rows ``Dataset.row_groups`` groups."""
+    calls, build = [], Dataset.row_groups.func
+
+    def counted(data):
+        calls.append(data)
+        return build(data)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Dataset, "row_groups")
+    monkeypatch.setattr(Dataset, "row_groups", prop)
+    return calls
+
+
 def test_logistic_reference_groups_rows_once(monkeypatch):
-    # the binding groups the rows by length once, however many iterations follow
+    # the profile, the reference (however many iterations it takes) and the
+    # table fill share one grouping of the rows, kept by the dataset
     data = random_dataset(np.random.default_rng(12), 30, 9, "logistic", 0.4)
     loss = LossSpec("logistic", 0.05)
+    calls = count_row_groupings(monkeypatch)
     prof = problem.smoothness_profile(data, loss)
-    calls = []
-    groups = problem._row_groups
-    monkeypatch.setattr(problem, "_row_groups", lambda data: calls.append(1) or groups(data))
-    counts = []
     for iters in (2, 60):
-        calls.clear()
         monkeypatch.setattr(problem, "_GD_MAX_ITERS", iters)
         with pytest.raises(ConvergenceError):
             problem.exact_solution(data, loss, prof, tol=1e-300)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    init_table(data, loss, np.zeros(data.d))
+    assert len(calls) == 1 and calls[0] is data

@@ -71,6 +71,23 @@ class TestSeededRng:
         with pytest.raises(InvalidInputError):
             SeededRng(1 << 64)
 
+    @pytest.mark.parametrize("draw,count", [
+        ("words", -1), ("words", 2.5), ("words", "3"), ("uniforms", -2), ("uniforms", 1.0),
+        ("normals", -1), ("normals", -3), ("normals", None),
+    ])
+    def test_bad_bulk_count_refused_without_moving_the_stream(self, draw, count):
+        rng, ref = SeededRng(3), SeededRng(3)
+        assert rng.words(5).tolist() == ref.words(5).tolist()
+        with pytest.raises(InvalidInputError, match="integer count >= 0"):
+            getattr(rng, draw)(count)
+        assert rng.next_u64() == ref.next_u64()
+
+    def test_zero_bulk_count_draws_nothing(self):
+        rng, ref = SeededRng(3), SeededRng(3)
+        for draw in (rng.words, rng.uniforms, rng.normals):
+            assert draw(0).size == 0
+        assert rng.words(np.int64(2)).tolist() == [ref.next_u64(), ref.next_u64()]
+
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()

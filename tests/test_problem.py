@@ -96,6 +96,30 @@ class TestDatasetLayout:
         a[0, 0] = 9.0  # the dataset owns a copy
         assert data.values[0] == 0.0
 
+    def test_rising_row_lengths_group_as_views(self):
+        # dense rows, and sparse rows whose lengths never fall, are grouped
+        # by slices into views of values and indices: nothing is copied
+        dense = _random_dataset(5, 3, 1)
+        sparse = Dataset([0, 1, 2, 4, 6, 9], [2, 0, 0, 1, 1, 2, 0, 1, 2], np.arange(9.0),
+                         np.zeros(5), d=3)
+        cases = ((dense, [slice(0, 5)]), (sparse, [slice(0, 2), slice(2, 4), slice(4, 5)]))
+        for data, rows in cases:
+            assert [g[0] for g in data.row_groups] == rows
+            for r, v, ix in data.row_groups:
+                assert np.shares_memory(v, data.values) and np.shares_memory(ix, data.indices)
+                lo, hi = data.indptr[r.start], data.indptr[r.stop]
+                assert np.array_equal(v.ravel(), data.values[lo:hi])
+                assert np.array_equal(ix.ravel(), data.indices[lo:hi])
+        assert dense.row_groups[0][1].shape == (5, 3)
+
+    def test_falling_row_lengths_group_by_length_in_row_order(self):
+        data = Dataset([0, 2, 3, 3, 5, 6], [0, 2, 1, 0, 1, 2], np.arange(6.0), np.zeros(5), d=3)
+        groups = data.row_groups
+        assert [g[0].tolist() for g in groups] == [[2], [1, 4], [0, 3]]
+        assert [g[1].tolist() for g in groups] == [[[]], [[2.0], [5.0]], [[0.0, 1.0], [3.0, 4.0]]]
+        assert [g[2].tolist() for g in groups] == [[[]], [[1], [2]], [[0, 2], [0, 1]]]
+        assert data.row_groups is groups  # grouped once, then kept
+
 
 def _fd_gradient(f, x, h):
     g = np.empty(x.size)

@@ -303,6 +303,14 @@ class TestLyapunov:
                    lyapunov_ref=(np.zeros(shape), 1.0))
         assert str(err.value) == f"reference table shape {shape} is not (4, 30)"
 
+    @pytest.mark.parametrize("l_max", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_reference_l_max_rejected(self, l_max):
+        # 0 divides by zero at the first checkpoint; -1, NaN and inf give a meaningless series
+        data = _dataset(30, 4, 12)
+        with pytest.raises(InvalidInputError, match="reference L_max must be finite and > 0"):
+            _solve(data, LossSpec("ridge", 0.1), np.zeros(4), 0.5, 4, alpha=0.05,
+                   lyapunov_ref=(np.zeros((4, 30)), l_max))
+
     def test_full_batch_coefficient_identity(self):
         # theta alpha / (2 n L_max) equals alpha / (2 L_max (q (n-1) + 1))
         n, q, alpha, l_max = 8, 0.3, 0.05, 1.4
