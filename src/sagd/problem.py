@@ -328,12 +328,12 @@ def _row_dots_fn(data):
     :func:`gradient_fn` (:func:`_row_dot`; ``A @ x`` would round
     differently): one call per group of ``Dataset.row_groups``, whose rows
     read x as it is when they are full and ``x[indices]`` otherwise."""
-    groups, d = data.row_groups, data.d
+    blocks = [(rows, v, None if v.shape[1] == data.d else ix) for rows, v, ix in data.row_groups]
 
     def dots(x):
         z = np.empty(data.n)
-        for rows, v, ix in groups:
-            z[rows] = _row_dot(v, x if v.shape[1] == d else x[ix])
+        for rows, v, ix in blocks:
+            z[rows] = _row_dot(v, x if ix is None else x[ix])
         return z
 
     return dots
@@ -353,10 +353,10 @@ def gradient_sum_fn(data, loss):
     bit-identical to :func:`gradient_fn`'s; with ``out`` (d x n) term i also
     lands in column i.
 
-    Binding takes the buffers and one block of scratch once, and the row
-    dots read the dataset's kept ``row_groups``.  A block of terms c_i a_i + lambda x is one broadcast product for
-    dense data, and lambda x plus one flat scatter of the block's entries
-    for sparse data (indices rise within a row: no slot is hit twice).
+    Binding takes the buffers and one block of scratch once.  A block of
+    terms c_i a_i + lambda x is one broadcast product for dense data, and
+    lambda x plus one flat scatter of the block's entries for sparse data
+    (indices rise within a row: no slot is hit twice).
     """
     dots = _row_dots_fn(data)
     y, lam, ridge = data.labels, loss.lam, loss.kind == "ridge"
