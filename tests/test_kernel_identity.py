@@ -446,26 +446,15 @@ def test_rising_length_sparse_rows_match_row_loops(kind):
         assert_profile_matches(data, loss, *row_smoothness_levels(data, loss))
 
 
-def count_row_groupings(monkeypatch):
-    """Record every dataset whose rows ``Dataset.row_groups`` groups."""
-    calls, build = [], Dataset.row_groups.func
-
-    def counted(data):
-        calls.append(data)
-        return build(data)
-
-    prop = cached_property(counted)
-    prop.__set_name__(Dataset, "row_groups")
-    monkeypatch.setattr(Dataset, "row_groups", prop)
-    return calls
-
-
 def test_logistic_reference_groups_rows_once(monkeypatch):
     # the profile, the reference (however many iterations it takes) and the
     # table fill share one grouping of the rows, kept by the dataset
     data = random_dataset(np.random.default_rng(12), 30, 9, "logistic", 0.4)
     loss = LossSpec("logistic", 0.05)
-    calls = count_row_groupings(monkeypatch)
+    calls, build = [], Dataset.row_groups.func
+    counted = cached_property(lambda data: calls.append(data) or build(data))
+    counted.__set_name__(Dataset, "row_groups")
+    monkeypatch.setattr(Dataset, "row_groups", counted)
     prof = problem.smoothness_profile(data, loss)
     for iters in (2, 60):
         monkeypatch.setattr(problem, "_GD_MAX_ITERS", iters)
