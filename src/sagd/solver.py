@@ -142,48 +142,40 @@ def sagd_step(state, cfg, rng, grad, batch_grad):
 
     ``grad`` and ``batch_grad`` are ``gradient_fn`` and ``batch_gradient_fn``, bound once;
     ``grad`` may be None when q = 1 and ``batch_grad`` is not.
-    With q exactly 0 or 1 no branch coin is consumed, so those settings
+    One coin picks the step: a tau-minibatch with probability q, else one
+    sample.  With q exactly 0 or 1 the coin is not drawn, so those settings
     share their random stream with the pure methods they reduce to.
-    Minibatch gradients are evaluated as one vectorized batch on dense
-    datasets (per-sample loop otherwise); either way the reduction order is
-    fixed, so trajectories are reproducible per seed.
+    A minibatch is one vectorized batch on dense datasets and a per-sample
+    loop summed in index order otherwise, so trajectories are reproducible per seed.
     """
     table = state.table
     n = table.n
-    q = cfg.q
-    if q >= 1.0:
-        take_batch = True
-    elif q <= 0.0:
-        take_batch = False
-    else:
-        take_batch = rng.uniform() < q
     x = state.x
+    batch = cfg.q >= 1.0 or (cfg.q > 0.0 and rng.uniform() < cfg.q)
     # theta / n written as 1 / (q (tau-1) + 1): exact 1 at q = 0, 1/tau at q = 1
     scale = 1.0 / cfg.cost_per_iter
     inv_n = 1.0 / n
-    if take_batch:
+    if batch and batch_grad is not None:
         idx = sample_subset(rng, n, cfg.tau)
-        if batch_grad is not None:
-            grads_rows = batch_grad(x, idx)
-            diff = grads_rows.sum(axis=0) - table.J[:, idx].sum(axis=1)
-            state.x = x - cfg.alpha * (scale * diff + inv_n * table.col_sum)
-            table.write_columns(idx, grads_rows, diff)
-        else:
-            cols = idx.tolist()
-            grads = [grad(x, j) for j in cols]
-            diffs = [g - table.J[:, j] for j, g in zip(cols, grads)]
-            diff = functools.reduce(np.add, diffs)  # summed in index order
-            state.x = x - cfg.alpha * (scale * diff + inv_n * table.col_sum)
-            for j, g, d in zip(cols, grads, diffs):
-                table.write_column(j, g, d)
-        state.grad_evals += cfg.tau
+        grads_rows = batch_grad(x, idx)
+        diff = grads_rows.sum(axis=0) - table.J[:, idx].sum(axis=1)
+        state.x = x - cfg.alpha * (scale * diff + inv_n * table.col_sum)
+        table.write_columns(idx, grads_rows, diff)
+    elif batch:
+        cols = sample_subset(rng, n, cfg.tau).tolist()
+        grads = [grad(x, j) for j in cols]
+        diffs = [g - table.J[:, j] for j, g in zip(cols, grads)]
+        diff = functools.reduce(np.add, diffs)  # summed in index order
+        state.x = x - cfg.alpha * (scale * diff + inv_n * table.col_sum)
+        for j, g, d in zip(cols, grads, diffs):
+            table.write_column(j, g, d)
     else:
         j = rng.randint_below(n)
         g = grad(x, j)
         diff = g - table.J[:, j]
         state.x = x - cfg.alpha * (scale * diff + inv_n * table.col_sum)
         table.write_column(j, g, diff)
-        state.grad_evals += 1
+    state.grad_evals += cfg.tau if batch else 1
     state.iters += 1
     return state
 

@@ -1,7 +1,7 @@
 """Reference methods written independently from the package.
 
-The single-sample and minibatch variance-reduced methods have their own
-loop and table handling and pin down the solver's reduction identities.
+The single-sample, minibatch and interpolated variance-reduced methods
+have their own loop and table handling and pin down the solver's step.
 They mirror the solver's drift-control cadence (running column sum,
 refreshed every n writes) so trajectories can be compared bit for bit.
 
@@ -162,6 +162,64 @@ def reference_minibatch_saga(data, loss, x0, alpha, seed, steps, tau):
         if writes >= n:
             col_sum = table.sum(axis=1)
             writes = 0
+        out.append(x.copy())
+    return out
+
+
+def reference_sagd(data, loss, x0, alpha, seed, steps, q, tau):
+    """The interpolated method: a coin (drawn only at 0 < q < 1) picks a
+    tau-minibatch with probability q, else one sample; both steps scale the
+    table correction by 1 / (q (tau - 1) + 1).  A minibatch on dense rows is
+    one batch kernel call; on sparse rows it is one gradient per sample,
+    their differences summed in index order and written column by column."""
+    batch = batch_gradient_fn(data, loss)
+    grad = gradient_fn(data, loss)
+    n, d = data.n, data.d
+    rng = SeededRng(seed)
+    table = np.empty((d, n))
+    col_sum = np.zeros(d)
+    for j in range(n):
+        g = grad(x0, j)
+        table[:, j] = g
+        col_sum += g
+    writes = 0
+    inv_n = 1.0 / n
+    scale = 1.0 / (q * (tau - 1) + 1.0)
+    x = x0.copy()
+    out = [x.copy()]
+    for _ in range(steps):
+        if q >= 1.0:
+            take_batch = True
+        elif q > 0.0:
+            take_batch = rng.uniform() < q
+        else:
+            take_batch = False
+        if take_batch and data.is_dense:
+            idx = sample_subset(rng, n, tau)
+            g_rows = batch(x, idx)
+            diff = g_rows.sum(axis=0) - table[:, idx].sum(axis=1)
+            x = x - alpha * (scale * diff + inv_n * col_sum)
+            col_sum += diff
+            table[:, idx] = g_rows.T
+            writes += tau
+            if writes >= n:
+                col_sum = table.sum(axis=1)
+                writes = 0
+        else:
+            cols = sample_subset(rng, n, tau).tolist() if take_batch else [rng.randint_below(n)]
+            grads = [grad(x, j) for j in cols]
+            diffs = [g - table[:, j] for j, g in zip(cols, grads)]
+            diff = diffs[0]
+            for dj in diffs[1:]:
+                diff = diff + dj
+            x = x - alpha * (scale * diff + inv_n * col_sum)
+            for j, g, dj in zip(cols, grads, diffs):
+                col_sum += dj
+                table[:, j] = g
+                writes += 1
+                if writes >= n:
+                    col_sum = table.sum(axis=1)
+                    writes = 0
         out.append(x.copy())
     return out
 

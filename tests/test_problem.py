@@ -70,6 +70,16 @@ class TestDatasetLayout:
         with pytest.raises(InvalidInputError):
             Dataset(indptr, [0, 1], [1.0, 2.0], [1.0] * max(1, len(indptr) - 1), d=3)
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, np.float64(3.0), "3", None, 0],
+                             ids=["fraction", "float", "np-float", "str", "none", "zero"])
+    def test_non_integer_d_rejected(self, d):
+        with pytest.raises(InvalidInputError, match="integer d >= 1"):
+            Dataset([0, 2], [0, 1], [1.0, 2.0], [1.0], d=d)
+
+    def test_numpy_integer_d_accepted(self):
+        data = Dataset([0, 2], [0, 1], [1.0, 2.0], [1.0], d=np.int64(3))
+        assert data.dense_matrix().tolist() == [[1.0, 2.0, 0.0]]
+
     def test_rows_may_restart_indices_and_be_empty(self):
         data = Dataset([0, 2, 2, 3], [1, 2, 0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], d=3)
         assert data.n == 3 and not data.is_dense

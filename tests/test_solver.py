@@ -23,7 +23,7 @@ from sagd.problem import (
     exact_solution,
     smoothness_profile,
 )
-from reference_methods import reference_minibatch_saga, reference_saga
+from reference_methods import reference_minibatch_saga, reference_saga, reference_sagd
 from sagd import solver
 from sagd.solver import (
     GradientTable,
@@ -154,6 +154,30 @@ class TestStepReductions:
         for k in range(20):
             step()
             assert np.array_equal(state.x, ref[k + 1])
+
+    @pytest.mark.parametrize("q", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_interpolated_step_matches_reference(self, dense, q):
+        """Interior q draws a coin per step; sparse minibatches take the
+        per-sample path, whose column writes cross refreshes mid-batch.  The
+        sparse rows are scaled up so that the order of their fold shows in x."""
+        loss = LossSpec("ridge", 0.1)
+        if dense:
+            data = _dataset(10, 4, 10)
+        else:
+            rows = _sparse_logistic(10, 4, 10)
+            assert len(set(np.diff(rows.indptr).tolist())) > 1  # mixed row lengths
+            labels = 3.0 * np.random.default_rng(10).standard_normal(10)
+            data = Dataset(rows.indptr, rows.indices, 3.0 * rows.values, labels, 4)
+        alpha, seed, steps, tau = 0.1, 17, 40, 3
+        cfg = SolverConfig(q=q, tau=tau, alpha=alpha, seed=seed)
+        state, step = _make_state(data, loss, cfg)
+        ref = reference_sagd(data, loss, np.zeros(4), alpha, seed, steps, q, tau)
+        for k in range(steps):
+            step()
+            assert np.array_equal(state.x, ref[k + 1]), f"diverged at step {k}"
+        batches = (state.grad_evals - steps) // (tau - 1)
+        assert batches == steps if q == 1.0 else 0 < batches < steps
 
 
 class TestUnbiasedness:
