@@ -34,12 +34,13 @@ class InterpolationConfig:
 
     def __post_init__(self):
         n, tau, q = np.broadcast_arrays(*_fields(self))
-        if np.any(n < 1):
-            raise InvalidInputError("need n >= 1")
-        bad = ~((0.0 <= q) & (q <= 1.0))
+        bad = ~((1 <= n) & (n < np.inf)) | (np.floor(n) != n)  # NaN is bad too
         if bad.any():  # messages name the first offending entry
+            raise InvalidInputError(f"need an integral n >= 1, got n={n[bad][0]}")
+        bad = ~((0.0 <= q) & (q <= 1.0))
+        if bad.any():
             raise InvalidInputError(f"q must be in [0, 1], got {q[bad][0]}")
-        bad = (tau < 1) | (tau > n)
+        bad = ~((1 <= tau) & (tau <= n)) | (np.floor(tau) != tau)
         if bad.any():
             raise InvalidInputError(f"need 1 <= tau <= n, got tau={tau[bad][0]}, n={n[bad][0]}")
 
@@ -113,19 +114,6 @@ def sketch_residual(cfg):
     return _scalar(np.where(n == 1, 0.0, np.where(above, high, low)))
 
 
-def smoothness_term(l1, mu, cost):
-    """Complexity envelope driven by an expected smoothness ``l1``:
-    (4 l1 / mu) times the cost per step ``cost`` = q (tau - 1) + 1."""
-    return (4.0 * l1 / mu) * cost
-
-
-def residual_term(th, rho, l_max, mu, n, cost):
-    """Complexity envelope driven by a sketch residual ``rho``:
-    (theta + 4 rho L_max / (mu n)) times the cost per step ``cost``, given
-    the bias correction ``th`` = theta."""
-    return (th + 4.0 * rho * l_max / (mu * n)) * cost
-
-
 def stepsize(cfg, profile):
     """Largest stepsize covered by the convergence guarantee."""
     return total_complexity(cfg, profile).stepsize
@@ -141,8 +129,8 @@ def total_complexity(cfg, profile):
     th = theta(cfg)
     l1 = expected_smoothness(cfg, profile)
     rho = sketch_residual(cfg)
-    g_smooth = smoothness_term(l1, mu, cost)
-    g_resid = residual_term(th, rho, l_max, mu, n, cost)
+    g_smooth = (4.0 * l1 / mu) * cost
+    g_resid = (th + 4.0 * rho * l_max / (mu * n)) * cost
     with np.errstate(divide="ignore", over="ignore"):  # l1 = 0 (L_bar = 0) gives inf
         alpha = np.minimum(np.divide(1.0, 4.0 * l1), n / (4.0 * l_max * rho + mu * th * n))
     return MethodConstants(

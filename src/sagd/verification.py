@@ -6,9 +6,8 @@ a failure pinpoints the (n, tau, q) combination that broke.  Both suites
 compute on whole grids and only then list the failures: the constants
 suite makes one array-valued pass over the q grid per (n, tau), enumerating
 the sampling law once, and the envelope suite evaluates each (n, condition
-scale) once on its ``(taus, q)`` grid.  The ``*_fn``
-parameters exist so tests can inject a perturbed implementation and assert
-that the suite actually catches it; production callers leave them at None.
+scale) once on its ``(taus, q)`` grid.  Both read the closed forms from
+:mod:`sagd.complexity` at call time, so they check what the planner runs.
 """
 
 import math
@@ -47,7 +46,7 @@ class SuiteResult:
         return line
 
 
-def check_constants_against_oracles(n_max=8, rho_fn=None, smoothness_fn=None, theta_fn=None):
+def check_constants_against_oracles(n_max=8):
     """Compare every closed-form sampling constant with its enumeration.
 
     Grid: n in {2..n_max}, tau in {1..n}, q over ``Q_GRID``.  Tolerances:
@@ -57,7 +56,7 @@ def check_constants_against_oracles(n_max=8, rho_fn=None, smoothness_fn=None, th
     smoothness vectors per (n, tau).
 
     Each (n, tau) is one pass over its whole q grid.  The closed forms are
-    evaluated once over ``Q_GRID``; ``smoothness_fn(cfg, stack)`` gets a
+    evaluated once over ``Q_GRID``; ``expected_smoothness(cfg, stack)`` gets a
     profile stand-in whose ``L_max`` and ``L_bar`` are ``(K, 1)`` columns,
     so it gives one row per level set.  The oracles enumerate the pair's
     atoms once: the projector mean (which gives the bias correction) and
@@ -73,9 +72,6 @@ def check_constants_against_oracles(n_max=8, rho_fn=None, smoothness_fn=None, th
         raise EnumerationLimitError(
             f"enumeration is capped at n <= {sketch_oracle.ENUMERATION_CAP}, got n = {n_max}"
         )
-    rho_fn = rho_fn or complexity.sketch_residual
-    smoothness_fn = smoothness_fn or complexity.expected_smoothness
-    theta_fn = theta_fn or complexity.theta
     rng = SeededRng(ORACLE_SEED)
     qs = np.asarray(Q_GRID, float)
     failures = []
@@ -88,7 +84,9 @@ def check_constants_against_oracles(n_max=8, rho_fn=None, smoothness_fn=None, th
             stack = SimpleNamespace(L_max=levels.max(axis=1)[:, None],
                                     L_bar=levels.mean(axis=1)[:, None])
             cfg = complexity.InterpolationConfig(q=qs, tau=tau, n=n)
-            th_all, rho_all, l1_all = theta_fn(cfg), rho_fn(cfg), smoothness_fn(cfg, stack)
+            th_all = complexity.theta(cfg)
+            rho_all = complexity.sketch_residual(cfg)
+            l1_all = complexity.expected_smoothness(cfg, stack)
             mean = sketch_oracle.oracle_expected_projection(n, tau, qs)
             th_oracle = sketch_oracle.bias_correction_of(np.diagonal(mean, 0, -2, -1))
             rho_oracle = sketch_oracle.oracle_sketch_residual(n, tau, qs)
@@ -120,19 +118,7 @@ def check_constants_against_oracles(n_max=8, rho_fn=None, smoothness_fn=None, th
     )
 
 
-def _envelopes(n, taus, profile, rho_fn):
-    """Both complexity envelopes on the ``(taus, q)`` grid, one row per tau."""
-    qs = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-    qs[-1] = 1.0
-    cfg = complexity.InterpolationConfig(q=qs, tau=taus[:, None], n=n)
-    l1 = complexity.expected_smoothness(cfg, profile)
-    cost = cfg.cost_per_iter
-    g_smooth = complexity.smoothness_term(l1, profile.mu, cost)
-    return qs, g_smooth, complexity.residual_term(
-        complexity.theta(cfg), rho_fn(cfg), profile.L_max, profile.mu, n, cost)
-
-
-def check_envelope_shapes(rho_fn=None):
+def check_envelope_shapes():
     """Shape properties of the complexity envelopes on dense q grids.
 
     For each n in ``ENVELOPE_NS`` and condition scale in ``COND_SCALES``:
@@ -142,9 +128,11 @@ def check_envelope_shapes(rho_fn=None):
     relative; each intersection candidate equates the envelopes to 1e-6
     relative; and q-/q+ obey the closed-form bound chain for tau >= 4.
     Slacks are relative to the local envelope magnitude.  Each (n, condition
-    scale) evaluates its envelopes once, on the whole ``(taus, q)`` grid.
+    scale) reads both envelopes from one ``total_complexity`` call on the
+    whole ``(taus, q)`` grid, with q in steps of 1e-3.
     """
-    rho_fn = rho_fn or complexity.sketch_residual
+    qs = np.arange(0.0, 1.0 + 1e-12, 1e-3)
+    qs[-1] = 1.0
     failures = []
     checks = 0
     start = time.perf_counter()
@@ -175,7 +163,9 @@ def check_envelope_shapes(rho_fn=None):
             l_max = 1.0
             mu = 4.0 * l_max / (cond_scale * (n - 1))
             profile = SmoothnessProfile.uniform(n, l_max, mu)
-            qs, g_smooth, g_resid = _envelopes(n, taus, profile, rho_fn)
+            grid = complexity.total_complexity(
+                complexity.InterpolationConfig(q=qs, tau=taus[:, None], n=n), profile)
+            g_smooth, g_resid = grid.smoothness_term, grid.residual_term
             scale = np.fmax(1.0, np.max(np.abs(g_resid), axis=1))[:, None]
             decreasing = np.min(np.diff(g_smooth), axis=1) < -1e-9 * np.fmax(
                 1.0, np.max(np.abs(g_smooth), axis=1))

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sagd import cli, planner, problem, solver
+from sagd import cli, complexity, planner, problem, solver
 from sagd.complexity import InterpolationConfig, stepsize, total_complexity
 from sagd.data_io import read_results_csv, synth_gaussian, write_libsvm
 from sagd.planner import PlanCandidate
-from sagd.verification import check_constants_against_oracles
 
 
 def run_cli(capsys, *args):
@@ -1021,15 +1020,15 @@ class TestVerify:
         assert "PASS" not in out
         assert err.startswith("error:")
 
-    def test_perturbed_residual_detected(self):
-        # injecting a perturbed closed form must fail and list the tuples
+    def test_perturbed_residual_detected(self, capsys, monkeypatch):
+        # a perturbed closed form in sagd.complexity must fail and list the tuples
         from sagd.complexity import sketch_residual
 
-        result = check_constants_against_oracles(
-            n_max=4, rho_fn=lambda cfg: sketch_residual(cfg) + 1e-3
-        )
-        assert not result.passed
-        assert any(f.startswith("residual(") for f in result.failures)
+        monkeypatch.setattr(complexity, "sketch_residual", lambda cfg: sketch_residual(cfg) + 1e-3)
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
+        assert code == cli.EXIT_VERIFY_FAIL
+        assert out.startswith("FAIL constants-vs-oracles")
+        assert "\n  residual(n=2,tau=1,q=0.00)\n" in out
 
 
 class TestParsing:

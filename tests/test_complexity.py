@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sagd import complexity as cx
+from sagd import planner as pl
 from sagd import sketch_oracle as oracle
 from sagd.exceptions import InvalidInputError
 from sagd.problem import SmoothnessProfile
@@ -293,6 +294,25 @@ class TestArrayCalculus:
             cx.InterpolationConfig(q=0.5, tau=np.array([1, 4]), n=3)
         with pytest.raises(InvalidInputError):
             cx.InterpolationConfig(q=np.array([0.2, np.nan]), tau=2, n=3)
+        cx.InterpolationConfig(q=0.5, tau=np.array([4.0, 10.0]), n=10.0)  # integral floats pass
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: cx.InterpolationConfig(0.5, np.nan, 10), "got tau=nan, n=10"),
+            (lambda: cx.InterpolationConfig(0.5, 2.5, 10), "got tau=2.5, n=10"),
+            (lambda: cx.InterpolationConfig(0.5, np.array([4.0, np.nan, 2.5]), 10),
+             "got tau=nan, n=10"),
+            (lambda: cx.InterpolationConfig(0.5, np.array([4, 10, 2.5]), 10), "got tau=2.5, n=10"),
+            (lambda: cx.InterpolationConfig(0.5, 3, 10.5), "got n=10.5"),
+            (lambda: pl.plan_q(_uniform(10, 1.0, 0.1), 2.5), "got tau=2.5, n=10"),
+        ],
+        ids=["nan-tau", "half-tau", "nan-tau-entry", "half-tau-entry", "half-n", "plan_q-half-tau"],
+    )
+    def test_nan_and_non_integral_tau_and_n_refused(self, make, message):
+        # each message names the first offending entry
+        with pytest.raises(InvalidInputError, match=message):
+            make()
 
 
 class TestFullBatchInterpolation:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 from collections import Counter
@@ -9,11 +10,10 @@ from reference_methods import (
     loop_residual_eigenvalues,
     loop_smoothness_max_term,
 )
-from sagd import sketch_oracle
+from sagd import complexity, sketch_oracle
 from sagd.complexity import (
     InterpolationConfig,
     expected_smoothness,
-    residual_term,
     sketch_residual,
     theta,
     total_complexity,
@@ -25,11 +25,22 @@ from sagd.verification import (
     ORACLE_SEED,
     Q_GRID,
     SuiteResult,
-    _envelopes,
     check_constants_against_oracles,
     check_envelope_shapes,
     run_all,
 )
+
+
+def _perturbed_residual(cfg):
+    return sketch_residual(cfg) * (1 + 1e-6) + 1e-6
+
+
+def _perturbed_smoothness(cfg, profile):
+    return expected_smoothness(cfg, profile) + 1e-5
+
+
+def _perturbed_theta(cfg):
+    return theta(cfg) * (1 + 1e-9)
 
 
 class TestConstantsSuite:
@@ -39,10 +50,9 @@ class TestConstantsSuite:
         assert result.checks == sum(n * 21 for n in range(2, 6))
         assert result.failures == []
 
-    def test_perturbed_residual_listed_with_tuples(self):
-        result = check_constants_against_oracles(
-            n_max=4, rho_fn=lambda cfg: sketch_residual(cfg) * (1 + 1e-6) + 1e-6
-        )
+    def test_perturbed_residual_listed_with_tuples(self, monkeypatch):
+        monkeypatch.setattr(complexity, "sketch_residual", _perturbed_residual)
+        result = check_constants_against_oracles(n_max=4)
         assert not result.passed
         assert any(f.startswith("residual(n=") for f in result.failures)
         # untouched quantities must not be blamed
@@ -50,17 +60,15 @@ class TestConstantsSuite:
 
     def test_perturbed_smoothness_detected(self, monkeypatch):
         monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 3)
-        result = check_constants_against_oracles(
-            n_max=3, smoothness_fn=lambda cfg, prof: expected_smoothness(cfg, prof) + 1e-5
-        )
+        monkeypatch.setattr(complexity, "expected_smoothness", _perturbed_smoothness)
+        result = check_constants_against_oracles(n_max=3)
         assert not result.passed
         assert any(f.startswith("smoothness(") for f in result.failures)
 
     def test_perturbed_theta_detected(self, monkeypatch):
         monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 2)
-        result = check_constants_against_oracles(
-            n_max=3, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
-        )
+        monkeypatch.setattr(complexity, "theta", _perturbed_theta)
+        result = check_constants_against_oracles(n_max=3)
         assert not result.passed
         assert any(f.startswith("theta(") for f in result.failures)
         assert not any(f.startswith("residual(") for f in result.failures)
@@ -69,9 +77,8 @@ class TestConstantsSuite:
         # the enumerated projector mean is held to I / theta of the closed
         # form (unbiasedness), not to the theta read off that same mean
         monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 2)
-        result = check_constants_against_oracles(
-            n_max=3, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
-        )
+        monkeypatch.setattr(complexity, "theta", _perturbed_theta)
+        result = check_constants_against_oracles(n_max=3)
         assert "projector-mean(n=2,tau=1,q=0.00)" in result.failures
         assert {f.split("(")[0] for f in result.failures} == {"theta", "projector-mean"}
 
@@ -92,17 +99,15 @@ class TestFailurePins:
         return result.checks, len(result.failures), digest
 
     def test_perturbed_constants_runs(self, monkeypatch):
-        runs = [check_constants_against_oracles(
-            n_max=4, rho_fn=lambda cfg: sketch_residual(cfg) * (1 + 1e-6) + 1e-6
-        )]
-        monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 3)
-        runs.append(check_constants_against_oracles(
-            n_max=3, smoothness_fn=lambda cfg, prof: expected_smoothness(cfg, prof) + 1e-5
-        ))
-        monkeypatch.setattr(verification, "LEVELS_PER_PAIR", 2)
-        runs.append(check_constants_against_oracles(
-            n_max=3, theta_fn=lambda cfg: theta(cfg) * (1 + 1e-9)
-        ))
+        runs = []
+        for name, perturbed, n_max, levels in (
+                ("sketch_residual", _perturbed_residual, 4, verification.LEVELS_PER_PAIR),
+                ("expected_smoothness", _perturbed_smoothness, 3, 3),
+                ("theta", _perturbed_theta, 3, 2)):
+            with monkeypatch.context() as patch:
+                patch.setattr(verification, "LEVELS_PER_PAIR", levels)
+                patch.setattr(complexity, name, perturbed)
+                runs.append(check_constants_against_oracles(n_max=n_max))
         assert [self._pin(r) for r in runs] == [
             (189, 189, "ba727c44e66af2221bf2ee42abb69d11a17a921ee4155d1bda9b802d98a23684"),
             (105, 315, "ae201ba83eaee5b0f64a54c3e34729e617650ab086d92ee7e8f29f751c95fa66"),
@@ -112,8 +117,15 @@ class TestFailurePins:
     def test_perturbed_envelope_run(self, monkeypatch):
         monkeypatch.setattr(verification, "ENVELOPE_NS", (10,))
         monkeypatch.setattr(verification, "TAUS_PER_N", 4)
-        result = check_envelope_shapes(rho_fn=_warped_residual)
+        monkeypatch.setattr(complexity, "sketch_residual", _warped_residual)
+        result = check_envelope_shapes()
         assert self._pin(result) == (
+            27, 29, "4ea70f25f1213c2def7c00f1d168c2a139e15cb2bc1413741bb8aa0707906ccf"
+        )
+        # the warped residual also reaches the intersection gaps, through
+        # total_complexity; the other failures, in order, are the shape failures
+        shapes = [f for f in result.failures if not f.startswith("intersection-gap(n=10,")]
+        assert self._pin(SuiteResult("shapes", False, 27, shapes)) == (
             27, 14, "d3563712a3f8d917faa5faae78879f4fbb38f981ce228b40455664bee9fd51f7"
         )
 
@@ -160,7 +172,8 @@ class TestConstantsSuiteEnumeratesOnce:
             return out
 
         monkeypatch.setattr(verification, "LEVELS_PER_PAIR", self.LEVELS)
-        result = check_constants_against_oracles(n_max=self.N_MAX, smoothness_fn=smoothness)
+        monkeypatch.setattr(complexity, "expected_smoothness", smoothness)
+        result = check_constants_against_oracles(n_max=self.N_MAX)
         monkeypatch.undo()
         assert result.passed
         pairs = [(n, tau) for n in range(2, self.N_MAX + 1) for tau in range(1, n + 1)]
@@ -222,23 +235,36 @@ class TestEnvelopeSuite:
         assert result.passed, result.failures[:5]
         assert result.checks > 0
 
-    def test_grid_rows_equal_per_tau_envelopes_bitwise(self):
-        n, taus = 100, np.array([4, 5, 8, 31, 100])
-        profile = SmoothnessProfile.uniform(n, 1.0, 4.0 / (0.5 * (n - 1)))
-        qs, g_smooth, g_resid = _envelopes(n, taus, profile, sketch_residual)
-        assert g_smooth.shape == g_resid.shape == (taus.size, qs.size)
-        for k, tau in enumerate(taus.tolist()):
-            cfg = InterpolationConfig(q=qs, tau=tau, n=n)
-            rho = sketch_residual(cfg)
-            assert g_smooth[k].tobytes() == total_complexity(cfg, profile).smoothness_term.tobytes()
-            want = residual_term(theta(cfg), rho, profile.L_max, profile.mu, n, cfg.cost_per_iter)
-            assert g_resid[k].tobytes() == want.tobytes()
-            assert g_resid[k].tobytes() == total_complexity(cfg, profile).residual_term.tobytes()
+    def test_grid_rows_equal_per_tau_calls_bitwise(self, monkeypatch):
+        # each (n, condition scale) reads its envelopes off one total_complexity
+        # call on the (taus, q) grid; each row is the per-tau call, bit for bit
+        calls = []
+
+        def recorded(cfg, profile):
+            out = total_complexity(cfg, profile)
+            calls.append((cfg, profile, out))
+            return out
+
+        monkeypatch.setattr(complexity, "total_complexity", recorded)
+        monkeypatch.setattr(verification, "ENVELOPE_NS", (10, 100))
+        monkeypatch.setattr(verification, "TAUS_PER_N", 6)
+        assert check_envelope_shapes().passed
+        monkeypatch.undo()
+        grids = [call for call in calls if np.ndim(call[0].tau) == 2]
+        assert len(grids) == 2 * len(verification.COND_SCALES)
+        for cfg, profile, out in grids:
+            assert out.residual_term.shape == (cfg.tau.shape[0], cfg.q.size)
+            for k, tau in enumerate(cfg.tau[:, 0].tolist()):
+                one = total_complexity(InterpolationConfig(q=cfg.q, tau=tau, n=cfg.n), profile)
+                for field in dataclasses.fields(one):
+                    want = getattr(one, field.name).tobytes()
+                    assert getattr(out, field.name)[k].tobytes() == want, field.name
 
     def test_perturbed_residual_breaks_shapes(self, monkeypatch):
         monkeypatch.setattr(verification, "ENVELOPE_NS", (10,))
         monkeypatch.setattr(verification, "TAUS_PER_N", 4)
-        result = check_envelope_shapes(rho_fn=_warped_residual)
+        monkeypatch.setattr(complexity, "sketch_residual", _warped_residual)
+        result = check_envelope_shapes()
         assert not result.passed
 
 
