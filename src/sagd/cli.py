@@ -471,6 +471,9 @@ def main(argv=None):
     except (SagdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def entrypoint():

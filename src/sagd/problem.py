@@ -38,7 +38,7 @@ MU_LAMBDA_BOUND = "lambda-lower-bound"
 _BLOCK_BYTES = 1 << 20
 # ridge mu comes from an exact eigensolve up to this dimension, else lambda
 _EXACT_MU_DIM_LIMIT = 512
-# gradient-descent iterations the logistic reference solve may take
+# gradient evaluations the logistic reference solve may take
 _GD_MAX_ITERS = 1_000_000
 
 
@@ -178,7 +178,8 @@ class SmoothnessProfile:
     Profiles built from data via :func:`smoothness_profile` always satisfy
     0 < mu <= L_bar <= L_max.  Hand-built profiles used for evaluating
     complexity formulas on parameter grids may place mu above L_bar; only
-    an integer n >= 1, mu > 0 and finite constants 0 <= L_bar <= L_max are enforced.
+    an integer n >= 1, mu > 0 and finite constants 0 <= L_bar <= L_max are enforced,
+    and n^2 4 L_max / mu must be a float.
     :meth:`uniform` and :meth:`from_bounds` record mu as ``MU_LAMBDA_BOUND``.
     """
 
@@ -195,6 +196,14 @@ class SmoothnessProfile:
             raise NotStronglyConvexError(f"mu must be positive, got {self.mu}")
         if not (0.0 <= self.L_max < math.inf and 0.0 <= self.L_bar < math.inf):
             raise InvalidInputError("smoothness constants must be finite and >= 0")
+        # the largest product of the complexity calculus and the planner:
+        # where it overflows, their omegas and plans do too
+        cond = 4.0 * float(self.L_max) / float(self.mu)
+        if not (self.n < 2**1024 and math.isfinite(cond * self.n * self.n)):
+            raise NotStronglyConvexError(
+                f"objective is numerically not strongly convex: n^2 * 4 L_max / mu overflows "
+                f"(n = {self.n}, L_max = {self.L_max:.3e}, mu = {self.mu:.3e})"
+            )
         if self.L_bar > self.L_max * (1.0 + 1e-12):
             raise InvalidInputError("need L_bar <= L_max")
 
@@ -417,16 +426,6 @@ def _gram_matrix(data):
     return h
 
 
-def _ridge_rhs(data):
-    """A^T y accumulated row by row: ``np.add.at`` adds the terms of a
-    repeated slot in input order, which is row order."""
-    rhs = np.zeros(data.d)
-    terms = np.repeat(data.labels, np.diff(data.indptr))
-    terms *= data.values  # in place: no second length-nnz array
-    np.add.at(rhs, data.indices, terms)
-    return rhs
-
-
 def smoothness_profile(data, loss):
     """The data's :class:`SmoothnessProfile`: L_max and L_bar are the max and
     the mean of the per-sample smoothness constants L_i.
@@ -458,15 +457,15 @@ def smoothness_profile(data, loss):
 def exact_solution(data, loss, profile, tol=1e-12):
     """High-accuracy minimizer x* with ||grad f(x*)|| <= tol.
 
-    Ridge is solved directly: (A^T A / n + lambda I) x = A^T y / n, with a
-    few Newton refinement passes if the first solve leaves the gradient
-    above tol.  Logistic runs full-gradient descent with stepsize 1/L_bar,
-    at most ``_GD_MAX_ITERS`` iterations.
-    Both bind the full gradient once (:func:`gradient_sum_fn`, with
+    One loop for both losses: from x = 0 it takes g = grad f(x), returns x
+    once ||g|| <= tol and otherwise steps to x - step(g).  Ridge steps by
+    Newton, solving (A^T A / n + lambda I) s = g: from 0 the first step is
+    the direct solve with right-hand side A^T y / n, and at most three more
+    refine it.  Logistic steps by gradient descent, g / L_bar with the
+    profile's L_bar, in at most ``_GD_MAX_ITERS`` gradient evaluations.
+    The full gradient is bound once (:func:`gradient_sum_fn`, with
     :func:`full_grad`'s bits), so no iteration rebuilds row views, and
     ridge reuses the Gram matrix the profile built (``Dataset.gram``).
-    ``profile`` is the data's :func:`smoothness_profile`, whose L_bar sets
-    the logistic stepsize.
     """
     if profile.n != data.n:
         raise InvalidInputError(f"profile has n = {profile.n}, data has n = {data.n}")
@@ -475,30 +474,21 @@ def exact_solution(data, loss, profile, tol=1e-12):
     if loss.kind == "ridge":
         h = data.gram / n
         h[np.diag_indices(d)] += loss.lam
-        x = solve_spd(h, _ridge_rhs(data) / n)
-        for refinements in range(4):
-            g = gsum(x) / n
-            gnorm = float(np.linalg.norm(g))
-            if gnorm <= tol:
-                return x
-            if refinements < 3:
-                x = x - solve_spd(h, g)
-        raise ConvergenceError(
-            f"ridge solve stalled at gradient norm {gnorm:.3e} > tol {tol:.3e}",
-            achieved=gnorm,
-        )
-    check_logistic_labels(data)
-    step = 1.0 / profile.L_bar
+        iters, step = 5, lambda g: solve_spd(h, g)  # four Newton steps at most
+    else:
+        check_logistic_labels(data)
+        rate = 1.0 / profile.L_bar
+        iters, step = _GD_MAX_ITERS, lambda g: rate * g
     x = np.zeros(d)
-    gnorm = math.inf
-    for _ in range(_GD_MAX_ITERS):
+    for k in range(iters):
         g = gsum(x) / n
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return x
-        x = x - step * g
+        if k + 1 < iters:  # the last check takes no step
+            x = x - step(g)
     raise ConvergenceError(
-        f"gradient descent did not reach tol {tol:.3e} in {_GD_MAX_ITERS} iterations "
+        f"{loss.kind} reference did not reach tol {tol:.3e} in {iters} iterations "
         f"(achieved {gnorm:.3e})",
         achieved=gnorm,
     )

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from sagd.numerics import SeededRng, sample_subset, symmetric_eigen
+from sagd.numerics import SeededRng, sample_subset, solve_spd, symmetric_eigen
 from sagd.problem import batch_gradient_fn, gradient_fn
 from sagd.sketch_oracle import bias_correction_of
 
@@ -280,6 +280,24 @@ def row_gradient_descent(data, loss, step, tol, max_iters):
     raise AssertionError(f"row-loop descent did not reach tol {tol} in {max_iters} iterations")
 
 
+def row_ridge_newton(data, loss, tol, max_steps=4):
+    """The ridge reference solution: Newton steps from 0 over the row-loop
+    full gradient and Gram matrix, through the package's ``solve_spd``,
+    stopping once the gradient norm is at most tol.  From 0 the first step
+    is the direct solve with right-hand side A^T y / n.  None if the norm is
+    still above tol after ``max_steps`` steps."""
+    h = row_gram_matrix(data) / data.n
+    h[np.diag_indices(data.d)] += loss.lam
+    x = np.zeros(data.d)
+    for k in range(max_steps + 1):
+        g = row_full_grad(data, loss, x)
+        if float(np.linalg.norm(g)) <= tol:
+            return x
+        if k < max_steps:
+            x = x - solve_spd(h, g)
+    return None
+
+
 def row_init_table_at_x(data, loss, x):
     """Table columns and their running sum, as the at-x0 table fill."""
     rows = split_rows(data)
@@ -314,13 +332,6 @@ def row_gram_matrix(data):
         else:
             h[np.ix_(idx, idx)] += np.outer(v, v)
     return h
-
-
-def row_ridge_rhs(data):
-    rhs = np.zeros(data.d)
-    for i, (idx, v) in enumerate(split_rows(data)):
-        rhs[idx] += data.labels[i] * v
-    return rhs
 
 
 def row_normalized_values(data):

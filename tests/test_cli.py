@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -349,6 +350,53 @@ class TestPlan:
         code, out, err = run_cli(capsys, "plan", "--n", "4", "--l-max", "-1", "--mu", "1")
         assert (code, out) == (2, "")
         assert err == "error: smoothness constants must be finite and >= 0\n"
+
+    @pytest.mark.parametrize("n", [3, 10, 1000])
+    def test_calculus_overflow_edge(self, capsys, tmp_path, n):
+        # n^2 4 L_max / mu is the calculus's largest product: at L_max = 1
+        # the smallest mu that keeps it finite plans without a numpy
+        # warning, and the next float down is refused on both paths
+        edge = 4.0 * n * n / sys.float_info.max
+        while not math.isfinite(4.0 / edge * n * n):
+            edge = math.nextafter(edge, math.inf)
+        while math.isfinite(4.0 / math.nextafter(edge, 0.0) * n * n):
+            edge = math.nextafter(edge, 0.0)
+        outside = math.nextafter(edge, 0.0)
+        profile = problem.SmoothnessProfile.uniform(n, 1.0, edge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best = planner.optimal_plan(profile).best
+            assert math.isfinite(best.omega_coef) and best.alpha > 0.0
+            assert math.isfinite(planner.plan_q(profile, n)[1])
+            assert math.isfinite(planner.plan_tau(profile, 0.5)[1])
+            assert math.isfinite(complexity.full_batch_interpolation(profile).omega_coef)
+        # logistic rows of squared norm 8 put L_max at 1 + lambda = 1
+        path = tmp_path / "edge.svm"
+        path.write_text("".join(f"{(-1) ** i} 1:2 2:2\n" for i in range(n)))
+        refused = "error: objective is numerically not strongly convex"
+        data = ("--data", str(path), "--loss", "logistic", "--lambda")
+        for argv in (("plan", "--n", str(n), "--l-max", "1", "--mu", repr(outside)),
+                     ("plan", *data, repr(outside)),
+                     ("run", *data, repr(outside), "--q", "auto"),
+                     ("run", *data, repr(outside), "--q", "0.5", "--tau", "2", "--alpha", "0.1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "") and err.startswith(refused), argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, "plan", *data, repr(edge), "--json")[0] == 0
+
+    @pytest.mark.parametrize("message,shown", [
+        ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),
+        ("", "an allocation failed"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch, message, shown):
+        # never a real allocation: under overcommit a huge one may succeed
+        def exhausted(profile):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "optimal_plan", exhausted)
+        code, out, err = run_cli(capsys, "plan", "--n", "10", "--l-max", "1", "--mu", "0.1")
+        assert (code, out, err) == (2, "", f"error: out of memory: {shown}\n")
 
 
 class TestRun:

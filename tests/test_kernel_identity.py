@@ -20,11 +20,11 @@ from reference_methods import (
     row_gram_matrix,
     row_init_table_at_x,
     row_normalized_values,
-    row_ridge_rhs,
+    row_ridge_newton,
     row_smoothness_levels,
 )
 from sagd import problem
-from sagd.exceptions import ConvergenceError, InvalidInputError
+from sagd.exceptions import ConvergenceError, InvalidInputError, NotPositiveDefiniteError
 from sagd.problem import Dataset, LossSpec
 from sagd.solver import init_table
 
@@ -45,6 +45,29 @@ def assert_profile_matches(data, loss, levels, mu):
     assert same_bits(kernel, levels) and same_bits(prof.mu, mu)
     assert same_bits(prof.L_max, levels.max()) and same_bits(prof.L_bar, levels.mean())
     return prof
+
+
+def assert_ridge_reference_matches(data, lam, tol):
+    """The ridge ``exact_solution`` on ``data`` against the row-loop Newton
+    steps from 0, bit for bit; where the reference stalls or its
+    factorization fails, the package must too.  Returns whether it
+    converged; False too where ridge is not strongly convex on ``data``."""
+    loss = LossSpec("ridge", lam)
+    if row_smoothness_levels(data, loss)[1] <= 0.0:
+        return False
+    prof = problem.smoothness_profile(data, loss)
+    try:
+        expect = row_ridge_newton(data, loss, tol)
+    except NotPositiveDefiniteError:
+        with pytest.raises(NotPositiveDefiniteError):
+            problem.exact_solution(data, loss, prof, tol=tol)
+        return False
+    if expect is None:
+        with pytest.raises(ConvergenceError, match="in 5 iterations"):
+            problem.exact_solution(data, loss, prof, tol=tol)
+        return False
+    assert same_bits(problem.exact_solution(data, loss, prof, tol=tol), expect)
+    return True
 
 
 def row_sum_patches(block_bytes):
@@ -108,7 +131,7 @@ def test_array_kernels_match_row_loops(case):
         j_mat, col_sum = row_init_table_at_x(data, loss, x)
         assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
         assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
-        assert same_bits(problem._ridge_rhs(data), row_ridge_rhs(data))
+        assert_ridge_reference_matches(data, loss.lam, tol=1e-10)
 
     try:
         expect = row_normalized_values(data)
@@ -143,6 +166,35 @@ def test_bound_gradient_sum_matches_row_loop_on_every_call(case, seed):
             else:
                 assert same_bits(gsum(p), col_sum)
                 assert same_bits(gsum(p) / data.n, row_full_grad(data, loss, p))
+
+
+@st.composite
+def sparse_ridge_data(draw):
+    """CSR ridge data with empty rows, stored +-0.0 entries and zero labels
+    of either sign, d often 1; a ridge weight and a block budget."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.sampled_from((1, 1, 2, 3, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.uniform(size=(n, d)) < draw(st.sampled_from((0.3, 0.7, 1.0)))
+    keep[rng.uniform(size=n) < 0.2] = False
+    a = rng.standard_normal((n, d)) * draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    a[rng.uniform(size=(n, d)) < 0.2] = draw(st.sampled_from((0.0, -0.0)))
+    labels = rng.standard_normal(n)
+    labels[rng.uniform(size=n) < draw(st.sampled_from((0.3, 1.0)))] = draw(
+        st.sampled_from((0.0, -0.0)))
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    data = Dataset(indptr, np.nonzero(keep)[1], a[keep], labels, d)
+    return data, draw(st.sampled_from((0.0, 1e-3, 0.5))), draw(st.sampled_from((1, 64, 1 << 20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_ridge_data())
+def test_ridge_reference_matches_row_loop_newton_on_sparse_data(case):
+    # the first Newton step from 0 is the direct solve: grad f(0) is
+    # -A^T y / n summed in row order, signed zeros included
+    data, lam, block_bytes = case
+    with row_sum_patches(block_bytes):
+        assert_ridge_reference_matches(data, lam, tol=1e-10)
 
 
 # z where the logistic derivative meets a tail: signed zeros, exp's
@@ -260,7 +312,8 @@ def test_dense_gram_and_normalized_rows_match_row_loops(d):
 
 
 def test_add_at_adds_repeated_indices_in_input_order():
-    # the numpy property problem._ridge_rhs and the sketch_oracle scatters rest on
+    # the numpy property the sketch_oracle scatters, the package's only
+    # ones, rest on
     rng = np.random.default_rng(24)
     for size, slots in ((2, 1), (9, 1), (1000, 1), (1000, 3), (5000, 40)):
         for shape in ((slots,), (slots, slots)):  # flat and tuple indices
@@ -356,7 +409,8 @@ def test_one_column_kernels_match_row_loops(kind, dense, x0):
     j_mat, col_sum = row_init_table_at_x(data, loss, x)
     assert same_bits(table.J, j_mat) and same_bits(table.col_sum, col_sum)
     assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
-    assert same_bits(problem._ridge_rhs(data), row_ridge_rhs(data))
+    # labels up to 1e8 put ||grad f(0)|| near 1e12: 1e-2 is 1e-14 of it
+    assert assert_ridge_reference_matches(data, loss.lam, tol=1e-2)
     assert_profile_matches(data, loss, *row_smoothness_levels(data, loss))
 
 
@@ -416,7 +470,7 @@ def test_long_and_mixed_length_rows_match_row_loops(kind, dense):
         prof = assert_profile_matches(data, loss, *row_smoothness_levels(data, loss))
         if kind == "ridge":
             assert same_bits(problem._gram_matrix(data), row_gram_matrix(data))
-            assert same_bits(problem._ridge_rhs(data), row_ridge_rhs(data))
+            assert assert_ridge_reference_matches(data, loss.lam, tol=1e-10)
         else:
             expect = row_gradient_descent(data, loss, 1.0 / prof.L_bar, tol=1e-5, max_iters=400)
             assert same_bits(problem.exact_solution(data, loss, prof, tol=1e-5), expect)

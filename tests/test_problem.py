@@ -338,9 +338,12 @@ class TestSmoothnessProfile:
             (lambda: SmoothnessProfile(10, -1.0, -2.0, 0.1, "x"), InvalidInputError),
             (lambda: SmoothnessProfile(10, 1.0, -0.5, 0.1, "x"), InvalidInputError),
             (lambda: SmoothnessProfile.uniform(4, -1.0, 1.0), InvalidInputError),
+            (lambda: SmoothnessProfile.uniform(3, 1e300, 1e-10), NotStronglyConvexError),
+            (lambda: SmoothnessProfile.uniform(2**1024, 1.0, 1.0), NotStronglyConvexError),
         ],
         ids=["n0", "n-fraction", "n-none", "mu0", "mu-nan", "l-max-inf", "l-bar-above", "bounds-n0",
-             "too-small", "both-negative", "l-bar-negative", "uniform-negative"],
+             "too-small", "both-negative", "l-bar-negative", "uniform-negative",
+             "cond-overflow", "n-beyond-float"],
     )
     def test_invalid_profiles_rejected(self, make, error):
         with pytest.raises(error):
